@@ -6,7 +6,8 @@ The central object is the generating function
 
 a Fredholm determinant of the sine kernel restricted to a union of
 scaled intervals.  The package evaluates F numerically (Nystrom
-discretization, `fredholm_det`), evaluates its large-r expansions in
+discretization, `fredholm_det`; `Discretization` builds the kernel once
+for many weights), evaluates its large-r expansions in
 closed form (`positive_weights_expansion` for all weights positive,
 `zero_weight_expansion` when one weight vanishes), and extracts count
 distributions and moments (`joint_pmf`, `counting_stats`,
@@ -35,6 +36,7 @@ from .counting import (
 from .errors import NumericalError, ValidationError
 from .fredholm import (
     DeterminantResult,
+    Discretization,
     IntervalPartition,
     WeightConfiguration,
     fredholm_det,
@@ -65,6 +67,7 @@ __all__ = [
     "CompositeRule",
     "ConstantTable",
     "DeterminantResult",
+    "Discretization",
     "ExpansionBreakdown",
     "IntervalPartition",
     "JointPMF",

@@ -7,6 +7,12 @@ probabilities are determinant ratios, and numerical cumulants come from
 central differences of log F in the exponential parameterization
 s_j = exp(u_j + ... + u_m), whose gradient/Hessian at u = 0 are exactly
 the means and covariances of the nested counts N_(r x_0, r x_j).
+
+Each of these evaluates F at many weights on one partition and one r,
+and none needs the n/2 error estimate of `fredholm_det`.  So every
+function here builds one `Discretization` per partition (the composite
+rule and the sine kernel on its nodes) and calls its `log_det` once per
+weight: one matrix assembly and one factorization each.
 """
 
 from __future__ import annotations
@@ -20,7 +26,13 @@ import numpy as np
 
 from .asymptotics import StatisticsTriple
 from .errors import NumericalError, ValidationError
-from .fredholm import IntervalPartition, WeightConfiguration, fredholm_det
+from .fredholm import Discretization, WeightConfiguration, _as_partition
+
+# Not called here since the kernel is shared, but kept importable as
+# `sinegap.counting.fredholm_det`: bench/spans.py wraps that name, and a
+# missing name would turn its fredholm.det metrics into "absent" for
+# every workload, not just this module's.
+from .fredholm import fredholm_det  # noqa: F401
 
 __all__ = [
     "JointPMF",
@@ -50,12 +62,6 @@ class JointPMF:
         return float(self.table[tuple(counts)])
 
 
-def _as_partition(partition) -> IntervalPartition:
-    if isinstance(partition, IntervalPartition):
-        return partition
-    return IntervalPartition(partition)
-
-
 def joint_pmf(
     partition,
     r: float,
@@ -70,7 +76,9 @@ def joint_pmf(
     (default, and minimum, 2 max(K_j) + 2); the trapezoid rule on the
     torus is a plain DFT, so the grid values are FFT'd.  Supported for
     m <= 3.  By normalization the full DFT sums to F(1) = 1 exactly, and
-    the mass not in the table is reported as residual_mass.
+    the mass not in the table is reported as residual_mass.  The sine
+    kernel is built once at order n_quad and reused for all g^m grid
+    points, each one LU; no n/2 error-estimate pass is made.
 
     Entries in (-1e-9, 0) are clamped to 0 (roundoff from the inversion);
     anything below -1e-9 raises, as does any imaginary part above 1e-8.
@@ -93,12 +101,12 @@ def joint_pmf(
         )
 
     g = n_grid_per_dim
+    disc = Discretization(partition, r, n_quad)
     phases = np.exp(2j * math.pi * np.arange(g) / g)
     f_grid = np.empty((g,) * m, dtype=complex)
     for combo in product(range(g), repeat=m):
         weights = WeightConfiguration(tuple(phases[i] for i in combo))
-        log_f = fredholm_det(partition, weights, r, n_quad).log_f
-        f_grid[combo] = np.exp(log_f)
+        f_grid[combo] = np.exp(disc.log_det(weights))
 
     coeff = np.fft.fftn(f_grid) / g**m
     table = coeff[tuple(slice(0, k + 1) for k in ks)]
@@ -131,7 +139,7 @@ def thinned_gap_probability(partition, s, r: float, n: int = 64) -> float:
     F(s).  Equals 1 at s = 1 and the hard-gap probability at s = 0."""
     partition = _as_partition(partition)
     weights = _validate_unit_weights(s, partition.m)
-    log_f = fredholm_det(partition, weights, r, n).log_f
+    log_f = Discretization(partition, r, n).log_det(weights)
     return min(1.0, math.exp(log_f.real))
 
 
@@ -141,8 +149,8 @@ def conditional_zero_probability(partition, s, r: float, n: int = 64) -> float:
     (0, 1].  At s = 0 thinning removes nothing and the ratio is 1."""
     partition = _as_partition(partition)
     weights = _validate_unit_weights(s, partition.m)
-    num = fredholm_det(partition.merged(), WeightConfiguration((0.0,)), r, n).log_f.real
-    den = fredholm_det(partition, weights, r, n).log_f.real
+    num = Discretization(partition.merged(), r, n).log_det(WeightConfiguration((0.0,))).real
+    den = Discretization(partition, r, n).log_det(weights).real
     return min(1.0, math.exp(num - den))
 
 
@@ -164,23 +172,21 @@ def numerical_cumulants(
     Central differences at steps h and h/2 are combined by one Richardson
     step (error O(h^4)).  `order` = 1 computes means only (variances and
     covariances are returned as NaN); `order` = 2 computes all three.
-    h must lie in [1e-4, 1e-1].
+    h must lie in [1e-4, 1e-1].  Every difference point is evaluated on
+    one `Discretization` of order n, so the kernel is built once per call.
     """
-    partition = _as_partition(partition)
-    r = float(r)
-    if not math.isfinite(r) or r <= 0.0:
-        raise ValidationError(f"scale r must be positive and finite, got {r!r}")
+    disc = Discretization(partition, r, n)
     if order not in (1, 2):
         raise ValidationError(f"order must be 1 or 2, got {order!r}")
     h = float(h)
     if not (1e-4 <= h <= 1e-1):
         raise ValidationError(f"step h must lie in [1e-4, 1e-1], got {h!r}")
-    m = partition.m
+    m = disc.partition.m
 
     def log_f(u: np.ndarray) -> float:
         s = np.exp(np.cumsum(u[::-1])[::-1])
         weights = WeightConfiguration(tuple(float(v) for v in s))
-        return fredholm_det(partition, weights, r, n).log_f.real
+        return disc.log_det(weights).real
 
     def at(**deltas) -> float:
         u = np.zeros(m)

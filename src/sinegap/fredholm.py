@@ -11,9 +11,11 @@ entire function of s, so complex weights (unit-circle values for
 probability inversion) are accepted alongside real nonnegative ones.
 
 Evaluation is Nystrom discretization on composite Gauss-Legendre nodes
-followed by a pivoted-LU log-determinant; a truncated series evaluation
-`series_det` provides an independent cross-check route for small
-instances and is deliberately kept free of any LU code.
+followed by a pivoted-LU log-determinant.  The discretization depends
+on (partition, r, n) only and is built once per `Discretization`; each
+weight then costs a matrix assembly and one factorization.  A truncated
+series evaluation `series_det` provides an independent cross-check route
+for small instances and is deliberately kept free of any LU code.
 
 Hard gaps.  With exactly one zero weight s_p (the others positive) the
 zeroed interval G = (r x_{p-1}, r x_p) is a hard gap: K on G has
@@ -25,13 +27,14 @@ the eigenfunctions come from prolate spheroidal wave functions
 (`prolate.gap_modes`) to relative accuracy, and the LU factors a matrix
 of the same size whose condition is about 1 / HARD_GAP_TAU
 (`_deflated_log_det`).  Inputs without such a mode keep the plain LU and
-its exact output.  Where the prolate values themselves lose their
-digits, the route raises NumericalError (see HARD_GAP_MAX_ROUNDING).
+its exact output.  A run of adjacent zero weights is one hard gap and
+is merged into one interval first.  Where the prolate values themselves
+lose their digits, the route raises NumericalError (see
+HARD_GAP_MAX_ROUNDING).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -47,6 +50,7 @@ __all__ = [
     "IntervalPartition",
     "WeightConfiguration",
     "DeterminantResult",
+    "Discretization",
     "sine_kernel",
     "fredholm_det",
     "series_det",
@@ -291,22 +295,94 @@ def _weight_column(rule, weights: WeightConfiguration) -> np.ndarray:
     return rule.weights * (1.0 - s[rule.interval_index])
 
 
-def _log_det_at_order(partition, weights, r, n, symmetrized=False, gap=None) -> complex:
-    rule = composite_rule(partition, r, n)
-    t = rule.nodes
-    kernel = sine_kernel(t[:, None], t[None, :])
-    if gap is not None:
-        return _deflated_log_det(rule, kernel, _weight_column(rule, weights), *gap)
-    if symmetrized:
-        c = _weight_column(rule, weights)
-        if np.iscomplexobj(c) or np.any(c < 0.0):
-            raise ValidationError("symmetrized evaluation needs real weights s <= 1")
-        sq = np.sqrt(c)
-        mat = np.eye(len(t)) - sq[:, None] * kernel * sq[None, :]
-    else:
-        c = _weight_column(rule, weights)
-        mat = np.eye(len(t), dtype=c.dtype) - kernel * c[None, :]
-    return _lu_log_det(mat)
+def _as_partition(partition) -> IntervalPartition:
+    if isinstance(partition, IntervalPartition):
+        return partition
+    return IntervalPartition(partition)
+
+
+def _checked_weights(partition: IntervalPartition, weights):
+    """(partition, weights) with the weights checked against the partition
+    and every run of adjacent zero weights merged into one zeroed
+    interval, so that a hard gap written in pieces takes the hard-gap
+    route.  The operator is the same; only the quadrature differs."""
+    if not isinstance(weights, WeightConfiguration):
+        weights = WeightConfiguration(weights)
+    if weights.m != partition.m:
+        raise ValidationError(f"{weights.m} weights for {partition.m} intervals")
+    vals = weights.values
+    inner = {j for j in range(1, weights.m) if vals[j - 1] == 0.0 == vals[j]}
+    if not inner:
+        return partition, weights
+    endpoints = [x for j, x in enumerate(partition.endpoints) if j not in inner]
+    merged = [v for j, v in enumerate(vals) if j not in inner]
+    return IntervalPartition(endpoints), WeightConfiguration(merged)
+
+
+def _check_sign(weights: WeightConfiguration, log_f: complex) -> None:
+    if weights.is_real and abs(log_f.imag) > 1e-9:
+        raise NumericalError(
+            f"lost determinant sign for real weights: folded argument {log_f.imag!r}"
+        )
+
+
+class Discretization:
+    """The weight-independent part of log F at order n: the composite
+    Gauss-Legendre rule with n nodes per interval of the scaled partition
+    (`rule`), and the sine kernel on its nodes (`kernel`, read-only).
+
+    Built once for (partition, r, n), it gives log F at any number of
+    weights through `log_det`, each one a weight column, a matrix
+    assembly and one factorization.  The Nystrom method is Bornemann's
+    (Math. Comp. 79, 2010).
+    """
+
+    def __init__(self, partition, r: float, n: int):
+        partition = _as_partition(partition)
+        r = float(r)
+        if not math.isfinite(r) or r <= 0.0:
+            raise ValidationError(f"scale r must be positive and finite, got {r!r}")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 8:
+            raise ValidationError(f"quadrature order n must be an integer >= 8, got {n!r}")
+        self._build(partition, r, n)
+
+    def _build(self, partition: IntervalPartition, r: float, n: int) -> None:
+        self.partition, self.r, self.n = partition, r, n
+        self.rule = composite_rule(partition, r, n)
+        t = self.rule.nodes
+        self.kernel = sine_kernel(t[:, None], t[None, :])
+        self.kernel.setflags(write=False)
+
+    def halved(self) -> "Discretization":
+        """The same partition and r at order n // 2 (which may be below 8):
+        the coarse pass of `fredholm_det`'s error estimate."""
+        half = Discretization.__new__(Discretization)
+        half._build(self.partition, self.r, self.n // 2)
+        return half
+
+    def log_det(self, weights) -> complex:
+        """log F at `weights` (one per interval), by the same route as
+        `fredholm_det` at order n but without its n // 2 pass.  Raises
+        NumericalError where `fredholm_det` would."""
+        partition, weights = _checked_weights(self.partition, weights)
+        if partition is not self.partition:  # merged zeros: fewer intervals, another rule
+            return Discretization(partition, self.r, self.n).log_det(weights)
+        log_f = self._log_det(weights, _hard_gap_modes(partition, weights, self.r))
+        _check_sign(weights, log_f)
+        return log_f
+
+    def _log_det(self, weights, gap, symmetrized=False) -> complex:
+        c = _weight_column(self.rule, weights)
+        if gap is not None:
+            return _deflated_log_det(self.rule, self.kernel, c, *gap)
+        if symmetrized:
+            if np.iscomplexobj(c) or np.any(c < 0.0):
+                raise ValidationError("symmetrized evaluation needs real weights s <= 1")
+            sq = np.sqrt(c)
+            mat = np.eye(len(c)) - sq[:, None] * self.kernel * sq[None, :]
+        else:
+            mat = np.eye(len(c), dtype=c.dtype) - self.kernel * c[None, :]
+        return _lu_log_det(mat)
 
 
 def _lu_log_det(mat) -> complex:
@@ -390,47 +466,49 @@ def fredholm_det(partition, weights, r: float, n: int = 64, symmetrized: bool = 
     """log F for the weighted multi-interval sine kernel at scale r.
 
     `n` is the Gauss-Legendre order per interval (>= 8); the result is
-    computed at n and at n//2 and the modulus of the difference is
-    reported as `error_estimate`.  With `symmetrized=True` (real weights
-    s <= 1 only) the matrix sqrt(w(1-s)) K sqrt(w(1-s)) is factorized
-    instead; the determinant is the same, the option exists for
-    conditioning comparisons.
+    computed on a `Discretization` at n and on one at n//2, and the
+    modulus of the difference is reported as `error_estimate`.  Callers
+    that evaluate many weights on one partition and r, and do not need
+    the estimate, should call `Discretization(partition, r, n).log_det`
+    instead: it builds the kernel once and skips the n//2 pass.
+
+    With `symmetrized=True` (real weights s <= 1 only) the matrix
+    sqrt(w(1-s)) K sqrt(w(1-s)) is factorized instead; the determinant is
+    the same, the option exists for conditioning comparisons.
 
     One-zero weights whose zeroed interval has half-length
     c = r (x_p - x_{p-1}) / 2 large enough that some 1 - lambda_k of the
     sine kernel on it falls below HARD_GAP_TAU = 1e-4 (c >= 6, r >= 20 for
     a gap of 0.6) go through the prolate deflation route described in the
     module docstring, whatever `symmetrized` says; the prolate modes are
-    computed once and serve both orders.  That route raises
+    computed once and serve both orders, so `error_estimate` adds their
+    rounding bound, 2 * (number of deflated modes) * `GapModes.rounding`,
+    which the difference of the two orders cannot show.  That route raises
     NumericalError when c > HARD_GAP_MAX_HALF_LENGTH = 40, or when the
     rounding bound of some deflated psi_k(1) exceeds
     HARD_GAP_MAX_ROUNDING = 1e-5 (from c = 26.7 on, r = 89 for a gap of
     0.6), instead of returning digits it cannot resolve.
+
+    Adjacent zero weights are merged into one zeroed interval before the
+    route is chosen, so `(0, 0.3, 0.6)` with `(0, 0)` is the hard gap
+    `(0, 0.6)` and takes the route above.  Zeros separated by a nonzero
+    weight are still mode "general" and take the plain LU.
     """
-    if not isinstance(partition, IntervalPartition):
-        partition = IntervalPartition(partition)
-    if not isinstance(weights, WeightConfiguration):
-        weights = WeightConfiguration(weights)
-    if weights.m != partition.m:
-        raise ValidationError(
-            f"{weights.m} weights for {partition.m} intervals"
-        )
-    r = float(r)
-    if not math.isfinite(r) or r <= 0.0:
-        raise ValidationError(f"scale r must be positive and finite, got {r!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 8:
-        raise ValidationError(f"quadrature order n must be an integer >= 8, got {n!r}")
+    partition, weights = _checked_weights(_as_partition(partition), weights)
     if symmetrized and (not weights.is_real or any(v.real > 1.0 for v in weights.values)):
         raise ValidationError("symmetrized evaluation needs real weights s <= 1")
 
-    gap = _hard_gap_modes(partition, weights, r)
-    log_full = _log_det_at_order(partition, weights, r, n, symmetrized, gap)
-    log_half = _log_det_at_order(partition, weights, r, n // 2, symmetrized, gap)
+    full = Discretization(partition, r, n)
+    gap = _hard_gap_modes(partition, weights, full.r)
+    log_full = full._log_det(weights, gap, symmetrized)
+    log_half = full.halved()._log_det(weights, gap, symmetrized)
     err = abs(log_full - log_half)
-    if weights.is_real and abs(log_full.imag) > 1e-9:
-        raise NumericalError(
-            f"lost determinant sign for real weights: folded argument {log_full.imag!r}"
-        )
+    if gap is not None:
+        # both passes share the modes, so the rounding of their 1 - lambda_k
+        # never shows in the difference: add its bound
+        modes = gap[1]
+        err += 2.0 * modes.count * modes.rounding
+    _check_sign(weights, log_full)
     return DeterminantResult(log_f=log_full, order_used=n, error_estimate=err)
 
 
@@ -444,8 +522,7 @@ def series_det(partition, weights, r: float, k_max: int = 3) -> float:
     total weighted trace sum_k |1 - s_k| r (x_k - x_{k-1}) / pi must stay
     below 0.5.
     """
-    if not isinstance(partition, IntervalPartition):
-        partition = IntervalPartition(partition)
+    partition = _as_partition(partition)
     if not isinstance(weights, WeightConfiguration):
         weights = WeightConfiguration(weights)
     if weights.m != partition.m:

@@ -7,10 +7,12 @@ single-interval table for the same interval.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
+import sinegap.fredholm as fredholm_module
 from sinegap import (
     IntervalPartition,
     JointPMF,
@@ -195,3 +197,91 @@ def test_cumulant_validation():
         numerical_cumulants((0.0, 1.0), 4.0, h=0.5)
     with pytest.raises(ValidationError):
         numerical_cumulants((0.0, 1.0), -4.0)
+
+
+# ---------------------------------------------------------------------------
+# one discretization per call: same numbers as fredholm_det, fewer kernels
+
+
+def _pmf_from_fredholm_det(endpoints, r, k, n_quad=64):
+    # joint_pmf's inversion written over plain fredholm_det calls
+    m = len(endpoints) - 1
+    g = 2 * k + 2
+    phases = np.exp(2j * math.pi * np.arange(g) / g)
+    f_grid = np.empty((g,) * m, dtype=complex)
+    for combo in product(range(g), repeat=m):
+        weights = WeightConfiguration(tuple(phases[i] for i in combo))
+        f_grid[combo] = np.exp(fredholm_det(endpoints, weights, r, n_quad).log_f)
+    table = (np.fft.fftn(f_grid) / g**m)[(slice(0, k + 1),) * m].real.copy()
+    table[table < 0.0] = 0.0
+    return table
+
+
+def test_counting_equals_loop_over_fredholm_det():
+    for endpoints, r, k in (((0.0, 0.5, 1.0), 2.0, 2), ((0.0, 0.4, 0.8, 1.2), 1.0, 1)):
+        assert np.array_equal(joint_pmf(endpoints, r, k).table, _pmf_from_fredholm_det(endpoints, r, k))
+
+    part, r, h = IntervalPartition((0.0, 0.5, 1.2)), 5.0, 1e-3
+
+    def log_f(u):
+        s = np.exp(np.cumsum(np.asarray(u)[::-1])[::-1])
+        return fredholm_det(part, tuple(float(v) for v in s), r).log_f.real
+
+    got = numerical_cumulants(part, r, order=2, h=h)
+    f0 = log_f(np.zeros(2))
+    for j in range(2):
+        e = np.eye(2)[j]
+        coarse = (log_f(h * e) - log_f(-h * e)) / (2.0 * h)
+        fine = (log_f(h / 2 * e) - log_f(-h / 2 * e)) / h
+        assert got.mu[j] == (4.0 * fine - coarse) / 3.0
+        coarse = (log_f(h * e) - 2.0 * f0 + log_f(-h * e)) / (h * h)
+        fine = (log_f(h / 2 * e) - 2.0 * f0 + log_f(-h / 2 * e)) / (h * h / 4.0)
+        assert got.sigma2[j] == (4.0 * fine - coarse) / 3.0
+
+    part = IntervalPartition((0.0, 0.6, 1.3))
+    for s in ((0.3, 0.7), (0.0, 0.4), (0.0, 0.0)):
+        den = fredholm_det(part, s, 6.0).log_f.real
+        assert thinned_gap_probability(part, s, 6.0) == min(1.0, math.exp(den))
+        num = fredholm_det(part.merged(), (0.0,), 6.0).log_f.real
+        assert conditional_zero_probability(part, s, 6.0) == min(1.0, math.exp(num - den))
+
+
+def test_counting_fills_one_kernel_and_factors_once_per_weight(monkeypatch):
+    calls = {"kernel": 0, "lu": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(fredholm_module, "sine_kernel", counted("kernel", fredholm_module.sine_kernel))
+    monkeypatch.setattr(fredholm_module, "lu_factor", counted("lu", fredholm_module.lu_factor))
+
+    def run(fn, *args, **kwargs):
+        calls.update(kernel=0, lu=0)
+        fn(*args, **kwargs)
+        return dict(calls)
+
+    # g^m torus points, g = 2 K + 2
+    assert run(joint_pmf, (0.0, 0.5, 1.0), 2.0, 2) == {"kernel": 1, "lu": 36}
+    assert run(joint_pmf, (0.0, 0.4, 0.8, 1.2), 1.0, 1) == {"kernel": 1, "lu": 64}
+    # 1 + 4 m points for the means and variances, 8 per covariance pair
+    assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0) == {"kernel": 1, "lu": 17}
+    assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0, order=1) == {"kernel": 1, "lu": 9}
+    assert run(thinned_gap_probability, (0.0, 0.6, 1.3), (0.3, 0.7), 6.0) == {"kernel": 1, "lu": 1}
+    # the merged gap (numerator) and the thinned partition (denominator)
+    assert run(conditional_zero_probability, (0.0, 0.6, 1.3), (0.3, 0.7), 6.0) == {"kernel": 2, "lu": 2}
+
+
+def test_counting_keeps_order_and_sign_checks(monkeypatch):
+    with pytest.raises(ValidationError, match="quadrature order"):
+        joint_pmf((0.0, 0.5), 1.0, 2, n_quad=4)
+    with pytest.raises(ValidationError, match="quadrature order"):
+        numerical_cumulants((0.0, 1.0), 4.0, n=7)
+    with pytest.raises(ValidationError, match="scale r"):
+        thinned_gap_probability((0.0, 1.0), (0.5,), float("nan"))
+    monkeypatch.setattr(fredholm_module, "_lu_log_det", lambda mat: complex(-1.0, 0.5))
+    with pytest.raises(NumericalError, match="lost determinant sign"):
+        numerical_cumulants((0.0, 1.0), 4.0)

@@ -14,6 +14,7 @@ import pytest
 import sinegap.fredholm as fredholm_module
 from sinegap import (
     DeterminantResult,
+    Discretization,
     IntervalPartition,
     NumericalError,
     ValidationError,
@@ -370,6 +371,81 @@ def test_hard_gap_matches_extended_precision_references():
             got = fredholm_det(endpoints, weights, 40.0, n).log_f
             assert abs(got.real - want) < 1e-9, (endpoints, n, got.real - want)
             assert abs(got.imag) < 1e-12
+
+
+def test_hard_gap_error_estimate_covers_reference_error():
+    # the n and n/2 passes share the prolate modes, so the estimate must
+    # carry their rounding bound: without it the pure gap at n = 128
+    # reports 2.8e-13 against a true error of 5.8e-12
+    for (endpoints, weights), want in HARD_GAP_REFERENCES:
+        for n in (64, 128):
+            res = fredholm_det(endpoints, weights, 40.0, n)
+            assert abs(res.log_f.real - want) <= res.error_estimate, (endpoints, n)
+
+
+def test_adjacent_zero_intervals_take_hard_gap_route():
+    # a hard gap written as two zeroed intervals is the same determinant;
+    # the plain LU was off by 3e-7 at r = 40 and by 0.058 at r = 60
+    pieces = fredholm_det((0.0, 0.3, 0.6), (0.0, 0.0), 40.0)
+    assert abs(pieces.log_f.real - HARD_GAP_REFERENCES[0][1]) < 1e-9
+    assert fredholm_det((0.0, 0.3, 0.6), (0.0, 0.0), 60.0) == fredholm_det((0.0, 0.6), (0.0,), 60.0)
+    # a run inside a longer partition merges; a zero run and a positive
+    # weight leave one zero weight, i.e. the one-zero route
+    part, weights = fredholm_module._checked_weights(
+        IntervalPartition((0.0, 0.2, 0.4, 0.6, 1.0)), (0.5, 0.0, 0.0, 0.7)
+    )
+    assert part.endpoints == (0.0, 0.2, 0.6, 1.0)
+    assert weights.values == (0.5, 0.0, 0.7) and weights.mode == "one_zero"
+    # separated zeros are not merged: they stay mode "general" (plain LU)
+    sep = IntervalPartition((0.0, 0.2, 0.4, 0.6))
+    part, weights = fredholm_module._checked_weights(sep, (0.0, 0.5, 0.0))
+    assert part is sep and weights.mode == "general"
+
+
+def test_discretization_log_det_is_fredholm_det_without_the_half_pass():
+    cases = [
+        ((0.0, 0.7, 1.2), (math.exp(-3.5), math.exp(-2.4)), 20.0),
+        ((0.0, 0.5, 1.0), (complex(0.6, 0.8), -1j), 3.0),
+        FIG2_LEFT + (40.0,),
+        ((0.0, 0.3, 0.6), (0.0, 0.0), 40.0),
+    ]
+    for endpoints, weights, r in cases:
+        disc = Discretization(endpoints, r, 64)
+        assert disc.log_det(weights) == fredholm_det(endpoints, weights, r, 64).log_f
+    assert not disc.kernel.flags.writeable
+
+
+def test_discretization_validation_and_sign_check(monkeypatch):
+    with pytest.raises(ValidationError, match="scale r"):
+        Discretization((0.0, 1.0), -1.0, 64)
+    with pytest.raises(ValidationError, match="quadrature order"):
+        Discretization((0.0, 1.0), 1.0, 7)
+    with pytest.raises(ValidationError):
+        Discretization((1.0, 0.0), 1.0, 64)
+    disc = Discretization((0.0, 1.0), 2.0, 16)
+    with pytest.raises(ValidationError):
+        disc.log_det((0.5, 0.5))  # m mismatch
+    assert disc.halved().n == 8 and disc.halved().kernel.shape == (8, 8)
+    monkeypatch.setattr(fredholm_module, "_lu_log_det", lambda mat: complex(-1.0, 0.5))
+    with pytest.raises(NumericalError, match="lost determinant sign"):
+        disc.log_det((0.5,))
+    assert disc.log_det((1j,)) == complex(-1.0, 0.5)  # complex weights have no sign to lose
+
+
+def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
+    calls = {"kernel": 0, "lu": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(fredholm_module, "sine_kernel", counted("kernel", fredholm_module.sine_kernel))
+    monkeypatch.setattr(fredholm_module, "lu_factor", counted("lu", fredholm_module.lu_factor))
+    fredholm_det((0.0, 0.5, 1.0), (0.3, 0.6), 5.0)
+    assert calls == {"kernel": 2, "lu": 2}  # orders n and n // 2
 
 
 def test_hard_gap_route_agrees_with_lu_where_lu_is_accurate(monkeypatch):

@@ -46,11 +46,9 @@ from .fredholm import (
 )
 from .quadrature import CompositeRule, QuadratureRule, composite_rule, gauss_legendre
 from .specfun import (
-    CONSTANTS,
     DYSON_CONSTANT,
     EULER_GAMMA,
     ZETA_PRIME_MINUS_ONE,
-    ConstantTable,
     barnes_pair,
     log_barnes_g,
     log_gamma,
@@ -60,12 +58,10 @@ from .specfun import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONSTANTS",
     "DYSON_CONSTANT",
     "EULER_GAMMA",
     "ZETA_PRIME_MINUS_ONE",
     "CompositeRule",
-    "ConstantTable",
     "DeterminantResult",
     "Discretization",
     "ExpansionBreakdown",

@@ -8,15 +8,28 @@ Two regimes are covered, distinguished by the weights:
   the Gaussian-decay gap law -r^2 (x_p - x_{p-1})^2 / 8 leads, decorated
   by square-root interactions with the surviving intervals.
 
+Both expansions are the cumulant generating function of the counts
+truncated at second order, derived here from the statistics functions
+instead of being written out again:
+
+    positive:  log F = u . mu + (1/2) u^T Sigma u + Barnes-G pairs,
+    one zero:  log F = gap law + signed u . mu_hat + (1/2) u^T Sigma_hat u
+                       + Barnes-G pairs,
+
+with (mu, Sigma) from `counting_stats` (the nested counts
+N_(r x_0, r x_j)) and (mu_hat, Sigma_hat) from `conditional_stats` (the
+counts conditioned on the hard gap).  The interval geometry is written
+in those two functions only; `dyson_gap_log` and `basor_widom_log`, the
+m = 1 laws, are coded on their own as an independent check.
+
 Every expansion is returned as an ExpansionBreakdown splitting the value
 into the r^2, r, log r and constant contributions, so convergence studies
-can attribute the error.  Mixed terms of the form c * log(2 r d) are
-split as c * log r into the log-r slot and c * log(2 d) into the constant
-slot.
-
-The statistics functions give the matching mean / variance / covariance
-expansions of the interval counts N_(r x_0, r x_j) (nested intervals
-anchored at x_0), plus the hatted variants conditioned on a hard gap.
+can attribute the error.  The statistics have mu(r) = r mu(1) and
+Sigma(r) = Sigma(1) + log r (dSigma / dlog r), so the r slot is
+r (u . mu(1)), the log-r slot (1/2) u^T (Sigma(r) - Sigma(1)) u and the
+constant slot (1/2) u^T Sigma(1) u plus the Barnes-G pairs: a term
+c log(2 r d) lands as c log r in the log-r slot and c log(2 d) in the
+constant slot.
 """
 
 from __future__ import annotations
@@ -28,7 +41,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .fredholm import IntervalPartition, reduced_indices
+from .fredholm import _as_partition, _checked_u, reduced_indices
+from .quadrature import _check_r
 from .specfun import DYSON_CONSTANT, EULER_GAMMA, barnes_pair
 
 __all__ = [
@@ -91,19 +105,6 @@ class StatisticsTriple:
         self.cross.setflags(write=False)
 
 
-def _check_r(r: float) -> float:
-    r = float(r)
-    if not math.isfinite(r) or r <= 0.0:
-        raise ValidationError(f"scale r must be positive and finite, got {r!r}")
-    return r
-
-
-def _as_partition(partition) -> IntervalPartition:
-    if isinstance(partition, IntervalPartition):
-        return partition
-    return IntervalPartition(partition)
-
-
 def dyson_gap_log(r: float, x0: float, x1: float) -> ExpansionBreakdown:
     """Gap law for a single empty interval (m = 1, s = 0):
 
@@ -134,9 +135,7 @@ def basor_widom_log(r: float, x0: float, x1: float, u1: float) -> ExpansionBreak
     length = float(x1) - float(x0)
     if not (math.isfinite(length) and length > 0.0):
         raise ValidationError(f"need x1 > x0, got x0 = {x0!r}, x1 = {x1!r}")
-    u1 = float(u1)
-    if not math.isfinite(u1):
-        raise ValidationError(f"u1 must be finite, got {u1!r}")
+    u1 = float(_checked_u((u1,), 1)[0])
     c = u1 * u1 / (2.0 * PI2)
     return ExpansionBreakdown(
         r_squared_term=0.0,
@@ -146,46 +145,39 @@ def basor_widom_log(r: float, x0: float, x1: float, u1: float) -> ExpansionBreak
     )
 
 
+def _cumulant_terms(at_one, at_r, u, r: float, signs=1.0) -> tuple[float, float, float]:
+    """The r, log r and constant parts of (signs u) . mu + (1/2) u^T Sigma u,
+    from the statistics at 1 and at r.  All of them have mu = r mu(1) and
+    Sigma = Sigma(1) + log r (dSigma / dlog r)."""
+    return (
+        r * float(np.dot(signs * u, at_one.mu)),
+        0.5 * float(u @ (at_r.cross - at_one.cross) @ u),
+        0.5 * float(u @ at_one.cross @ u),
+    )
+
+
 def positive_weights_expansion(partition, u: Sequence[float], r: float) -> ExpansionBreakdown:
     """Large-r law of log F for all-positive weights, parameterized by the
     log-ratios u_j = log(s_j / s_{j+1}), j = 1..m (s_{m+1} = 1):
 
-        log F = (r/pi) sum_j u_j (x_j - x_0)
-              + sum_j (u_j^2 / (2 pi^2)) log(2 r (x_j - x_0))
-              + sum_{j<k} (u_j u_k / (2 pi^2))
-                    log(2 r (x_j - x_0)(x_k - x_0) / (x_k - x_j))
+        log F = u . mu + (1/2) u^T Sigma u
               + sum_j pair(u_j) + pair(sum_j u_j) + O(log r / r),
 
-    with pair(u) = log[G(1 + u/(2 pi i)) G(1 - u/(2 pi i))].
+    with (mu, Sigma) = `counting_stats` (mu = mean, Sigma = `cross`) and
+    pair(u) = log[G(1 + u/(2 pi i)) G(1 - u/(2 pi i))].
     """
     partition = _as_partition(partition)
     r = _check_r(r)
-    u = np.asarray(u, dtype=float)
-    m = partition.m
-    if u.shape != (m,):
-        raise ValidationError(f"expected {m} log-ratios, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValidationError(f"u must be finite, got {u!r}")
-
-    x = partition.as_array()
-    d = x[1:] - x[0]  # x_j - x_0, j = 1..m
-
-    r_linear = r * float(np.sum(u * d)) / PI
-
-    log_r_coeff = float(np.sum(u * u)) / (2.0 * PI2)
-    constant = float(np.sum(u * u / (2.0 * PI2) * np.log(2.0 * d)))
-    for j in range(m):
-        for k in range(j + 1, m):
-            cjk = u[j] * u[k] / (2.0 * PI2)
-            log_r_coeff += cjk
-            constant += cjk * math.log(2.0 * d[j] * d[k] / (x[k + 1] - x[j + 1]))
+    u = _checked_u(u, partition.m)
+    linear, log_r, constant = _cumulant_terms(
+        counting_stats(partition, 1.0), counting_stats(partition, r), u, r
+    )
     constant += math.fsum(barnes_pair(float(uj)) for uj in u)
     constant += barnes_pair(float(np.sum(u)))
-
     return ExpansionBreakdown(
         r_squared_term=0.0,
-        r_linear_term=r_linear,
-        log_r_term=log_r_coeff * math.log(r),
+        r_linear_term=linear,
+        log_r_term=log_r,
         constant_term=constant,
     )
 
@@ -197,66 +189,29 @@ def zero_weight_expansion(partition, p: int, u: Sequence[float], r: float) -> Ex
     j in {0..m} minus {p-1, p} in increasing j, with s_0 = s_{m+1} = 1.
     Writing g = x_p - x_{p-1}:
 
-        log F = -r^2 g^2 / 8
-              - (r/pi) [ sum_{j<=p-2} u_j sqrt((x_p-x_j)(x_{p-1}-x_j))
-                         - sum_{j>=p+1} u_j sqrt((x_j-x_p)(x_j-x_{p-1})) ]
-              + sum_j (u_j^2 / (4 pi^2))
-                    log(4 sqrt(|x_j-x_p| |x_j-x_{p-1}|) |2 x_j-x_p-x_{p-1}| r / g)
-              - (1/4) log(r g)
-              + sum_{j<k} (u_j u_k / (2 pi^2)) log((a + b) / |a - b|)
-              + (1/3) log 2 + 3 zeta'(-1) + sum_j pair(u_j) + O(log r / r),
+        log F = -r^2 g^2 / 8 - (1/4) log(r g) + (1/3) log 2 + 3 zeta'(-1)
+              + sum_j sign_j u_j mu_hat_j + (1/2) u^T Sigma_hat u
+              + sum_j pair(u_j) + O(log r / r),
 
-    where a = sqrt(|x_k-x_p| |x_j-x_{p-1}|), b = sqrt(|x_k-x_{p-1}| |x_j-x_p|).
-    For m = 1 the sums are empty and this is exactly the single-gap law.
+    with (mu_hat, Sigma_hat) = `conditional_stats`, sign_j = -1 left of
+    the gap (j <= p - 2) and +1 right of it (j >= p + 1).  For m = 1 the
+    sums are empty and this is exactly the single-gap law.
     """
     partition = _as_partition(partition)
     r = _check_r(r)
-    m = partition.m
-    idx = reduced_indices(m, p)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (m - 1,):
-        raise ValidationError(f"expected {m - 1} log-ratios for m = {m}, p = {p}, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValidationError(f"u must be finite, got {u!r}")
-    by_index = dict(zip(idx, u))
-
-    x = partition.as_array()
-    gap = x[p] - x[p - 1]
-
-    r_squared = -((r * gap) ** 2) / 8.0
-
-    lin = 0.0
-    for j, uj in by_index.items():
-        if j <= p - 2:
-            lin += uj * math.sqrt((x[p] - x[j]) * (x[p - 1] - x[j]))
-        else:  # j >= p + 1
-            lin -= uj * math.sqrt((x[j] - x[p]) * (x[j] - x[p - 1]))
-    r_linear = -r * lin / PI
-
-    log_r_coeff = -0.25
-    constant = -0.25 * math.log(gap) + DYSON_CONSTANT
-    for j, uj in by_index.items():
-        cj = uj * uj / (4.0 * PI2)
-        log_r_coeff += cj
-        factor = (
-            4.0
-            * math.sqrt(abs(x[j] - x[p]) * abs(x[j] - x[p - 1]))
-            * abs(2.0 * x[j] - x[p] - x[p - 1])
-            / gap
-        )
-        constant += cj * math.log(factor)
-    for a_i in range(len(idx)):
-        for b_i in range(a_i + 1, len(idx)):
-            j, k = idx[a_i], idx[b_i]
-            a = math.sqrt(abs(x[k] - x[p]) * abs(x[j] - x[p - 1]))
-            b = math.sqrt(abs(x[k] - x[p - 1]) * abs(x[j] - x[p]))
-            constant += u[a_i] * u[b_i] / (2.0 * PI2) * math.log((a + b) / abs(a - b))
+    at_one = conditional_stats(partition, p, 1.0)
+    u = _checked_u(u, len(at_one.labels))
+    signs = np.array([1.0 if j > p else -1.0 for j in at_one.labels])
+    linear, log_r, constant = _cumulant_terms(
+        at_one, conditional_stats(partition, p, r), u, r, signs
+    )
+    gap = partition.endpoints[p] - partition.endpoints[p - 1]
+    constant += -0.25 * math.log(gap) + DYSON_CONSTANT
     constant += math.fsum(barnes_pair(float(uj)) for uj in u)
-
     return ExpansionBreakdown(
-        r_squared_term=r_squared,
-        r_linear_term=r_linear,
-        log_r_term=log_r_coeff * math.log(r),
+        r_squared_term=-((r * gap) ** 2) / 8.0,
+        r_linear_term=linear,
+        log_r_term=log_r - 0.25 * math.log(r),
         constant_term=constant,
     )
 
@@ -296,8 +251,9 @@ def conditional_stats(partition, p: int, r: float) -> StatisticsTriple:
                             |2 x_j - x_p - x_{p-1}| r / g) / (2 pi^2)
         Sigma_hat_jk  = log((a + b)/|a - b|) / (2 pi^2)   (r-independent),
 
-    a, b as in `zero_weight_expansion`.  Note label j = 0 is meaningful
-    here: it indexes the ratio u_0 = -log s_1 across the left boundary.
+    where a = sqrt(|x_k-x_p| |x_j-x_{p-1}|), b = sqrt(|x_k-x_{p-1}| |x_j-x_p|).
+    Note label j = 0 is meaningful here: it indexes the ratio
+    u_0 = -log s_1 across the left boundary.
     """
     partition = _as_partition(partition)
     r = _check_r(r)

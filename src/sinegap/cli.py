@@ -2,9 +2,11 @@
 expansions, convergence scans, count PMFs, and counting statistics.
 
 Jobs are reproducible: identical invocations produce byte-identical
-output (floats printed with 17 significant digits, which round-trip
-exactly).  Output is CSV (header row, '.' decimal) or JSON (one object
-with a "jobspec" echo and a "rows" array) to stdout or --out.
+output for a fixed BLAS thread count (floats printed with 17 significant
+digits, which round-trip exactly; the LU's last digits can change with
+the number of BLAS threads).  Output is CSV (header row, '.' decimal) or
+JSON (one object with a "jobspec" echo and a "rows" array) to stdout or
+--out.
 
 Exit codes: 0 success, 2 input validation, 3 numerical failure,
 4 I/O failure.  All validation problems are reported before any
@@ -82,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--r", help="single scale value")
     parser.add_argument("--r-range", dest="r_range", help="geometric scan lo:hi:count")
     parser.add_argument("--n", default="64", help="quadrature order per interval (default 64)")
-    parser.add_argument("--k", help="pmf: max count per interval")
+    parser.add_argument("--k", help="pmf: max count kept, one integer for every interval")
     parser.add_argument("--format", dest="fmt", default="csv", help="csv or json (default csv)")
     parser.add_argument("--out", help="output path (default stdout)")
     return parser

@@ -30,7 +30,9 @@ of the same size whose condition is about 1 / HARD_GAP_TAU
 its exact output.  A run of adjacent zero weights is one hard gap and
 is merged into one interval first.  Where the prolate values themselves
 lose their digits, the route raises NumericalError (see
-HARD_GAP_MAX_ROUNDING).
+HARD_GAP_MAX_ROUNDING).  Zeros on separated intervals keep the plain LU
+and raise NumericalError where its rounding, eps / (1 - lambda_0) for
+some zeroed interval, exceeds the same bound.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ import numpy as np
 from scipy.linalg import lu_factor
 
 from .errors import NumericalError, ValidationError
-from .prolate import gap_modes
-from .quadrature import composite_rule, gauss_legendre
+from .prolate import EPS, gap_modes
+from .quadrature import _check_r, composite_rule, gauss_legendre
 
 __all__ = [
     "IntervalPartition",
@@ -71,6 +73,8 @@ HARD_GAP_TAU = 1e-4
 # some deflated psi_k(1), and so about twice that of its 1 - lambda_k,
 # may exceed this: from half-length 26.7 on (r = 89 for a gap of 0.6;
 # the bound is 8e-7 at r = 80, where n = 64 and 128 agree to 1.4e-7).
+# Zeros on separated intervals, which stay on the plain LU, raise when
+# its rounding bound eps / (1 - lambda_0) exceeds it.
 HARD_GAP_MAX_ROUNDING = 1e-5
 # Beyond this half-length the bound above is always exceeded (it is
 # already about 0.1 at half-length 36), so the route raises at once.
@@ -144,6 +148,20 @@ def reduced_indices(m: int, p: int) -> tuple[int, ...]:
     return tuple(j for j in range(m + 1) if j not in (p - 1, p))
 
 
+def _checked_u(u, size: int | None = None) -> np.ndarray:
+    """The log-ratios u as a finite 1-d float array with `size` entries
+    (any nonzero number of them when `size` is None)."""
+    u = np.asarray(u, dtype=float)
+    if size is None:
+        if u.ndim != 1 or u.size < 1:
+            raise ValidationError("u must be a nonempty 1-d sequence")
+    elif u.shape != (size,):
+        raise ValidationError(f"expected {size} log-ratios, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValidationError(f"u must be finite, got {u!r}")
+    return u
+
+
 @dataclass(frozen=True)
 class WeightConfiguration:
     """Weights s_1, ..., s_m with the boundary convention s_0 = s_{m+1} = 1.
@@ -176,11 +194,7 @@ class WeightConfiguration:
     def from_positive_u(cls, u: Sequence[float]) -> "WeightConfiguration":
         """Weights from log-ratios u_j = log(s_j / s_{j+1}), all s_j > 0:
         s_j = exp(u_j + u_{j+1} + ... + u_m)."""
-        u = np.asarray(u, dtype=float)
-        if u.ndim != 1 or u.size < 1:
-            raise ValidationError("u must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(u)):
-            raise ValidationError(f"u must be finite, got {u!r}")
+        u = _checked_u(u)
         s = np.exp(np.cumsum(u[::-1])[::-1])
         return cls(tuple(float(v) for v in s))
 
@@ -189,13 +203,7 @@ class WeightConfiguration:
         """Weights with s_p = 0 from the m - 1 finite log-ratios u_j,
         j in {0..m} minus {p-1, p}, listed in increasing j."""
         idx = reduced_indices(m, p)
-        u = np.asarray(u, dtype=float)
-        if u.shape != (m - 1,):
-            raise ValidationError(
-                f"expected {m - 1} log-ratios for m = {m}, p = {p}, got shape {u.shape}"
-            )
-        if not np.all(np.isfinite(u)):
-            raise ValidationError(f"u must be finite, got {u!r}")
+        u = _checked_u(u, m - 1)
         by_index = dict(zip(idx, u))
         s = np.zeros(m)
         acc = 0.0
@@ -339,9 +347,7 @@ class Discretization:
 
     def __init__(self, partition, r: float, n: int):
         partition = _as_partition(partition)
-        r = float(r)
-        if not math.isfinite(r) or r <= 0.0:
-            raise ValidationError(f"scale r must be positive and finite, got {r!r}")
+        r = _check_r(r)
         if not isinstance(n, int) or isinstance(n, bool) or n < 8:
             raise ValidationError(f"quadrature order n must be an integer >= 8, got {n!r}")
         self._build(partition, r, n)
@@ -371,18 +377,11 @@ class Discretization:
         _check_sign(weights, log_f)
         return log_f
 
-    def _log_det(self, weights, gap, symmetrized=False) -> complex:
+    def _log_det(self, weights, gap) -> complex:
         c = _weight_column(self.rule, weights)
         if gap is not None:
             return _deflated_log_det(self.rule, self.kernel, c, *gap)
-        if symmetrized:
-            if np.iscomplexobj(c) or np.any(c < 0.0):
-                raise ValidationError("symmetrized evaluation needs real weights s <= 1")
-            sq = np.sqrt(c)
-            mat = np.eye(len(c)) - sq[:, None] * self.kernel * sq[None, :]
-        else:
-            mat = np.eye(len(c), dtype=c.dtype) - self.kernel * c[None, :]
-        return _lu_log_det(mat)
+        return _lu_log_det(np.eye(len(c), dtype=c.dtype) - self.kernel * c[None, :])
 
 
 def _lu_log_det(mat) -> complex:
@@ -402,26 +401,41 @@ def _lu_log_det(mat) -> complex:
 
 def _hard_gap_modes(partition, weights, r):
     """(index of the zeroed interval G, its prolate modes with
-    1 - lambda_k < HARD_GAP_TAU) when the hard-gap route applies, else None."""
-    if weights.mode != "one_zero":
+    1 - lambda_k < HARD_GAP_TAU) when the hard-gap route applies, else None.
+
+    Real weights with zeros on separated intervals stay on the plain LU,
+    whose rounding moves log F by about eps / (1 - lambda_0) per zeroed
+    interval; they raise NumericalError where that exceeds
+    HARD_GAP_MAX_ROUNDING (from half-length 14.1 on) or a half-length
+    exceeds HARD_GAP_MAX_HALF_LENGTH, as the route does."""
+    if not weights.is_real:
         return None
-    k = weights.zero_indices()[0] - 1
-    a, b = r * partition.endpoints[k], r * partition.endpoints[k + 1]
-    c = 0.5 * (b - a)  # the half-length composite_rule maps onto
-    if c > HARD_GAP_MAX_HALF_LENGTH:
-        raise NumericalError(
-            f"hard gap of half-length r (x_p - x_(p-1)) / 2 = {c:.6g} > {HARD_GAP_MAX_HALF_LENGTH:g}:"
-            " 1 - lambda_0 ~ exp(-2c) is below what double precision resolves"
-        )
-    modes = gap_modes(c, HARD_GAP_TAU)
-    if modes.count == 0:
-        return None
-    if modes.rounding > HARD_GAP_MAX_ROUNDING:
-        raise NumericalError(
-            f"hard gap of half-length {c:.6g}: prolate rounding bound {modes.rounding:.2e}"
-            f" exceeds {HARD_GAP_MAX_ROUNDING:g}"
-        )
-    return k, modes
+    one_zero = weights.mode == "one_zero"
+    for p in weights.zero_indices():
+        a, b = r * partition.endpoints[p - 1], r * partition.endpoints[p]
+        c = 0.5 * (b - a)  # the half-length composite_rule maps onto
+        if c > HARD_GAP_MAX_HALF_LENGTH:
+            raise NumericalError(
+                f"hard gap of half-length r (x_p - x_(p-1)) / 2 = {c:.6g} > {HARD_GAP_MAX_HALF_LENGTH:g}:"
+                " 1 - lambda_0 ~ exp(-2c) is below what double precision resolves"
+            )
+        modes = gap_modes(c, HARD_GAP_TAU)
+        if one_zero:
+            if modes.count == 0:
+                return None
+            if modes.rounding > HARD_GAP_MAX_ROUNDING:
+                raise NumericalError(
+                    f"hard gap of half-length {c:.6g}: prolate rounding bound {modes.rounding:.2e}"
+                    f" exceeds {HARD_GAP_MAX_ROUNDING:g}"
+                )
+            return p - 1, modes
+        if modes.count and EPS / modes.gaps[0] > HARD_GAP_MAX_ROUNDING:
+            raise NumericalError(
+                f"zeros on separated intervals: interval {p} of half-length {c:.6g} has"
+                f" 1 - lambda_0 = {modes.gaps[0]:.2e}, and the plain LU's rounding bound"
+                f" eps / (1 - lambda_0) exceeds {HARD_GAP_MAX_ROUNDING:g}"
+            )
+    return None
 
 
 def _deflated_log_det(rule, kernel, c, k, modes) -> complex:
@@ -462,7 +476,7 @@ def _deflated_log_det(rule, kernel, c, k, modes) -> complex:
     return float(np.sum(np.log(modes.gaps))) + _lu_log_det(mat)
 
 
-def fredholm_det(partition, weights, r: float, n: int = 64, symmetrized: bool = False) -> DeterminantResult:
+def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult:
     """log F for the weighted multi-interval sine kernel at scale r.
 
     `n` is the Gauss-Legendre order per interval (>= 8); the result is
@@ -472,16 +486,12 @@ def fredholm_det(partition, weights, r: float, n: int = 64, symmetrized: bool = 
     the estimate, should call `Discretization(partition, r, n).log_det`
     instead: it builds the kernel once and skips the n//2 pass.
 
-    With `symmetrized=True` (real weights s <= 1 only) the matrix
-    sqrt(w(1-s)) K sqrt(w(1-s)) is factorized instead; the determinant is
-    the same, the option exists for conditioning comparisons.
-
     One-zero weights whose zeroed interval has half-length
     c = r (x_p - x_{p-1}) / 2 large enough that some 1 - lambda_k of the
     sine kernel on it falls below HARD_GAP_TAU = 1e-4 (c >= 6, r >= 20 for
     a gap of 0.6) go through the prolate deflation route described in the
-    module docstring, whatever `symmetrized` says; the prolate modes are
-    computed once and serve both orders, so `error_estimate` adds their
+    module docstring; the prolate modes are computed once and serve both
+    orders, so `error_estimate` adds their
     rounding bound, 2 * (number of deflated modes) * `GapModes.rounding`,
     which the difference of the two orders cannot show.  That route raises
     NumericalError when c > HARD_GAP_MAX_HALF_LENGTH = 40, or when the
@@ -492,16 +502,17 @@ def fredholm_det(partition, weights, r: float, n: int = 64, symmetrized: bool = 
     Adjacent zero weights are merged into one zeroed interval before the
     route is chosen, so `(0, 0.3, 0.6)` with `(0, 0)` is the hard gap
     `(0, 0.6)` and takes the route above.  Zeros separated by a nonzero
-    weight are still mode "general" and take the plain LU.
+    weight are still mode "general" and take the plain LU; they raise
+    NumericalError where its rounding bound eps / (1 - lambda_0) of some
+    zeroed interval exceeds HARD_GAP_MAX_ROUNDING (from c = 14.1 on, r = 47
+    for a gap of 0.6).
     """
     partition, weights = _checked_weights(_as_partition(partition), weights)
-    if symmetrized and (not weights.is_real or any(v.real > 1.0 for v in weights.values)):
-        raise ValidationError("symmetrized evaluation needs real weights s <= 1")
 
     full = Discretization(partition, r, n)
     gap = _hard_gap_modes(partition, weights, full.r)
-    log_full = full._log_det(weights, gap, symmetrized)
-    log_half = full.halved()._log_det(weights, gap, symmetrized)
+    log_full = full._log_det(weights, gap)
+    log_half = full.halved()._log_det(weights, gap)
     err = abs(log_full - log_half)
     if gap is not None:
         # both passes share the modes, so the rounding of their 1 - lambda_k
@@ -527,9 +538,7 @@ def series_det(partition, weights, r: float, k_max: int = 3) -> float:
         weights = WeightConfiguration(weights)
     if weights.m != partition.m:
         raise ValidationError(f"{weights.m} weights for {partition.m} intervals")
-    r = float(r)
-    if not math.isfinite(r) or r <= 0.0:
-        raise ValidationError(f"scale r must be positive and finite, got {r!r}")
+    r = _check_r(r)
     if not isinstance(k_max, int) or isinstance(k_max, bool) or not (0 <= k_max <= 3):
         raise ValidationError(f"k_max must be an integer in [0, 3], got {k_max!r}")
 

@@ -95,15 +95,21 @@ def gauss_legendre(n: int) -> QuadratureRule:
     return QuadratureRule(n, x, w)
 
 
+def _check_r(r: float) -> float:
+    """The scale r as a float, which must be positive and finite."""
+    r = float(r)
+    if not math.isfinite(r) or r <= 0.0:
+        raise ValidationError(f"scale r must be positive and finite, got {r!r}")
+    return r
+
+
 def composite_rule(partition, r: float, n_per_interval: int) -> CompositeRule:
     """Map the n-point base rule onto every interval (r x_{k-1}, r x_k).
 
     `partition` is an IntervalPartition (anything exposing `endpoints`
     works).  Requires r > 0 and n_per_interval >= 4.
     """
-    r = float(r)
-    if not math.isfinite(r) or r <= 0.0:
-        raise ValidationError(f"scale r must be positive and finite, got {r!r}")
+    r = _check_r(r)
     if not isinstance(n_per_interval, int) or isinstance(n_per_interval, bool):
         raise ValidationError(f"n_per_interval must be an integer, got {n_per_interval!r}")
     if n_per_interval < 4:

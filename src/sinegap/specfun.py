@@ -14,14 +14,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NumericalError, ValidationError
 
 __all__ = [
-    "ConstantTable",
-    "CONSTANTS",
     "EULER_GAMMA",
     "ZETA_PRIME_MINUS_ONE",
     "DYSON_CONSTANT",
@@ -58,22 +55,6 @@ ZETA_PRIME_MINUS_ONE = -0.16542114370045093
 DYSON_CONSTANT = math.log(2.0) / 3.0 + 3.0 * ZETA_PRIME_MINUS_ONE
 
 _LOG_GLAISHER = 1.0 / 12.0 - ZETA_PRIME_MINUS_ONE
-
-
-@dataclass(frozen=True)
-class ConstantTable:
-    """Named constants used by the asymptotic formulas."""
-
-    euler_gamma: float
-    zeta_prime_minus_one: float
-    dyson_constant: float
-
-
-CONSTANTS = ConstantTable(
-    euler_gamma=EULER_GAMMA,
-    zeta_prime_minus_one=ZETA_PRIME_MINUS_ONE,
-    dyson_constant=DYSON_CONSTANT,
-)
 
 
 def _require_finite_complex(z: complex, what: str) -> complex:

@@ -19,12 +19,14 @@ from sinegap import (
     IntervalPartition,
     ValidationError,
     WeightConfiguration,
+    barnes_pair,
     basor_widom_log,
     conditional_stats,
     counting_stats,
     dyson_gap_log,
     fredholm_det,
     positive_weights_expansion,
+    reduced_indices,
     var_cov_expansion,
     zero_weight_expansion,
 )
@@ -188,6 +190,136 @@ def test_expansion_validation():
         zero_weight_expansion(part, 1, (0.1, 0.2), 5.0)  # wrong length
     with pytest.raises(ValidationError):
         positive_weights_expansion(part, (0.1, 0.2), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# same numbers as the closed forms written out term by term
+
+# The four paper-figure configurations: name -> (endpoints, u, p), p None
+# for all weights positive.
+FIGURES = {
+    "fig1-left": ((0.0, 0.7, 1.2), (-1.1, -2.4), None),
+    "fig1-right": ((0.0, 0.5, 1.1, 1.7), (-0.8, -1.8, -1.32), None),
+    "fig2-left": ((0.0, 0.5, 1.1, 1.7), (0.8, -1.32), 2),
+    "fig2-right": ((0.0, 0.5, 1.1, 1.7, 2.5), (0.8, 1.8, -1.87), 3),
+}
+FIELDS = ("r_squared_term", "r_linear_term", "log_r_term", "constant_term", "total")
+
+# ExpansionBreakdown fields (in FIELDS order) at r = 1, 5, 17, 40, 200,
+# frozen from the expansions as written out term by term (below,
+# `_written_out_*`) before they were derived from the statistics.
+PARENT_EXPANSIONS = {
+    'fig1-left': {
+        1.0: (0.0, -1.161831084570836, 0.0, 1.1442471786468815, -0.017583905923954424),
+        5.0: (0.0, -5.80915542285418, 0.7835520913474793, 1.1442471786468815, -3.8813561528598193),
+        17.0: (0.0, -19.75112843770421, 1.3793450643966558, 1.1442471786468815, -17.227536194660672),
+        40.0: (0.0, -46.47324338283344, 1.7959246446657031, 1.1442471786468815, -43.533071559520856),
+        200.0: (0.0, -232.3662169141672, 2.579476736013182, 1.1442471786468815, -228.64249299950714),
+    },
+    'fig1-right': {
+        1.0: (0.0, -1.4718649137138482, 0.0, 1.2788165545490502, -0.193048359164798),
+        5.0: (0.0, -7.359324568569242, 0.8556617135730475, 1.2788165545490502, -5.224846300447145),
+        17.0: (0.0, -25.02170353313542, 1.5062849993552827, 1.2788165545490502, -22.236601979231086),
+        40.0: (0.0, -58.87459654855394, 1.9612020386035125, 1.2788165545490502, -55.634577955401376),
+        200.0: (0.0, -294.37298274276964, 2.81686375217656, 1.2788165545490502, -290.277302436044),
+    },
+    'fig2-left': {
+        1.0: (-0.04500000000000001, -0.5453772049057196, -0.0, 0.03682210126995509, -0.5535551036357645),
+        5.0: (-1.1250000000000004, -2.726886024528598, -0.3052348942153807, 0.03682210126995509, -4.1202988174740245),
+        17.0: (-13.005000000000003, -9.271412483397233, -0.5373277022253655, 0.03682210126995509, -22.776918084352648),
+        40.0: (-72.00000000000001, -21.815088196228785, -0.69960743514911, 0.03682210126995509, -94.47787353010794),
+        200.0: (-1800.0000000000005, -109.07544098114393, -1.0048423293644906, 0.03682210126995509, -1910.0434612092388),
+    },
+    'fig2-right': {
+        1.0: (-0.04499999999999998, -1.4643388503206394, -0.0, 0.5242776531021487, -0.9850611972184906),
+        5.0: (-1.1249999999999993, -7.321694251603197, -0.10162142281917956, 0.5242776531021487, -8.024038021320228),
+        17.0: (-13.004999999999994, -24.89376045545087, -0.1788917540396684, 0.5242776531021487, -37.553374556388384),
+        40.0: (-71.99999999999996, -58.573554012825575, -0.23291931663803522, 0.5242776531021487, -130.2821956763614),
+        200.0: (-1799.999999999999, -292.86777006412785, -0.3345407394572148, 0.5242776531021487, -2092.678033150482),
+    },
+}
+
+
+def _written_out_positive(x, u, r):
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    m = len(u)
+    d = x[1:] - x[0]
+    r_linear = r * float(np.sum(u * d)) / math.pi
+    log_r_coeff = float(np.sum(u * u)) / (2.0 * PI2)
+    constant = float(np.sum(u * u / (2.0 * PI2) * np.log(2.0 * d)))
+    for j in range(m):
+        for k in range(j + 1, m):
+            cjk = u[j] * u[k] / (2.0 * PI2)
+            log_r_coeff += cjk
+            constant += cjk * math.log(2.0 * d[j] * d[k] / (x[k + 1] - x[j + 1]))
+    constant += math.fsum(barnes_pair(float(uj)) for uj in u)
+    constant += barnes_pair(float(np.sum(u)))
+    return 0.0, r_linear, log_r_coeff * math.log(r), constant
+
+
+def _written_out_zero(x, p, u, r):
+    x = np.asarray(x, dtype=float)
+    idx = reduced_indices(len(x) - 1, p)
+    gap = x[p] - x[p - 1]
+    lin = 0.0
+    for j, uj in zip(idx, u):
+        if j <= p - 2:
+            lin += uj * math.sqrt((x[p] - x[j]) * (x[p - 1] - x[j]))
+        else:
+            lin -= uj * math.sqrt((x[j] - x[p]) * (x[j] - x[p - 1]))
+    log_r_coeff = -0.25
+    constant = -0.25 * math.log(gap) + DYSON_CONSTANT
+    for j, uj in zip(idx, u):
+        cj = uj * uj / (4.0 * PI2)
+        log_r_coeff += cj
+        factor = (
+            4.0
+            * math.sqrt(abs(x[j] - x[p]) * abs(x[j] - x[p - 1]))
+            * abs(2.0 * x[j] - x[p] - x[p - 1])
+            / gap
+        )
+        constant += cj * math.log(factor)
+    for a_i in range(len(idx)):
+        for b_i in range(a_i + 1, len(idx)):
+            j, k = idx[a_i], idx[b_i]
+            a = math.sqrt(abs(x[k] - x[p]) * abs(x[j] - x[p - 1]))
+            b = math.sqrt(abs(x[k] - x[p - 1]) * abs(x[j] - x[p]))
+            constant += u[a_i] * u[b_i] / (2.0 * PI2) * math.log((a + b) / abs(a - b))
+    constant += math.fsum(barnes_pair(float(uj)) for uj in u)
+    return -((r * gap) ** 2) / 8.0, -r * lin / math.pi, log_r_coeff * math.log(r), constant
+
+
+def _expansion(x, u, p, r):
+    if p is None:
+        return positive_weights_expansion(x, u, r)
+    return zero_weight_expansion(x, p, u, r)
+
+
+def test_expansions_keep_the_frozen_figure_values():
+    for name, (x, u, p) in FIGURES.items():
+        for r, want in PARENT_EXPANSIONS[name].items():
+            got = _expansion(x, u, p, r)
+            for field, v in zip(FIELDS, want):
+                assert abs(getattr(got, field) - v) <= 1e-14 * max(1.0, abs(v)), (name, r, field)
+
+
+def test_expansions_equal_the_written_out_closed_forms():
+    rng = np.random.default_rng(53)
+    for _ in range(400):
+        m = int(rng.integers(1, 6))
+        x = tuple(np.cumsum(np.concatenate(([rng.uniform(-2.0, 2.0)], rng.uniform(0.05, 1.0, m)))))
+        r = float(np.exp(rng.uniform(math.log(0.5), math.log(200.0))))
+        if rng.random() < 0.5:
+            p, u = None, tuple(rng.uniform(-3.0, 3.0, m))
+            want = _written_out_positive(x, u, r)
+        else:
+            p = int(rng.integers(1, m + 1))
+            u = tuple(rng.uniform(-3.0, 3.0, m - 1))
+            want = _written_out_zero(x, p, u, r)
+        got = _expansion(x, u, p, r)
+        for field, v in zip(FIELDS, want + (sum(want),)):
+            assert abs(getattr(got, field) - v) <= 1e-13 * max(1.0, abs(v)), (x, u, p, r, field)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from sinegap import (
     reduced_indices,
     series_det,
     sine_kernel,
+    thinned_gap_probability,
 )
 
 # frozen from an independent prototype (numpy leggauss nodes + slogdet),
@@ -284,14 +285,6 @@ def test_gap_probability_decreases_in_r():
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def test_symmetrized_route_agrees():
-    part = IntervalPartition((0.0, 0.6, 1.4))
-    s = (0.4, 0.9)
-    plain = fredholm_det(part, s, 5.0).log_f
-    sym = fredholm_det(part, s, 5.0, symmetrized=True).log_f
-    assert abs(plain - sym) < 1e-12
-
-
 def test_complex_weights_conjugate_symmetry():
     part = IntervalPartition((0.0, 0.5, 1.1))
     s = (complex(0.6, 0.35), complex(0.2, -0.8))
@@ -328,10 +321,6 @@ def test_fredholm_det_validation():
         fredholm_det(part, (0.5,), 1.0, n=7)
     with pytest.raises(ValidationError):
         fredholm_det(part, (0.5,), 1.0, n=64.0)
-    with pytest.raises(ValidationError):
-        fredholm_det(part, (1.5,), 1.0, symmetrized=True)  # needs s <= 1
-    with pytest.raises(ValidationError):
-        fredholm_det(part, (complex(0.5, 0.5),), 1.0, symmetrized=True)
 
 
 def test_fredholm_det_coerces_raw_sequences():
@@ -490,3 +479,38 @@ def test_hard_gap_route_raises_instead_of_returning_garbage():
     # half-length 36: inside the hard cap, caught by the rounding bound
     with pytest.raises(NumericalError, match="rounding bound"):
         fredholm_det(endpoints, weights, 120.0, 128)
+
+
+SEPARATED_ZEROS = ((0.0, 0.6, 0.8, 1.4), (0.0, 1.0, 0.0))
+
+
+def test_separated_zeros_keep_the_plain_lu_below_the_rounding_limit():
+    # half-length 6 and 12: 1 - lambda_0 = 9.8e-5 and 8.9e-10, so the plain
+    # LU's rounding bound eps / (1 - lambda_0) stays below 1e-5; the result
+    # is the plain LU at n and n // 2, bit for bit.  (Not frozen literals:
+    # at r = 40 one BLAS thread and two differ by 6e-9 in log F.)
+    endpoints, s = SEPARATED_ZEROS
+    weights = WeightConfiguration(s)
+    for r in (20.0, 40.0):
+        assert fredholm_module._hard_gap_modes(IntervalPartition(endpoints), weights, r) is None
+        full = Discretization(endpoints, r, 64)
+        plain = full._log_det(weights, None)
+        half = full.halved()._log_det(weights, None)
+        want = DeterminantResult(log_f=plain, order_used=64, error_estimate=abs(plain - half))
+        assert fredholm_det(endpoints, s, r) == want
+        assert abs(want.log_f.real - {20.0: -41.46817478034, 40.0: -160.99290}[r]) < 1e-6
+
+
+def test_separated_zeros_raise_past_the_rounding_limit():
+    # the plain LU returned about -358 at r = 60, with n = 64 and 128 apart
+    # by 0.7 to 2.0 depending on the BLAS thread count; from half-length
+    # 14.1 (r = 47) on, eps / (1 - lambda_0) > 1e-5
+    endpoints, s = SEPARATED_ZEROS
+    for r in (50.0, 60.0):
+        with pytest.raises(NumericalError, match="separated"):
+            fredholm_det(endpoints, s, r)
+    with pytest.raises(NumericalError, match="separated"):
+        thinned_gap_probability(endpoints, s, 60.0)
+    # complex weights are never checked
+    unit = WeightConfiguration((1j, 1.0, 1j))
+    assert fredholm_module._hard_gap_modes(IntervalPartition(endpoints), unit, 60.0) is None

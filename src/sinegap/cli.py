@@ -2,11 +2,17 @@
 expansions, convergence scans, count PMFs, and counting statistics.
 
 Jobs are reproducible: identical invocations produce byte-identical
-output for a fixed BLAS thread count (floats printed with 17 significant
-digits, which round-trip exactly; the LU's last digits can change with
-the number of BLAS threads).  Output is CSV (header row, '.' decimal) or
-JSON (one object with a "jobspec" echo and a "rows" array) to stdout or
---out.
+output for a fixed BLAS thread count (the LU's last digits can change
+with the number of BLAS threads).  Floats print as Python's shortest
+repr, which round-trips exactly and always carries a '.' or an exponent
+(5.0, 0.7, 1e-05), so a float cell never reads as an integer.  Output
+goes to stdout or --out, as CSV (`csv` module: header row, one row per
+line, empty cell for a missing value) or as JSON on a single line: one
+object {"jobspec": ..., "rows": [...]}, the jobspec being the job's
+fields (`format` for the output format, `r_range` as {"lo", "hi",
+"count"} or null) and each row an object keyed by the CSV header, with
+null for a missing value.  A non-finite value anywhere in the rows is a
+numerical failure (exit 3), and nothing is written.
 
 Exit codes: 0 success, 2 input validation, 3 numerical failure,
 4 I/O failure.  All validation problems are reported before any
@@ -19,12 +25,14 @@ e.g. --u=-1.1,-2.4.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -335,87 +343,25 @@ _HANDLERS = {
 
 
 # ---------------------------------------------------------------------------
-# emission: fixed formatting so identical jobs give identical bytes
-
-
-def _fmt_float(v: float) -> str:
-    if not math.isfinite(v):
-        raise NumericalError(f"non-finite value {v!r} in output")
-    return format(v, ".17g")
-
-
-def _cell_csv(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return _fmt_float(float(v))
-
-
-def _cell_json(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return _fmt_float(float(v))
-
-
-def _to_csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_cell_csv(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _jobspec_echo(job: JobSpec) -> str:
-    def arr(values):
-        if values is None:
-            return "null"
-        return "[" + ", ".join(_fmt_float(v) for v in values) + "]"
-
-    parts = [
-        f'"command": {json.dumps(job.command)}',
-        f'"x": {arr(job.x)}',
-        f'"s": {arr(job.s)}',
-        f'"u": {arr(job.u)}',
-        f'"p": {"null" if job.p is None else job.p}',
-        f'"r": {"null" if job.r is None else _fmt_float(job.r)}',
-        '"r_range": '
-        + ("null" if job.r_range is None else
-           f'{{"lo": {_fmt_float(job.r_range[0])}, "hi": {_fmt_float(job.r_range[1])}, '
-           f'"count": {job.r_range[2]}}}'),
-        f'"n": {job.n}',
-        f'"k": {"null" if job.k is None else job.k}',
-        f'"format": {json.dumps(job.fmt)}',
-        f'"out": {"null" if job.out is None else json.dumps(job.out)}',
-    ]
-    return "{" + ", ".join(parts) + "}"
-
-
-def _to_json(job: JobSpec, header: list[str], rows: list[list]) -> str:
-    row_texts = [
-        "    {" + ", ".join(f"{json.dumps(h)}: {_cell_json(v)}" for h, v in zip(header, row)) + "}"
-        for row in rows
-    ]
-    body = ",\n".join(row_texts)
-    return (
-        "{\n"
-        f'  "jobspec": {_jobspec_echo(job)},\n'
-        '  "rows": [\n' + body + "\n  ]\n"
-        "}\n"
-    )
+# emission: floats print as their shortest round-trip repr
 
 
 def run(job: JobSpec) -> str:
     """Execute a validated job and return the formatted artifact."""
     partition = IntervalPartition(job.x)
     header, rows = _HANDLERS[job.command](job, partition)
+    for row in rows:
+        for v in row:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise NumericalError(f"non-finite value {v!r} in output")
     if job.fmt == "json":
-        return _to_json(job, header, rows)
-    return _to_csv(header, rows)
+        spec = {("format" if key == "fmt" else key): v for key, v in asdict(job).items()}
+        if job.r_range is not None:
+            spec["r_range"] = dict(zip(("lo", "hi", "count"), job.r_range))
+        return json.dumps({"jobspec": spec, "rows": [dict(zip(header, row)) for row in rows]}) + "\n"
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    return text.getvalue()
 
 
 def main(argv=None) -> int:

@@ -32,7 +32,8 @@ is merged into one interval first.  Where the prolate values themselves
 lose their digits, the route raises NumericalError (see
 HARD_GAP_MAX_ROUNDING).  Zeros on separated intervals keep the plain LU
 and raise NumericalError where its rounding, eps / (1 - lambda_0) for
-some zeroed interval, exceeds the same bound.
+some zeroed interval, exceeds the same bound; below it their
+`error_estimate` counts N times that rounding for a matrix of size N.
 """
 
 from __future__ import annotations
@@ -85,34 +86,20 @@ HARD_GAP_MAX_HALF_LENGTH = 40.0
 class IntervalPartition:
     """Strictly increasing endpoints x_0 < x_1 < ... < x_m, m >= 1.
 
-    `delta` is the declared minimum endpoint separation; it defaults to
-    the actual minimum gap.  Zero-length intervals are rejected here, not
-    silently collapsed later.
+    Zero-length intervals are rejected here, not silently collapsed later.
     """
 
     endpoints: tuple[float, ...]
-    delta: float = 0.0
 
-    def __init__(self, endpoints: Sequence[float], delta: float | None = None):
+    def __init__(self, endpoints: Sequence[float]):
         pts = tuple(float(v) for v in endpoints)
         if len(pts) < 2:
             raise ValidationError(f"a partition needs at least 2 endpoints, got {len(pts)}")
         if not all(math.isfinite(v) for v in pts):
             raise ValidationError(f"endpoints must be finite, got {pts}")
-        gaps = [b - a for a, b in zip(pts, pts[1:])]
-        min_gap = min(gaps)
-        if min_gap <= 0.0:
+        if not all(a < b for a, b in zip(pts, pts[1:])):
             raise ValidationError(f"endpoints must be strictly increasing, got {pts}")
-        if delta is None:
-            delta = min_gap
-        else:
-            delta = float(delta)
-            if not (0.0 < delta <= min_gap):
-                raise ValidationError(
-                    f"declared delta {delta!r} not satisfied: minimum endpoint gap is {min_gap!r}"
-                )
         object.__setattr__(self, "endpoints", pts)
-        object.__setattr__(self, "delta", delta)
 
     @property
     def m(self) -> int:
@@ -167,9 +154,7 @@ class WeightConfiguration:
     """Weights s_1, ..., s_m with the boundary convention s_0 = s_{m+1} = 1.
 
     Real entries must be >= 0; complex entries are allowed (needed for the
-    torus inversion behind the joint count distribution).  The log-ratios
-    u_j = log(s_j / s_{j+1}) and beta_j = u_j / (2 pi i) are always derived
-    on demand so they can never go stale.
+    torus inversion behind the joint count distribution).
     """
 
     values: tuple[complex, ...]
@@ -246,36 +231,12 @@ class WeightConfiguration:
             return "one_zero"
         return "general"
 
-    def u_vector(self) -> np.ndarray:
-        """u_j = log(s_j / s_{j+1}), j = 1..m, with s_{m+1} = 1.
-        Requires all weights real positive."""
-        if self.mode != "positive":
-            raise ValidationError("u_vector requires all weights real and positive")
-        logs = np.log([v.real for v in self.values])
-        ext = np.append(logs, 0.0)
-        return ext[:-1] - ext[1:]
-
-    def u_reduced(self) -> tuple[int, tuple[int, ...], np.ndarray]:
-        """(p, indices, u) for the one-zero mode: the finite log-ratios
-        u_j over j in {0..m} minus {p-1, p}, with s_0 = s_{m+1} = 1."""
-        if self.mode != "one_zero":
-            raise ValidationError("u_reduced requires exactly one zero weight, rest positive")
-        p = self.zero_indices()[0]
-        # logs[p] stays None and is never touched: j = p-1 and j = p are excluded.
-        logs: list = [0.0] + [None if v.real == 0.0 else math.log(v.real) for v in self.values] + [0.0]
-        idx = reduced_indices(self.m, p)
-        u = np.array([logs[j] - logs[j + 1] for j in idx])
-        return p, idx, u
-
-    def beta_vector(self) -> np.ndarray:
-        """beta_j = u_j / (2 pi i) for the all-positive mode."""
-        return self.u_vector() / (2j * math.pi)
-
 
 @dataclass(frozen=True)
 class DeterminantResult:
-    """log F at the requested order, with |log F(n) - log F(n/2)| as the
-    discretization error estimate.  For real weights the imaginary part is
+    """log F at the requested order, with |log F(n) - log F(n/2)| plus the
+    rounding bounds that difference cannot show (see `fredholm_det`) as
+    the error estimate.  For real weights the imaginary part is
     a folded LU argument and is guaranteed tiny (F > 0)."""
 
     log_f: complex
@@ -373,6 +334,7 @@ class Discretization:
         partition, weights = _checked_weights(self.partition, weights)
         if partition is not self.partition:  # merged zeros: fewer intervals, another rule
             return Discretization(partition, self.r, self.n).log_det(weights)
+        _plain_lu_rounding(partition, weights, self.r)  # raises past its limit
         log_f = self._log_det(weights, _hard_gap_modes(partition, weights, self.r))
         _check_sign(weights, log_f)
         return log_f
@@ -399,19 +361,11 @@ def _lu_log_det(mat) -> complex:
     return complex(log_mag, arg)
 
 
-def _hard_gap_modes(partition, weights, r):
-    """(index of the zeroed interval G, its prolate modes with
-    1 - lambda_k < HARD_GAP_TAU) when the hard-gap route applies, else None.
-
-    Real weights with zeros on separated intervals stay on the plain LU,
-    whose rounding moves log F by about eps / (1 - lambda_0) per zeroed
-    interval; they raise NumericalError where that exceeds
-    HARD_GAP_MAX_ROUNDING (from half-length 14.1 on) or a half-length
-    exceeds HARD_GAP_MAX_HALF_LENGTH, as the route does."""
-    if not weights.is_real:
-        return None
-    one_zero = weights.mode == "one_zero"
-    for p in weights.zero_indices():
+def _zeroed_modes(partition, weights, r):
+    """(p, modes) for each zeroed interval p of real weights: its prolate
+    modes with 1 - lambda_k < HARD_GAP_TAU.  Raises NumericalError where
+    a half-length exceeds HARD_GAP_MAX_HALF_LENGTH."""
+    for p in weights.zero_indices() if weights.is_real else ():
         a, b = r * partition.endpoints[p - 1], r * partition.endpoints[p]
         c = 0.5 * (b - a)  # the half-length composite_rule maps onto
         if c > HARD_GAP_MAX_HALF_LENGTH:
@@ -419,23 +373,46 @@ def _hard_gap_modes(partition, weights, r):
                 f"hard gap of half-length r (x_p - x_(p-1)) / 2 = {c:.6g} > {HARD_GAP_MAX_HALF_LENGTH:g}:"
                 " 1 - lambda_0 ~ exp(-2c) is below what double precision resolves"
             )
-        modes = gap_modes(c, HARD_GAP_TAU)
-        if one_zero:
-            if modes.count == 0:
-                return None
-            if modes.rounding > HARD_GAP_MAX_ROUNDING:
+        yield p, gap_modes(c, HARD_GAP_TAU)
+
+
+def _hard_gap_modes(partition, weights, r):
+    """(index of the zeroed interval G, its prolate modes with
+    1 - lambda_k < HARD_GAP_TAU) when the hard-gap route applies, else None."""
+    if weights.mode != "one_zero":
+        return None
+    [(p, modes)] = _zeroed_modes(partition, weights, r)
+    if modes.count == 0:
+        return None
+    if modes.rounding > HARD_GAP_MAX_ROUNDING:
+        raise NumericalError(
+            f"hard gap of half-length {modes.c:.6g}: prolate rounding bound {modes.rounding:.2e}"
+            f" exceeds {HARD_GAP_MAX_ROUNDING:g}"
+        )
+    return p - 1, modes
+
+
+def _plain_lu_rounding(partition, weights, r) -> float:
+    """Sum of eps / (1 - lambda_0) over the zeroed intervals of real weights
+    with zeros on separated intervals, which stay on the plain LU: its
+    rounding moves log F by up to N times that for a matrix of size N.
+    Intervals with 1 - lambda_0 >= HARD_GAP_TAU count 0.  Raises
+    NumericalError where one term exceeds HARD_GAP_MAX_ROUNDING (from
+    half-length 14.1 on), as the hard-gap route does."""
+    if weights.mode == "one_zero":
+        return 0.0
+    total = 0.0
+    for p, modes in _zeroed_modes(partition, weights, r):
+        if modes.count:
+            bound = EPS / modes.gaps[0]
+            if bound > HARD_GAP_MAX_ROUNDING:
                 raise NumericalError(
-                    f"hard gap of half-length {c:.6g}: prolate rounding bound {modes.rounding:.2e}"
-                    f" exceeds {HARD_GAP_MAX_ROUNDING:g}"
+                    f"zeros on separated intervals: interval {p} of half-length {modes.c:.6g} has"
+                    f" 1 - lambda_0 = {modes.gaps[0]:.2e}, and the plain LU's rounding bound"
+                    f" eps / (1 - lambda_0) exceeds {HARD_GAP_MAX_ROUNDING:g}"
                 )
-            return p - 1, modes
-        if modes.count and EPS / modes.gaps[0] > HARD_GAP_MAX_ROUNDING:
-            raise NumericalError(
-                f"zeros on separated intervals: interval {p} of half-length {c:.6g} has"
-                f" 1 - lambda_0 = {modes.gaps[0]:.2e}, and the plain LU's rounding bound"
-                f" eps / (1 - lambda_0) exceeds {HARD_GAP_MAX_ROUNDING:g}"
-            )
-    return None
+            total += bound
+    return total
 
 
 def _deflated_log_det(rule, kernel, c, k, modes) -> complex:
@@ -502,21 +479,27 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     Adjacent zero weights are merged into one zeroed interval before the
     route is chosen, so `(0, 0.3, 0.6)` with `(0, 0)` is the hard gap
     `(0, 0.6)` and takes the route above.  Zeros separated by a nonzero
-    weight are still mode "general" and take the plain LU; they raise
-    NumericalError where its rounding bound eps / (1 - lambda_0) of some
-    zeroed interval exceeds HARD_GAP_MAX_ROUNDING (from c = 14.1 on, r = 47
-    for a gap of 0.6).
+    weight are still mode "general" and take the plain LU, whose rounding
+    moves log F by up to N eps / (1 - lambda_0) per zeroed interval for a
+    matrix of size N; `error_estimate` adds that bound, summed over the
+    zeroed intervals with 1 - lambda_0 < HARD_GAP_TAU.  They raise
+    NumericalError where eps / (1 - lambda_0) of some zeroed interval
+    exceeds HARD_GAP_MAX_ROUNDING (from c = 14.1 on, r = 47 for a gap of
+    0.6).
     """
     partition, weights = _checked_weights(_as_partition(partition), weights)
 
     full = Discretization(partition, r, n)
+    lu_rounding = _plain_lu_rounding(partition, weights, full.r)
     gap = _hard_gap_modes(partition, weights, full.r)
     log_full = full._log_det(weights, gap)
     log_half = full.halved()._log_det(weights, gap)
-    err = abs(log_full - log_half)
+    # rounding that the difference of the two orders need not show is
+    # added as its bound: the prolate 1 - lambda_k are shared by both
+    # passes, and the plain LU's rounding on a zeroed interval is no
+    # smaller at the coarse order
+    err = abs(log_full - log_half) + len(full.rule.nodes) * lu_rounding
     if gap is not None:
-        # both passes share the modes, so the rounding of their 1 - lambda_k
-        # never shows in the difference: add its bound
         modes = gap[1]
         err += 2.0 * modes.count * modes.rounding
     _check_sign(weights, log_full)

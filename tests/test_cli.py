@@ -1,5 +1,7 @@
 """CLI: argument validation, output formats, determinism, exit codes."""
 
+import csv
+import io
 import json
 import math
 
@@ -8,11 +10,15 @@ import pytest
 
 import sinegap.cli as cli
 from sinegap import (
+    DeterminantResult,
     NumericalError,
     WeightConfiguration,
+    conditional_stats,
     counting_stats,
     fredholm_det,
     joint_pmf,
+    positive_weights_expansion,
+    zero_weight_expansion,
 )
 
 
@@ -31,7 +37,7 @@ def test_fredholm_unit_weights_row(capsys):
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "r,log_f,error_estimate"
-    assert lines[1].split(",") == ["5", "0", "0"]
+    assert lines[1].split(",") == ["5.0", "0.0", "0.0"]
 
 
 def test_fredholm_matches_library(capsys):
@@ -42,7 +48,7 @@ def test_fredholm_matches_library(capsys):
     row = out.strip().split("\n")[1].split(",")
     w = WeightConfiguration.from_positive_u((-1.1, -2.4))
     want = fredholm_det((0.0, 0.7, 1.2), w, 20.0, 64).log_f.real
-    assert float(row[1]) == want  # 17 significant digits round-trip exactly
+    assert float(row[1]) == want  # repr round-trips exactly
 
 
 def test_converge_delta_bounded(capsys):
@@ -187,6 +193,78 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert path.read_text(encoding="utf-8") == out
 
 
+X2, U2 = (0.0, 0.7, 1.2), (-1.1, -2.4)
+X3, U3, P3 = (0.0, 0.5, 1.1, 1.7), (0.8, -1.32), 2
+
+FORMAT_JOBS = {
+    "fredholm": ("--x", "0,0.7,1.2", "--u=-1.1,-2.4", "--r", "20"),
+    "asym1": ("--x", "0,0.7,1.2", "--u=-1.1,-2.4", "--r", "20"),
+    "asym2": ("--x", "0,0.5,1.1,1.7", "--p", "2", "--u=0.8,-1.32", "--r", "20"),
+    "converge": ("--x", "0,0.5,1.1,1.7", "--p", "2", "--u=0.8,-1.32", "--r-range", "10:40:2"),
+    "pmf": ("--x", "0,0.5,1", "--r", "1", "--k", "2"),
+    "stats": ("--x", "0,0.5,1.1,1.7", "--p", "2", "--r", "10"),
+}
+
+
+def library_rows(command):
+    """The rows of a FORMAT_JOBS job, computed by the library directly."""
+    if command == "fredholm":
+        res = fredholm_det(X2, WeightConfiguration.from_positive_u(U2), 20.0, 64)
+        return [[20.0, res.log_f.real, res.error_estimate]]
+    if command in ("asym1", "asym2"):
+        if command == "asym1":
+            b = positive_weights_expansion(X2, U2, 20.0)
+        else:
+            b = zero_weight_expansion(X3, P3, U3, 20.0)
+        return [[20.0, b.r_squared_term, b.r_linear_term, b.log_r_term, b.constant_term, b.total]]
+    if command == "converge":
+        rows = []
+        for r in (10.0, 40.0):
+            numeric = fredholm_det(X3, WeightConfiguration.from_zero_u(U3, P3, 3), r, 64).log_f.real
+            asym = zero_weight_expansion(X3, P3, U3, r).total
+            rows.append([r, numeric, asym, r * (numeric - asym)])
+        return rows
+    if command == "pmf":
+        pmf = joint_pmf((0.0, 0.5, 1.0), 1.0, 2)
+        rows = [[i, j, float(pmf.table[i, j])] for i in range(3) for j in range(3)]
+        return rows + [[None, None, pmf.residual_mass]]
+    t = conditional_stats(X3, P3, 10.0)
+    a, b = t.labels
+    return [
+        [10.0, "mu_hat", a, None, float(t.mu[0])],
+        [10.0, "mu_hat", b, None, float(t.mu[1])],
+        [10.0, "sigma2_hat", a, None, float(t.sigma2[0])],
+        [10.0, "sigma2_hat", b, None, float(t.sigma2[1])],
+        [10.0, "cross_hat", a, b, float(t.cross[0, 1])],
+    ]
+
+
+def csv_cell(text):
+    # a float cell always carries '.' or an exponent, so int() refuses it
+    if text == "":
+        return None
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+@pytest.mark.parametrize("command", sorted(FORMAT_JOBS))
+def test_csv_and_json_carry_the_library_values(command, capsys):
+    argv = (command, *FORMAT_JOBS[command])
+    code, csv_out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    header, *csv_rows = csv.reader(io.StringIO(csv_out))
+    csv_rows = [[csv_cell(v) for v in row] for row in csv_rows]
+    json_rows = [[row[h] for h in header] for row in json.loads(json_out)["rows"]]
+    assert [[type(v) for v in row] for row in csv_rows] == [[type(v) for v in row] for row in json_rows]
+    assert csv_rows == json_rows == library_rows(command)
+
+
 # ---------------------------------------------------------------------------
 # validation and exit codes
 
@@ -247,6 +325,22 @@ def test_numerical_failure_maps_to_exit_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "fredholm", "--x", "0,1", "--s", "0.5", "--r", "2")
     assert code == 3
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_output_maps_to_exit_3_and_writes_nothing(fmt, tmp_path, capsys, monkeypatch):
+    def nan_det(*args, **kwargs):
+        return DeterminantResult(log_f=complex(math.nan, 0.0), order_used=64, error_estimate=0.0)
+
+    monkeypatch.setattr(cli, "fredholm_det", nan_det)
+    argv = ("fredholm", "--x", "0,1", "--s", "0.5", "--r", "2", "--format", fmt)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "non-finite" in err
+    path = tmp_path / f"out.{fmt}"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out) == (3, "")
+    assert not path.exists()
 
 
 def test_io_failure_maps_to_exit_4(capsys):

@@ -205,6 +205,8 @@ def validate_args(ns: argparse.Namespace) -> tuple[JobSpec | None, list[str]]:
     if command == "fredholm":
         if (ns.s is None) == (ns.u is None):
             errors.append("fredholm: exactly one of --s / --u is required")
+        if ns.s is not None and ns.p is not None:
+            errors.append("fredholm: --p zeroes a weight of --u; it takes no --s")
     elif command in ("asym1", "asym2", "converge"):
         if ns.s is not None:
             errors.append(f"{command}: parameterized by --u, not --s")

@@ -3,16 +3,20 @@
 F(s) = E[prod_k s_k^{N_k}] is entire in s, so the joint law of the
 interval counts (N_1, ..., N_m) comes out of a discrete Fourier inversion
 of F over the torus s_j = exp(i theta_j).  Thinning and conditional gap
-probabilities are determinant ratios, and numerical cumulants come from
-central differences of log F in the exponential parameterization
-s_j = exp(u_j + ... + u_m), whose gradient/Hessian at u = 0 are exactly
-the means and covariances of the nested counts N_(r x_0, r x_j).
+probabilities are determinant ratios.  In the exponential
+parameterization s_j = exp(u_j + ... + u_m), log F is the joint cumulant
+generating function of the nested counts N_(r x_0, r x_j); at u = 0 the
+Fredholm operator is the identity, so their means and covariances are
+traces of the sine kernel, tr(K P_j) and tr(K P_min(j,l)) -
+tr(K P_j K P_l) (Costin & Lebowitz, PRL 75, 1995; Bornemann, Markov
+Process. Related Fields 16, 2010), and need no determinant at all.
 
-Each of these evaluates F at many weights on one partition and one r,
-and none needs the n/2 error estimate of `fredholm_det`.  So every
+None of these needs the n/2 error estimate of `fredholm_det`.  So every
 function here builds one `Discretization` per partition (the composite
-rule and the sine kernel on its nodes) and calls its `log_det` once per
-weight: one matrix assembly and one factorization each.
+rule and the sine kernel on its nodes).  The PMF and the gap
+probabilities call its `log_det` once per weight: one matrix assembly
+and one factorization each.  The cumulants read the traces off its rule
+and kernel.
 """
 
 from __future__ import annotations
@@ -158,80 +162,40 @@ def numerical_cumulants(
     partition,
     r: float,
     order: int = 2,
-    h: float = 1e-3,
     n: int = 64,
 ) -> StatisticsTriple:
-    """Cumulants of the nested counts N_(r x_0, r x_j) by differencing.
+    """Cumulants of the nested counts N_j = N_(r x_0, r x_j) from kernel
+    traces.
 
-    log F(u) with s_j = exp(u_j + ... + u_m) is the joint cumulant
-    generating function of (N_1, ..., N_m), so
+    log F with s_j = exp(u_j + ... + u_m) is the joint cumulant generating
+    function of (N_1, ..., N_m), and at u = 0 the Fredholm operator is the
+    identity, so its first and second derivatives there are traces of the
+    kernel (Costin & Lebowitz, PRL 75, 1995; Bornemann, Markov Process.
+    Related Fields 16, 2010): with P_j the restriction to (r x_0, r x_j),
 
-        mean_j  = d/du_j log F |_0,      var_j = d^2/du_j^2 log F |_0,
-        cov_jk  = d^2/(du_j du_k) log F |_0.
+        mean_j  = tr(K P_j),
+        cov_jl  = tr(K P_min(j,l)) - tr(K P_j K P_l),
 
-    Central differences at steps h and h/2 are combined by one Richardson
-    step (error O(h^4)).  `order` = 1 computes means only (variances and
-    covariances are returned as NaN); `order` = 2 computes all three.
-    h must lie in [1e-4, 1e-1].  Every difference point is evaluated on
-    one `Discretization` of order n, so the kernel is built once per call.
+    the multi-interval form of Var N = int K - int int K^2.  The traces
+    are taken with the Nystrom rule of one `Discretization` of order n,
+    and no matrix is factored.  `order` = 1 computes means only
+    (variances and covariances are returned as NaN); `order` = 2 computes
+    all three.
     """
-    disc = Discretization(partition, r, n)
     if order not in (1, 2):
         raise ValidationError(f"order must be 1 or 2, got {order!r}")
-    h = float(h)
-    if not (1e-4 <= h <= 1e-1):
-        raise ValidationError(f"step h must lie in [1e-4, 1e-1], got {h!r}")
+    disc = Discretization(partition, r, n)
     m = disc.partition.m
-
-    def log_f(u: np.ndarray) -> float:
-        s = np.exp(np.cumsum(u[::-1])[::-1])
-        weights = WeightConfiguration(tuple(float(v) for v in s))
-        return disc.log_det(weights).real
-
-    def at(**deltas) -> float:
-        u = np.zeros(m)
-        for j, d in deltas.items():
-            u[int(j)] += d
-        return log_f(u)
-
-    def richardson(coarse: float, fine: float) -> float:
-        return (4.0 * fine - coarse) / 3.0
-
-    f0 = log_f(np.zeros(m))
-    plus = np.empty((m, 2))
-    minus = np.empty((m, 2))
-    for j in range(m):
-        for col, step in enumerate((h, h / 2.0)):
-            plus[j, col] = at(**{str(j): step})
-            minus[j, col] = at(**{str(j): -step})
-
-    def d1(j: int, col: int, step: float) -> float:
-        return (plus[j, col] - minus[j, col]) / (2.0 * step)
-
-    mu = np.array([richardson(d1(j, 0, h), d1(j, 1, h / 2.0)) for j in range(m)])
-
+    w, kernel = disc.rule.weights, disc.kernel
+    # nested[a, j] is 1 where node a lies in intervals 1..j+1
+    nested = (disc.rule.interval_index[:, None] <= np.arange(m)[None, :]).astype(float)
+    mu = (np.diagonal(kernel) * w) @ nested
+    labels = tuple(range(1, m + 1))
     if order == 1:
-        nan = np.full(m, np.nan)
-        return StatisticsTriple(
-            mu=mu, sigma2=nan, cross=np.full((m, m), np.nan), labels=tuple(range(1, m + 1))
-        )
+        return StatisticsTriple(mu=mu, sigma2=np.full(m, np.nan), cross=np.full((m, m), np.nan), labels=labels)
 
-    def d2(j: int, col: int, step: float) -> float:
-        return (plus[j, col] - 2.0 * f0 + minus[j, col]) / (step * step)
-
-    sigma2 = np.array([richardson(d2(j, 0, h), d2(j, 1, h / 2.0)) for j in range(m)])
-
-    cross = np.diag(sigma2.copy())
-    for j in range(m):
-        for k in range(j + 1, m):
-
-            def mixed(step: float) -> float:
-                pp = at(**{str(j): step, str(k): step})
-                pm = at(**{str(j): step, str(k): -step})
-                mp = at(**{str(j): -step, str(k): step})
-                mm = at(**{str(j): -step, str(k): -step})
-                return (pp - pm - mp + mm) / (4.0 * step * step)
-
-            cross[j, k] = cross[k, j] = richardson(mixed(h), mixed(h / 2.0))
-
-    return StatisticsTriple(mu=mu, sigma2=sigma2, cross=cross, labels=tuple(range(1, m + 1)))
+    # tr(K W P_j K W P_l) = sum over a in P_l, b in P_j of K_ab^2 w_a w_b
+    pairs = nested.T @ (kernel * kernel * np.outer(w, w)) @ nested
+    cross = mu[np.minimum.outer(np.arange(m), np.arange(m))] - pairs
+    cross = 0.5 * (cross + cross.T)  # the matrix products need not round symmetrically
+    return StatisticsTriple(mu=mu, sigma2=np.diagonal(cross).copy(), cross=cross, labels=labels)

@@ -296,6 +296,8 @@ def test_command_flag_consistency_checks(capsys):
     assert code == 2 and "--r-range" in err
     code, _, err = run_cli(capsys, "stats", "--x", "0,1", "--r", "2", "--k", "3")
     assert code == 2 and "--k" in err
+    code, out, err = run_cli(capsys, "fredholm", "--x", "0,1,2", "--s", "0.5,1", "--p", "1", "--r", "2")
+    assert code == 2 and "--p" in err and "--s" in err and out == ""
 
 
 def test_unknown_command_and_flag(capsys):

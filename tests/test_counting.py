@@ -2,8 +2,10 @@
 
 Oracles: the s = 0 determinant gives P(all counts zero) directly; the
 exact mean r (x_1 - x_0)/pi anchors both the PMF first moment and the
-differenced cumulants; marginalizing a joint table must reproduce the
-single-interval table for the same interval.
+trace cumulants, whose covariances are checked against the closed-form
+sine-process number variance and against differences of log F;
+marginalizing a joint table must reproduce the single-interval table for
+the same interval.
 """
 
 import math
@@ -11,6 +13,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.special import sici
 
 import sinegap.fredholm as fredholm_module
 from sinegap import (
@@ -188,13 +191,32 @@ def test_cumulant_order_one_skips_second_moments():
     assert np.all(np.isnan(got.cross))
 
 
+def _number_variance(length):
+    # Var N for one interval of the given length (unit density); 0 when empty
+    if length == 0.0:
+        return 0.0
+    si, ci = sici(2.0 * length)
+    log_part = math.log(2.0 * length) + np.euler_gamma + 1.0 - ci - math.cos(2.0 * length)
+    return log_part / math.pi**2 + (length / math.pi) * (1.0 - 2.0 * si / math.pi)
+
+
+def test_cumulant_covariances_match_exact_number_variance():
+    x = (0.0, 0.5, 1.1, 1.7, 2.5)
+    for r in (5.0, 20.0, 40.0):
+        got = numerical_cumulants(x, r)
+        d = [r * (xj - x[0]) for xj in x[1:]]
+        # N_j N_l share the shorter interval: Cov = (V(d_j) + V(d_l) - V(|d_j - d_l|)) / 2
+        want = np.array(
+            [[(_number_variance(a) + _number_variance(b) - _number_variance(abs(a - b))) / 2.0 for b in d] for a in d]
+        )
+        assert np.max(np.abs(got.cross - want)) < 1e-12
+        assert np.max(np.abs(got.sigma2 - np.diagonal(want))) < 1e-12
+        assert np.max(np.abs(got.mu - np.array(d) / math.pi)) < 1e-12
+
+
 def test_cumulant_validation():
     with pytest.raises(ValidationError):
         numerical_cumulants((0.0, 1.0), 4.0, order=3)
-    with pytest.raises(ValidationError):
-        numerical_cumulants((0.0, 1.0), 4.0, h=1e-5)
-    with pytest.raises(ValidationError):
-        numerical_cumulants((0.0, 1.0), 4.0, h=0.5)
     with pytest.raises(ValidationError):
         numerical_cumulants((0.0, 1.0), -4.0)
 
@@ -221,22 +243,31 @@ def test_counting_equals_loop_over_fredholm_det():
     for endpoints, r, k in (((0.0, 0.5, 1.0), 2.0, 2), ((0.0, 0.4, 0.8, 1.2), 1.0, 1)):
         assert np.array_equal(joint_pmf(endpoints, r, k).table, _pmf_from_fredholm_det(endpoints, r, k))
 
+    # the cumulants as Richardson-extrapolated central differences of
+    # log F(u), s_j = exp(u_j + ... + u_m), at steps h and h / 2
     part, r, h = IntervalPartition((0.0, 0.5, 1.2)), 5.0, 1e-3
 
     def log_f(u):
         s = np.exp(np.cumsum(np.asarray(u)[::-1])[::-1])
         return fredholm_det(part, tuple(float(v) for v in s), r).log_f.real
 
-    got = numerical_cumulants(part, r, order=2, h=h)
+    def richardson(diff):
+        return (4.0 * diff(h / 2.0) - diff(h)) / 3.0
+
+    e = np.eye(2)
     f0 = log_f(np.zeros(2))
-    for j in range(2):
-        e = np.eye(2)[j]
-        coarse = (log_f(h * e) - log_f(-h * e)) / (2.0 * h)
-        fine = (log_f(h / 2 * e) - log_f(-h / 2 * e)) / h
-        assert got.mu[j] == (4.0 * fine - coarse) / 3.0
-        coarse = (log_f(h * e) - 2.0 * f0 + log_f(-h * e)) / (h * h)
-        fine = (log_f(h / 2 * e) - 2.0 * f0 + log_f(-h / 2 * e)) / (h * h / 4.0)
-        assert got.sigma2[j] == (4.0 * fine - coarse) / 3.0
+    mean = [richardson(lambda t: (log_f(t * e[j]) - log_f(-t * e[j])) / (2.0 * t)) for j in range(2)]
+    var = [richardson(lambda t: (log_f(t * e[j]) - 2.0 * f0 + log_f(-t * e[j])) / (t * t)) for j in range(2)]
+    cov = richardson(
+        lambda t: sum(a * b * log_f(t * (a * e[0] + b * e[1])) for a in (1, -1) for b in (1, -1)) / (4.0 * t * t)
+    )
+    got = numerical_cumulants(part, r, order=2)
+    assert np.max(np.abs(got.mu - mean)) < 1e-9
+    assert np.max(np.abs(got.sigma2 - var)) < 1e-6
+    assert abs(got.cross[0, 1] - cov) < 1e-6
+    fine = numerical_cumulants(part, r, order=2, n=128)
+    assert np.max(np.abs(got.mu - fine.mu)) < 1e-12
+    assert np.max(np.abs(got.cross - fine.cross)) < 1e-12
 
     part = IntervalPartition((0.0, 0.6, 1.3))
     for s in ((0.3, 0.7), (0.0, 0.4), (0.0, 0.0)):
@@ -267,9 +298,9 @@ def test_counting_fills_one_kernel_and_factors_once_per_weight(monkeypatch):
     # g^m torus points, g = 2 K + 2
     assert run(joint_pmf, (0.0, 0.5, 1.0), 2.0, 2) == {"kernel": 1, "lu": 36}
     assert run(joint_pmf, (0.0, 0.4, 0.8, 1.2), 1.0, 1) == {"kernel": 1, "lu": 64}
-    # 1 + 4 m points for the means and variances, 8 per covariance pair
-    assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0) == {"kernel": 1, "lu": 17}
-    assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0, order=1) == {"kernel": 1, "lu": 9}
+    # the cumulants are traces: no factorization
+    assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0) == {"kernel": 1, "lu": 0}
+    assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0, order=1) == {"kernel": 1, "lu": 0}
     assert run(thinned_gap_probability, (0.0, 0.6, 1.3), (0.3, 0.7), 6.0) == {"kernel": 1, "lu": 1}
     # the merged gap (numerator) and the thinned partition (denominator)
     assert run(conditional_zero_probability, (0.0, 0.6, 1.3), (0.3, 0.7), 6.0) == {"kernel": 2, "lu": 2}
@@ -284,4 +315,4 @@ def test_counting_keeps_order_and_sign_checks(monkeypatch):
         thinned_gap_probability((0.0, 1.0), (0.5,), float("nan"))
     monkeypatch.setattr(fredholm_module, "_lu_log_det", lambda mat: complex(-1.0, 0.5))
     with pytest.raises(NumericalError, match="lost determinant sign"):
-        numerical_cumulants((0.0, 1.0), 4.0)
+        thinned_gap_probability((0.0, 1.0), (0.5,), 4.0)

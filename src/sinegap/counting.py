@@ -13,10 +13,12 @@ Process. Related Fields 16, 2010), and need no determinant at all.
 
 None of these needs the n/2 error estimate of `fredholm_det`.  So every
 function here builds one `Discretization` per partition (the composite
-rule and the sine kernel on its nodes).  The PMF and the gap
-probabilities call its `log_det` once per weight: one matrix assembly
-and one factorization each.  The cumulants read the traces off its rule
-and kernel.
+rule and the sine kernel on its nodes).  The gap probabilities call its
+`log_det` once per weight: one matrix assembly and one factorization
+each.  F has real Taylor coefficients, F(conj s) = conj F(s), so the
+PMF calls it on one point of each conjugate pair of the torus grid and
+on the self-conjugate points, about half the grid.  The cumulants read
+the traces off its rule and kernel.
 """
 
 from __future__ import annotations
@@ -81,11 +83,18 @@ def joint_pmf(
     torus is a plain DFT, so the grid values are FFT'd.  Supported for
     m <= 3.  By normalization the full DFT sums to F(1) = 1 exactly, and
     the mass not in the table is reported as residual_mass.  The sine
-    kernel is built once at order n_quad and reused for all g^m grid
-    points, each one LU; no n/2 error-estimate pass is made.
+    kernel is built once at order n_quad.  Since F(conj s) = conj F(s),
+    one LU is made per conjugate pair of grid points, the mirror
+    (-i mod g per index) being filled with the conjugate, plus one per
+    self-conjugate point (indices 0 or g/2): (g^m + 2^m) / 2 LUs for
+    even g, (g^m + 1) / 2 for odd g.  No n/2 error-estimate pass is made.
 
     Entries in (-1e-9, 0) are clamped to 0 (roundoff from the inversion);
     anything below -1e-9 raises, as does any imaginary part above 1e-8.
+    The mirror fill makes the table's imaginary part come from the
+    self-conjugate points alone, which for odd g is s = 1 only, so for
+    g > 2 one extra LU evaluates the mirror of s_j = exp(2 pi i / g)
+    directly, and a departure from conj F(s) above 1e-8 raises too.
     """
     partition = _as_partition(partition)
     m = partition.m
@@ -107,10 +116,18 @@ def joint_pmf(
     g = n_grid_per_dim
     disc = Discretization(partition, r, n_quad)
     phases = np.exp(2j * math.pi * np.arange(g) / g)
+
+    def f_at(combo):
+        return np.exp(disc.log_det(WeightConfiguration(tuple(phases[i] for i in combo))))
+
     f_grid = np.empty((g,) * m, dtype=complex)
     for combo in product(range(g), repeat=m):
-        weights = WeightConfiguration(tuple(phases[i] for i in combo))
-        f_grid[combo] = np.exp(disc.log_det(weights))
+        mirror = tuple(-i % g for i in combo)
+        if mirror < combo:  # filled with its pair
+            continue
+        f = f_at(combo)
+        f_grid[mirror] = np.conj(f)
+        f_grid[combo] = f
 
     coeff = np.fft.fftn(f_grid) / g**m
     table = coeff[tuple(slice(0, k + 1) for k in ks)]
@@ -118,6 +135,11 @@ def joint_pmf(
     max_imag = float(np.max(np.abs(table.imag)))
     if max_imag > IMAG_TOL:
         raise NumericalError(f"inversion left imaginary mass {max_imag:.3e} > {IMAG_TOL:g}")
+    if g > 2:  # at g = 2 every grid point is self-conjugate and evaluated
+        mirror = (g - 1,) * m  # filled as conj F at s_j = exp(2 pi i / g)
+        asym = abs(f_at(mirror) - f_grid[mirror])
+        if asym > IMAG_TOL:
+            raise NumericalError(f"F(conj s) departs from conj F(s) by {asym:.3e} > {IMAG_TOL:g}")
     table = table.real.copy()
     low = float(table.min())
     if low < -NEGATIVE_TOL:

@@ -12,10 +12,15 @@ probability inversion) are accepted alongside real nonnegative ones.
 
 Evaluation is Nystrom discretization on composite Gauss-Legendre nodes
 followed by a pivoted-LU log-determinant.  The discretization depends
-on (partition, r, n) only and is built once per `Discretization`; each
-weight then costs a matrix assembly and one factorization.  A truncated
-series evaluation `series_det` provides an independent cross-check route
-for small instances and is deliberately kept free of any LU code.
+on (partition, r, n) only and is built once per `Discretization`: the
+kernel is filled one interval's rows at a time from the diagonal block
+rightwards, and each block's transpose is mirrored into the lower part,
+so K is symmetric bit for bit at about (m + 1) / (2m) of the full fill.
+Each weight then costs one factorization of I - K diag(c), assembled in
+Fortran order (`_nystrom_matrix`) so that the LU overwrites it instead
+of copying it.  A truncated series evaluation `series_det` provides an
+independent cross-check route for small instances and is deliberately
+kept free of any LU code.
 
 Hard gaps.  With exactly one zero weight s_p (the others positive) the
 zeroed interval G = (r x_{p-1}, r x_p) is a hard gap: K on G has
@@ -249,7 +254,7 @@ def sine_kernel(x, y):
     # np.sinc(d / pi) / pi computed in place, with the same roundings:
     # the kernel fill is the largest layer of a determinant, and most of
     # np.sinc's time went to its five full-size temporaries.
-    d = np.array(np.subtract(x, y), dtype=float)
+    d = np.asarray(np.subtract(x, y), dtype=float)
     d /= math.pi
     d *= math.pi
     d[d == 0.0] = np.finfo(float).eps  # sin(eps) / eps = 1, as in np.sinc
@@ -301,9 +306,13 @@ class Discretization:
     (`rule`), and the sine kernel on its nodes (`kernel`, read-only).
 
     Built once for (partition, r, n), it gives log F at any number of
-    weights through `log_det`, each one a weight column, a matrix
-    assembly and one factorization.  The Nystrom method is Bornemann's
-    (Math. Comp. 79, 2010).
+    weights through `log_det`, each one a weight column, an in-place
+    matrix assembly and one factorization.  The kernel is filled in
+    blocks: the rows of interval k against the nodes of intervals k..m,
+    each block's transpose mirrored below the diagonal, so `kernel` is
+    exactly symmetric and equals `sine_kernel(t[:, None], t[None, :])`
+    bit for bit.  The Nystrom method is Bornemann's (Math. Comp. 79,
+    2010).
     """
 
     def __init__(self, partition, r: float, n: int):
@@ -317,7 +326,11 @@ class Discretization:
         self.partition, self.r, self.n = partition, r, n
         self.rule = composite_rule(partition, r, n)
         t = self.rule.nodes
-        self.kernel = sine_kernel(t[:, None], t[None, :])
+        self.kernel = np.empty((len(t), len(t)))
+        for lo in range(0, len(t), n):  # one interval's rows, diagonal block rightwards
+            block = sine_kernel(t[lo : lo + n, None], t[None, lo:])
+            self.kernel[lo : lo + n, lo:] = block
+            self.kernel[lo:, lo : lo + n] = block.T
         self.kernel.setflags(write=False)
 
     def halved(self) -> "Discretization":
@@ -343,11 +356,23 @@ class Discretization:
         c = _weight_column(self.rule, weights)
         if gap is not None:
             return _deflated_log_det(self.rule, self.kernel, c, *gap)
-        return _lu_log_det(np.eye(len(c), dtype=c.dtype) - self.kernel * c[None, :])
+        return _lu_log_det(_nystrom_matrix(self.kernel, c))
+
+
+def _nystrom_matrix(kernel, c) -> np.ndarray:
+    """I - K diag(c) as a fresh Fortran-order array, the same bits as
+    `np.eye(N) - kernel * c` for the exactly symmetric K of a
+    `Discretization`: (K diag(-c))^T = -K diag(c) there, and the
+    transpose of a C-order product is Fortran order, so `lu_factor` can
+    overwrite it with no copy."""
+    mat = (kernel * -c[:, None]).T
+    np.fill_diagonal(mat, 1.0 - np.diagonal(kernel) * c)
+    return mat
 
 
 def _lu_log_det(mat) -> complex:
-    lu, piv = lu_factor(mat)
+    """log det(mat) by a pivoted LU that overwrites `mat`."""
+    lu, piv = lu_factor(mat, overwrite_a=True)
     diag = np.diagonal(lu)
     if np.any(diag == 0.0):
         raise NumericalError("zero pivot in LU: quadrature order too small or invalid input")
@@ -440,7 +465,7 @@ def _deflated_log_det(rule, kernel, c, k, modes) -> complex:
     base = gauss_legendre(n)
     psi = modes.at_gauss_nodes(n)  # G's nodes are the base nodes mapped onto it
     lam = 1.0 - modes.gaps
-    mat = np.eye(len(c)) - kernel * c[None, :]
+    mat = _nystrom_matrix(kernel, c)
     root_w = np.sqrt(rule.weights[g])
     mat[g, :] *= root_w[:, None]
     mat[:, g] /= root_w[None, :]

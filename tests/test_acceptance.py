@@ -213,7 +213,7 @@ def test_criterion_08_exact_mean():
         worst = max(worst, abs(got.mu[0] - r * 0.5 / math.pi))
         worst = max(worst, abs(got.mu[1] - r * 1.2 / math.pi))
     ok = worst < 1e-6
-    assert report(8, "differenced means are exact", ok, f"worst={worst:.2e}"), worst
+    assert report(8, "trace means are exact", ok, f"worst={worst:.2e}"), worst
 
 
 def test_criterion_09_variance_covariance_asymptotics():

@@ -225,15 +225,23 @@ def test_cumulant_validation():
 # one discretization per call: same numbers as fredholm_det, fewer kernels
 
 
-def _pmf_from_fredholm_det(endpoints, r, k, n_quad=64):
-    # joint_pmf's inversion written over plain fredholm_det calls
+def _pmf_from_fredholm_det(endpoints, r, k, n_quad=64, half=True):
+    # joint_pmf's inversion written over plain fredholm_det calls: with
+    # `half`, one call per conjugate pair (the mirror -i mod g filled with
+    # the conjugate) and per self-conjugate point; else every grid point
     m = len(endpoints) - 1
     g = 2 * k + 2
     phases = np.exp(2j * math.pi * np.arange(g) / g)
     f_grid = np.empty((g,) * m, dtype=complex)
     for combo in product(range(g), repeat=m):
+        mirror = tuple(-i % g for i in combo)
+        if half and mirror < combo:
+            continue
         weights = WeightConfiguration(tuple(phases[i] for i in combo))
-        f_grid[combo] = np.exp(fredholm_det(endpoints, weights, r, n_quad).log_f)
+        f = np.exp(fredholm_det(endpoints, weights, r, n_quad).log_f)
+        if half:
+            f_grid[mirror] = np.conj(f)
+        f_grid[combo] = f
     table = (np.fft.fftn(f_grid) / g**m)[(slice(0, k + 1),) * m].real.copy()
     table[table < 0.0] = 0.0
     return table
@@ -241,7 +249,10 @@ def _pmf_from_fredholm_det(endpoints, r, k, n_quad=64):
 
 def test_counting_equals_loop_over_fredholm_det():
     for endpoints, r, k in (((0.0, 0.5, 1.0), 2.0, 2), ((0.0, 0.4, 0.8, 1.2), 1.0, 1)):
-        assert np.array_equal(joint_pmf(endpoints, r, k).table, _pmf_from_fredholm_det(endpoints, r, k))
+        table = joint_pmf(endpoints, r, k).table
+        assert np.array_equal(table, _pmf_from_fredholm_det(endpoints, r, k))
+        # the half grid moves the full grid's cells by rounding only
+        assert np.max(np.abs(table - _pmf_from_fredholm_det(endpoints, r, k, half=False))) < 1e-15
 
     # the cumulants as Richardson-extrapolated central differences of
     # log F(u), s_j = exp(u_j + ... + u_m), at steps h and h / 2
@@ -287,7 +298,9 @@ def test_counting_fills_one_kernel_and_factors_once_per_weight(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(fredholm_module, "sine_kernel", counted("kernel", fredholm_module.sine_kernel))
+    # a kernel is one Discretization build, however many blocks it fills
+    disc_class = fredholm_module.Discretization
+    monkeypatch.setattr(disc_class, "_build", counted("kernel", disc_class._build))
     monkeypatch.setattr(fredholm_module, "lu_factor", counted("lu", fredholm_module.lu_factor))
 
     def run(fn, *args, **kwargs):
@@ -295,15 +308,39 @@ def test_counting_fills_one_kernel_and_factors_once_per_weight(monkeypatch):
         fn(*args, **kwargs)
         return dict(calls)
 
-    # g^m torus points, g = 2 K + 2
-    assert run(joint_pmf, (0.0, 0.5, 1.0), 2.0, 2) == {"kernel": 1, "lu": 36}
-    assert run(joint_pmf, (0.0, 0.4, 0.8, 1.2), 1.0, 1) == {"kernel": 1, "lu": 64}
+    # (g^m + 2^m) / 2 torus points for even g = 2 K + 2, plus the
+    # conjugate-symmetry check's LU
+    assert run(joint_pmf, (0.0, 0.5, 1.0), 2.0, 2) == {"kernel": 1, "lu": 20 + 1}
+    assert run(joint_pmf, (0.0, 0.4, 0.8, 1.2), 1.0, 1) == {"kernel": 1, "lu": 36 + 1}
+    # odd g: (g^m + 1) / 2; g = 2 (K = 0): every point is self-conjugate, no check
+    assert run(joint_pmf, (0.0, 0.5, 1.0), 2.0, 2, n_grid_per_dim=7) == {"kernel": 1, "lu": 25 + 1}
+    assert run(joint_pmf, (0.0, 0.5, 1.0), 2.0, 0) == {"kernel": 1, "lu": 4}
     # the cumulants are traces: no factorization
     assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0) == {"kernel": 1, "lu": 0}
     assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0, order=1) == {"kernel": 1, "lu": 0}
     assert run(thinned_gap_probability, (0.0, 0.6, 1.3), (0.3, 0.7), 6.0) == {"kernel": 1, "lu": 1}
     # the merged gap (numerator) and the thinned partition (denominator)
     assert run(conditional_zero_probability, (0.0, 0.6, 1.3), (0.3, 0.7), 6.0) == {"kernel": 2, "lu": 2}
+
+
+def test_pmf_conjugate_symmetry_check_catches_a_skewed_determinant(monkeypatch):
+    # an imaginary offset on log F at non-real weights breaks F(conj s) =
+    # conj F(s); the mirror fill hides it from the table, whose imaginary
+    # part for odd g comes from s = 1 alone, so only the extra LU sees it
+    exact = fredholm_module.Discretization.log_det
+
+    def skewed(self, weights):
+        log_f = exact(self, weights)
+        return log_f if weights.is_real else log_f + 1e-5j
+
+    monkeypatch.setattr(fredholm_module.Discretization, "log_det", skewed)
+    for g in (3, 5, 7):
+        with pytest.raises(NumericalError, match=r"F\(conj s\) departs from conj F\(s\)"):
+            joint_pmf((0.0, 0.5, 1.0), 2.0, (g - 2) // 2, n_grid_per_dim=g)
+    # even g: the check, or the self-conjugate points' imaginary mass
+    for g in (2, 4, 6):
+        with pytest.raises(NumericalError):
+            joint_pmf((0.0, 0.5, 1.0), 2.0, (g - 2) // 2, n_grid_per_dim=g)
 
 
 def test_counting_keeps_order_and_sign_checks(monkeypatch):

@@ -59,6 +59,16 @@ def test_sine_kernel_is_numpy_sinc_bit_for_bit():
     assert np.array_equal(sine_kernel(x[:, None], x[None, :]), want)
 
 
+def test_sine_kernel_scalar_and_integer_inputs_match_numpy_sinc():
+    for x, y in ((3, 1), (2, 2), (0.3, -1.25), (np.int64(5), 2.5)):
+        got = sine_kernel(x, y)
+        assert np.ndim(got) == 0
+        assert got == np.sinc((x - y) / math.pi) / math.pi
+    ints = np.arange(-4, 5)
+    want = np.sinc(np.subtract(ints[:, None], ints[None, :]) / math.pi) / math.pi
+    assert np.array_equal(sine_kernel(ints[:, None], ints[None, :]), want)
+
+
 def test_sine_kernel_plain_values():
     assert abs(sine_kernel(math.pi, 0.0)) < 1e-16
     assert abs(sine_kernel(0.5 * math.pi, 0.0) - 1.0 / (0.5 * math.pi**2)) < 1e-15
@@ -400,6 +410,30 @@ def test_discretization_validation_and_sign_check(monkeypatch):
     assert disc.log_det((1j,)) == complex(-1.0, 0.5)  # complex weights have no sign to lose
 
 
+def test_block_kernel_fill_is_the_full_fill_bit_for_bit():
+    # rows of interval k against intervals k..m, mirrored below the diagonal
+    for endpoints in ((0.0, 0.7), (0.0, 0.5, 1.2), (0.0, 0.5, 1.1, 1.7), (0.0, 0.5, 1.1, 1.7, 2.5)):
+        for r in (1.0, 23.0):
+            disc = Discretization(endpoints, r, 9)
+            for d in (disc, disc.halved()):  # n = 9, then 4
+                t = d.rule.nodes
+                assert d.kernel.shape == (len(t), len(t)) == (d.n * (len(endpoints) - 1),) * 2
+                assert np.array_equal(d.kernel, sine_kernel(t[:, None], t[None, :]))
+                assert np.array_equal(d.kernel, d.kernel.T)
+            assert disc.halved().n == 4
+
+
+def test_nystrom_matrix_is_identity_minus_weighted_kernel_bit_for_bit():
+    disc = Discretization((0.0, 0.5, 1.1, 1.7), 23.0, 16)
+    rng = np.random.default_rng(5)
+    size = len(disc.rule.nodes)
+    real = rng.uniform(-1.0, 1.0, size)
+    for c in (real, real + 1j * rng.uniform(-1.0, 1.0, size)):
+        mat = fredholm_module._nystrom_matrix(disc.kernel, c)
+        assert mat.flags.f_contiguous and mat.dtype == c.dtype
+        assert np.array_equal(mat, np.eye(size) - disc.kernel * c)
+
+
 def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
     calls = {"kernel": 0, "lu": 0}
 
@@ -410,7 +444,8 @@ def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(fredholm_module, "sine_kernel", counted("kernel", fredholm_module.sine_kernel))
+    # a kernel is one Discretization build, however many blocks it fills
+    monkeypatch.setattr(Discretization, "_build", counted("kernel", Discretization._build))
     monkeypatch.setattr(fredholm_module, "lu_factor", counted("lu", fredholm_module.lu_factor))
     fredholm_det((0.0, 0.5, 1.0), (0.3, 0.6), 5.0)
     assert calls == {"kernel": 2, "lu": 2}  # orders n and n // 2

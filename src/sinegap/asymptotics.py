@@ -2,9 +2,9 @@
 
 Two regimes are covered, distinguished by the weights:
 
-* all weights positive ("positive" mode): log F grows linearly in r, with
-  a log r correction and an O(1) constant built from Barnes-G pairs;
-* exactly one weight zero ("one_zero" mode, a hard gap on interval p):
+* all weights positive: log F grows linearly in r, with a log r
+  correction and an O(1) constant built from Barnes-G pairs;
+* exactly one weight zero (a hard gap on interval p), the others positive:
   the Gaussian-decay gap law -r^2 (x_p - x_{p-1})^2 / 8 leads, decorated
   by square-root interactions with the surviving intervals.
 

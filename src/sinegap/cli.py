@@ -29,9 +29,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -167,6 +165,9 @@ def validate_args(ns: argparse.Namespace) -> tuple[JobSpec | None, list[str]]:
     s = _parse_floats(ns.s, "--s", errors) if ns.s is not None else None
     u = _parse_floats(ns.u, "--u", errors) if ns.u is not None else None
     p = _parse_int(ns.p, "--p", errors) if ns.p is not None else None
+    if ns.u is None and ns.s is None and p is not None and m == 1 and command in ("fredholm", "asym2", "converge"):
+        u = ()  # --p leaves m - 1 = 0 log-ratios, so --u may be left out
+    u_missing = ns.u is None and u is None
     k = _parse_int(ns.k, "--k", errors) if ns.k is not None else None
     r = None
     if ns.r is not None:
@@ -203,14 +204,14 @@ def validate_args(ns: argparse.Namespace) -> tuple[JobSpec | None, list[str]]:
             errors.append("pmf: takes --r, not --r-range")
 
     if command == "fredholm":
-        if (ns.s is None) == (ns.u is None):
+        if (ns.s is None) == u_missing:
             errors.append("fredholm: exactly one of --s / --u is required")
         if ns.s is not None and ns.p is not None:
             errors.append("fredholm: --p zeroes a weight of --u; it takes no --s")
     elif command in ("asym1", "asym2", "converge"):
         if ns.s is not None:
             errors.append(f"{command}: parameterized by --u, not --s")
-        if ns.u is None:
+        if u_missing:
             errors.append(f"{command}: --u is required")
     else:
         if ns.s is not None or ns.u is not None:
@@ -265,13 +266,6 @@ def _weights(job: JobSpec) -> WeightConfiguration:
     return WeightConfiguration.from_positive_u(job.u)
 
 
-def _scan(rs, fn) -> list:
-    if len(rs) == 1:
-        return [fn(rs[0])]
-    with ThreadPoolExecutor(max_workers=min(len(rs), os.cpu_count() or 1)) as pool:
-        return list(pool.map(fn, rs))
-
-
 def _run_fredholm(job: JobSpec, partition: IntervalPartition):
     weights = _weights(job)
 
@@ -279,7 +273,7 @@ def _run_fredholm(job: JobSpec, partition: IntervalPartition):
         res = fredholm_det(partition, weights, r, job.n)
         return [r, res.log_f.real, res.error_estimate]
 
-    return ["r", "log_f", "error_estimate"], _scan(job.r_values(), one)
+    return ["r", "log_f", "error_estimate"], [one(r) for r in job.r_values()]
 
 
 def _expansion(job: JobSpec, partition: IntervalPartition, r: float):
@@ -294,7 +288,7 @@ def _run_asym(job: JobSpec, partition: IntervalPartition):
         return [r, b.r_squared_term, b.r_linear_term, b.log_r_term, b.constant_term, b.total]
 
     header = ["r", "r_squared_term", "r_linear_term", "log_r_term", "constant_term", "total"]
-    return header, _scan(job.r_values(), one)
+    return header, [one(r) for r in job.r_values()]
 
 
 def _run_converge(job: JobSpec, partition: IntervalPartition):
@@ -305,7 +299,7 @@ def _run_converge(job: JobSpec, partition: IntervalPartition):
         asym = _expansion(job, partition, r).total
         return [r, numeric, asym, r * (numeric - asym)]
 
-    return ["r", "log_f_numeric", "log_f_asym", "delta"], _scan(job.r_values(), one)
+    return ["r", "log_f_numeric", "log_f_asym", "delta"], [one(r) for r in job.r_values()]
 
 
 def _run_pmf(job: JobSpec, partition: IntervalPartition):
@@ -330,8 +324,7 @@ def _run_stats(job: JobSpec, partition: IntervalPartition):
                 rows.append([r, names[2], labels[i], labels[jdx], float(triple.cross[i, jdx])])
         return rows
 
-    nested = _scan(job.r_values(), one)
-    return ["r", "stat", "j", "k", "value"], [row for block in nested for row in block]
+    return ["r", "stat", "j", "k", "value"], [row for r in job.r_values() for row in one(r)]
 
 
 _HANDLERS = {

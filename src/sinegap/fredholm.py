@@ -22,23 +22,25 @@ of copying it.  A truncated series evaluation `series_det` provides an
 independent cross-check route for small instances and is deliberately
 kept free of any LU code.
 
-Hard gaps.  With exactly one zero weight s_p (the others positive) the
-zeroed interval G = (r x_{p-1}, r x_p) is a hard gap: K on G has
-eigenvalues lambda_k within about exp(-r (x_p - x_{p-1})) of 1, and
-rounding the assembled matrix by eps moves log F by about
-eps / (1 - lambda_0), 1e-7 to 3e-6 at r = 40 for a gap of 0.6.  There the
-modes with 1 - lambda_k < HARD_GAP_TAU are deflated: 1 - lambda_k and
-the eigenfunctions come from prolate spheroidal wave functions
-(`prolate.gap_modes`) to relative accuracy, and the LU factors a matrix
-of the same size whose condition is about 1 / HARD_GAP_TAU
-(`_deflated_log_det`).  Inputs without such a mode keep the plain LU and
-its exact output.  A run of adjacent zero weights is one hard gap and
-is merged into one interval first.  Where the prolate values themselves
-lose their digits, the route raises NumericalError (see
-HARD_GAP_MAX_ROUNDING).  Zeros on separated intervals keep the plain LU
-and raise NumericalError where its rounding, eps / (1 - lambda_0) for
-some zeroed interval, exceeds the same bound; below it their
-`error_estimate` counts N times that rounding for a matrix of size N.
+Hard gaps.  A zeroed interval G = (r x_{p-1}, r x_p) of real weights
+(s_p = 0) is a hard gap: K on G has eigenvalues lambda_k within about
+exp(-r (x_p - x_{p-1})) of 1, and rounding the assembled matrix by eps
+moves log F by about eps / (1 - lambda_0), 1e-7 to 3e-6 at r = 40 for a
+gap of 0.6.  Every real weight configuration takes one route
+(`_hard_gap_route`): of its zeroed intervals with modes
+1 - lambda_k < HARD_GAP_TAU, the one with the smallest 1 - lambda_0 is
+deflated.  1 - lambda_k and the eigenfunctions come from prolate
+spheroidal wave functions (`prolate.gap_modes`) to relative accuracy,
+and the LU factors a matrix of the same size whose condition on that
+interval is about 1 / HARD_GAP_TAU (`_deflated_log_det`).  Inputs
+without such a mode keep the plain LU and its exact output.  A run of
+adjacent zero weights is one hard gap and is merged into one interval
+first.  Where the prolate values themselves lose their digits, the
+route raises NumericalError (see HARD_GAP_MAX_ROUNDING).  With zeros on
+separated intervals the other gaps stay in the LU: the route raises
+NumericalError where eps / (1 - lambda_0) of some zeroed interval
+exceeds the same bound, and below it their `error_estimate` counts N
+times the sum of those roundings for a matrix of size N.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# Hard-gap route (one zero weight s_p): prolate modes of the zeroed
+# Hard-gap route (a zero weight s_p): prolate modes of the zeroed
 # interval with 1 - lambda_k below HARD_GAP_TAU are taken out of the LU
 # and put back analytically.  The factored matrix then has condition
 # about 1 / HARD_GAP_TAU, so its rounding moves log F by about
@@ -79,8 +81,8 @@ HARD_GAP_TAU = 1e-4
 # some deflated psi_k(1), and so about twice that of its 1 - lambda_k,
 # may exceed this: from half-length 26.7 on (r = 89 for a gap of 0.6;
 # the bound is 8e-7 at r = 80, where n = 64 and 128 agree to 1.4e-7).
-# Zeros on separated intervals, which stay on the plain LU, raise when
-# its rounding bound eps / (1 - lambda_0) exceeds it.
+# Zeros on separated intervals raise when the LU's rounding bound
+# eps / (1 - lambda_0) of some zeroed interval exceeds it.
 HARD_GAP_MAX_ROUNDING = 1e-5
 # Beyond this half-length the bound above is always exceeded (it is
 # already about 0.1 at half-length 36), so the route raises at once.
@@ -223,19 +225,6 @@ class WeightConfiguration:
         """1-based positions of exactly-zero weights."""
         return tuple(j + 1 for j, v in enumerate(self.values) if v == 0.0)
 
-    @property
-    def mode(self) -> str:
-        """'positive' (all real > 0), 'one_zero' (exactly one s_p = 0,
-        rest real > 0), or 'general' (anything else, e.g. complex)."""
-        if not self.is_real:
-            return "general"
-        zeros = self.zero_indices()
-        if not zeros:
-            return "positive"
-        if len(zeros) == 1 and all(v.real > 0.0 for j, v in enumerate(self.values) if j + 1 != zeros[0]):
-            return "one_zero"
-        return "general"
-
 
 @dataclass(frozen=True)
 class DeterminantResult:
@@ -347,8 +336,8 @@ class Discretization:
         partition, weights = _checked_weights(self.partition, weights)
         if partition is not self.partition:  # merged zeros: fewer intervals, another rule
             return Discretization(partition, self.r, self.n).log_det(weights)
-        _plain_lu_rounding(partition, weights, self.r)  # raises past its limit
-        log_f = self._log_det(weights, _hard_gap_modes(partition, weights, self.r))
+        gap, _ = _hard_gap_route(partition, weights, self.r)
+        log_f = self._log_det(weights, gap)
         _check_sign(weights, log_f)
         return log_f
 
@@ -386,11 +375,23 @@ def _lu_log_det(mat) -> complex:
     return complex(log_mag, arg)
 
 
-def _zeroed_modes(partition, weights, r):
-    """(p, modes) for each zeroed interval p of real weights: its prolate
-    modes with 1 - lambda_k < HARD_GAP_TAU.  Raises NumericalError where
-    a half-length exceeds HARD_GAP_MAX_HALF_LENGTH."""
-    for p in weights.zero_indices() if weights.is_real else ():
+def _hard_gap_route(partition, weights, r):
+    """(gap, lu_rounding) for `weights` on `partition` at scale r.
+
+    gap is (index of the deflated interval, its prolate modes with
+    1 - lambda_k < HARD_GAP_TAU), or None for the plain LU: of the zeroed
+    intervals of real weights that have such modes, the one with the
+    smallest 1 - lambda_0 is deflated, the first one on a tie.  With more
+    than one zeroed interval, lu_rounding sums eps / (1 - lambda_0) over
+    every zeroed interval with modes, the deflated one included: the LU's
+    rounding moves log F by up to N times that for a matrix of size N.
+    Raises NumericalError where a half-length exceeds
+    HARD_GAP_MAX_HALF_LENGTH, where one such eps / (1 - lambda_0) exceeds
+    HARD_GAP_MAX_ROUNDING (from half-length 14.1 on), or where the
+    deflated modes' rounding bound does."""
+    zeros = weights.zero_indices() if weights.is_real else ()
+    found, lu_rounding = [], 0.0
+    for p in zeros:
         a, b = r * partition.endpoints[p - 1], r * partition.endpoints[p]
         c = 0.5 * (b - a)  # the half-length composite_rule maps onto
         if c > HARD_GAP_MAX_HALF_LENGTH:
@@ -398,46 +399,28 @@ def _zeroed_modes(partition, weights, r):
                 f"hard gap of half-length r (x_p - x_(p-1)) / 2 = {c:.6g} > {HARD_GAP_MAX_HALF_LENGTH:g}:"
                 " 1 - lambda_0 ~ exp(-2c) is below what double precision resolves"
             )
-        yield p, gap_modes(c, HARD_GAP_TAU)
-
-
-def _hard_gap_modes(partition, weights, r):
-    """(index of the zeroed interval G, its prolate modes with
-    1 - lambda_k < HARD_GAP_TAU) when the hard-gap route applies, else None."""
-    if weights.mode != "one_zero":
-        return None
-    [(p, modes)] = _zeroed_modes(partition, weights, r)
-    if modes.count == 0:
-        return None
+        modes = gap_modes(c, HARD_GAP_TAU)
+        if not modes.count:
+            continue
+        if len(zeros) > 1:
+            bound = EPS / modes.gaps[0]
+            if bound > HARD_GAP_MAX_ROUNDING:
+                raise NumericalError(
+                    f"zeros on separated intervals: interval {p} of half-length {modes.c:.6g} has"
+                    f" 1 - lambda_0 = {modes.gaps[0]:.2e}, and the LU's rounding bound"
+                    f" eps / (1 - lambda_0) exceeds {HARD_GAP_MAX_ROUNDING:g}"
+                )
+            lu_rounding += bound
+        found.append((p - 1, modes))
+    if not found:
+        return None, 0.0
+    k, modes = min(found, key=lambda gap: gap[1].gaps[0])  # min keeps the first of equals
     if modes.rounding > HARD_GAP_MAX_ROUNDING:
         raise NumericalError(
             f"hard gap of half-length {modes.c:.6g}: prolate rounding bound {modes.rounding:.2e}"
             f" exceeds {HARD_GAP_MAX_ROUNDING:g}"
         )
-    return p - 1, modes
-
-
-def _plain_lu_rounding(partition, weights, r) -> float:
-    """Sum of eps / (1 - lambda_0) over the zeroed intervals of real weights
-    with zeros on separated intervals, which stay on the plain LU: its
-    rounding moves log F by up to N times that for a matrix of size N.
-    Intervals with 1 - lambda_0 >= HARD_GAP_TAU count 0.  Raises
-    NumericalError where one term exceeds HARD_GAP_MAX_ROUNDING (from
-    half-length 14.1 on), as the hard-gap route does."""
-    if weights.mode == "one_zero":
-        return 0.0
-    total = 0.0
-    for p, modes in _zeroed_modes(partition, weights, r):
-        if modes.count:
-            bound = EPS / modes.gaps[0]
-            if bound > HARD_GAP_MAX_ROUNDING:
-                raise NumericalError(
-                    f"zeros on separated intervals: interval {p} of half-length {modes.c:.6g} has"
-                    f" 1 - lambda_0 = {modes.gaps[0]:.2e}, and the plain LU's rounding bound"
-                    f" eps / (1 - lambda_0) exceeds {HARD_GAP_MAX_ROUNDING:g}"
-                )
-            total += bound
-    return total
+    return (k, modes), lu_rounding
 
 
 def _deflated_log_det(rule, kernel, c, k, modes) -> complex:
@@ -457,8 +440,8 @@ def _deflated_log_det(rule, kernel, c, k, modes) -> complex:
 
     the Schur complement on G written with (I - B)^{-1} =
     (I - B')^{-1} + Q diag(lambda / (1 - lambda)) Q^T.  The matrix
-    factored is as large as the plain one and no worse conditioned than
-    1 / HARD_GAP_TAU.
+    factored is as large as the plain one, and G adds no more than
+    1 / HARD_GAP_TAU to its condition; R may hold other zeroed intervals.
     """
     n = rule.n_per_interval
     g = slice(k * n, (k + 1) * n)
@@ -488,12 +471,13 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     the estimate, should call `Discretization(partition, r, n).log_det`
     instead: it builds the kernel once and skips the n//2 pass.
 
-    One-zero weights whose zeroed interval has half-length
+    Real weights whose zeroed interval has half-length
     c = r (x_p - x_{p-1}) / 2 large enough that some 1 - lambda_k of the
     sine kernel on it falls below HARD_GAP_TAU = 1e-4 (c >= 6, r >= 20 for
     a gap of 0.6) go through the prolate deflation route described in the
-    module docstring; the prolate modes are computed once and serve both
-    orders, so `error_estimate` adds their
+    module docstring, which deflates the zeroed interval with the
+    smallest 1 - lambda_0 (the first one on a tie).  The prolate modes are
+    computed once and serve both orders, so `error_estimate` adds their
     rounding bound, 2 * (number of deflated modes) * `GapModes.rounding`,
     which the difference of the two orders cannot show.  That route raises
     NumericalError when c > HARD_GAP_MAX_HALF_LENGTH = 40, or when the
@@ -503,26 +487,25 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
 
     Adjacent zero weights are merged into one zeroed interval before the
     route is chosen, so `(0, 0.3, 0.6)` with `(0, 0)` is the hard gap
-    `(0, 0.6)` and takes the route above.  Zeros separated by a nonzero
-    weight are still mode "general" and take the plain LU, whose rounding
-    moves log F by up to N eps / (1 - lambda_0) per zeroed interval for a
-    matrix of size N; `error_estimate` adds that bound, summed over the
-    zeroed intervals with 1 - lambda_0 < HARD_GAP_TAU.  They raise
-    NumericalError where eps / (1 - lambda_0) of some zeroed interval
-    exceeds HARD_GAP_MAX_ROUNDING (from c = 14.1 on, r = 47 for a gap of
-    0.6).
+    `(0, 0.6)`.  Zeros separated by a nonzero weight leave one hard gap
+    deflated and the others in the LU, whose rounding moves log F by up
+    to N eps / (1 - lambda_0) per zeroed interval for a matrix of size N;
+    `error_estimate` adds that bound, summed over every zeroed interval
+    with 1 - lambda_0 < HARD_GAP_TAU, the deflated one included.  They
+    raise NumericalError where eps / (1 - lambda_0) of some zeroed
+    interval exceeds HARD_GAP_MAX_ROUNDING (from c = 14.1 on, r = 47 for
+    a gap of 0.6).
     """
     partition, weights = _checked_weights(_as_partition(partition), weights)
 
     full = Discretization(partition, r, n)
-    lu_rounding = _plain_lu_rounding(partition, weights, full.r)
-    gap = _hard_gap_modes(partition, weights, full.r)
+    gap, lu_rounding = _hard_gap_route(partition, weights, full.r)
     log_full = full._log_det(weights, gap)
     log_half = full.halved()._log_det(weights, gap)
     # rounding that the difference of the two orders need not show is
     # added as its bound: the prolate 1 - lambda_k are shared by both
-    # passes, and the plain LU's rounding on a zeroed interval is no
-    # smaller at the coarse order
+    # passes, and the LU's rounding on a zeroed interval is no smaller
+    # at the coarse order
     err = abs(log_full - log_half) + len(full.rule.nodes) * lu_rounding
     if gap is not None:
         modes = gap[1]

@@ -104,6 +104,23 @@ def test_asym2_breakdown(capsys):
     assert float(row[1]) == -((20.0 * gap) ** 2) / 8.0
 
 
+def test_m1_hard_gap_needs_no_u(capsys):
+    # --p 1 on one interval leaves m - 1 = 0 log-ratios: Dyson's gap law
+    code, out, _ = run_cli(capsys, "asym2", "--x", "0,0.6", "--p", "1", "--r", "20")
+    assert code == 0
+    row = [float(v) for v in out.strip().split("\n")[1].split(",")]
+    b = zero_weight_expansion((0.0, 0.6), 1, (), 20.0)
+    assert row == [20.0, b.r_squared_term, b.r_linear_term, b.log_r_term, b.constant_term, b.total]
+    code, out, _ = run_cli(capsys, "converge", "--x", "0,0.6", "--p", "1", "--r-range", "10:40:3")
+    assert code == 0
+    for line in out.strip().split("\n")[1:]:
+        r, numeric = (float(v) for v in line.split(",")[:2])
+        assert numeric == fredholm_det((0.0, 0.6), (0.0,), r).log_f.real
+    # with more intervals the log-ratios are still required
+    code, _, err = run_cli(capsys, "asym2", "--x", "0,0.6,1.2", "--p", "1", "--r", "20")
+    assert code == 2 and "--u is required" in err
+
+
 def test_pmf_table_and_residual_row(capsys):
     code, out, _ = run_cli(capsys, "pmf", "--x", "0,0.5", "--r", "1", "--k", "6")
     assert code == 0

@@ -119,19 +119,19 @@ def test_reduced_indices():
 
 def test_weights_real_normalization_and_mode():
     w = WeightConfiguration((0.5, 1.0))
-    assert w.is_real and w.mode == "positive"
+    assert w.is_real and w.zero_indices() == ()
     assert w.as_array().dtype == np.float64
     wz = WeightConfiguration((0.5, 0.0, 0.25))
-    assert wz.mode == "one_zero"
-    assert wz.zero_indices() == (2,)
-    assert WeightConfiguration((0.0, 0.0)).mode == "general"
-    assert WeightConfiguration((0.5, complex(0.1, 0.2))).mode == "general"
+    assert wz.is_real and wz.zero_indices() == (2,)
+    assert WeightConfiguration((0.0, 0.0)).zero_indices() == (1, 2)
+    wc = WeightConfiguration((0.5, complex(0.1, 0.2)))
+    assert not wc.is_real and wc.zero_indices() == ()
 
 
 def test_weights_positive_u_round_trip():
     u = np.array([-1.1, -2.4, 0.7])
     w = WeightConfiguration.from_positive_u(u)
-    assert w.mode == "positive" and w.m == 3
+    assert w.is_real and w.zero_indices() == () and w.m == 3
     # s_j = exp(u_j + ... + u_m)
     assert abs(w.values[0].real - math.exp(-1.1 - 2.4 + 0.7)) < 1e-15
     assert abs(w.values[1].real - math.exp(-2.4 + 0.7)) < 1e-15
@@ -141,7 +141,7 @@ def test_weights_positive_u_round_trip():
 def test_weights_zero_u_round_trip():
     u = np.array([0.8, 1.8, -1.87])
     w = WeightConfiguration.from_zero_u(u, 3, 4)
-    assert w.mode == "one_zero" and w.zero_indices() == (3,)
+    assert w.is_real and w.zero_indices() == (3,)
     assert w.values[2] == 0.0
     # left side: s_1 = e^{-u_0}, s_2 = e^{-u_0-u_1}; right side: s_4 = e^{u_4}
     assert abs(w.values[0].real - math.exp(-0.8)) < 1e-15
@@ -373,11 +373,11 @@ def test_adjacent_zero_intervals_take_hard_gap_route():
         IntervalPartition((0.0, 0.2, 0.4, 0.6, 1.0)), (0.5, 0.0, 0.0, 0.7)
     )
     assert part.endpoints == (0.0, 0.2, 0.6, 1.0)
-    assert weights.values == (0.5, 0.0, 0.7) and weights.mode == "one_zero"
-    # separated zeros are not merged: they stay mode "general" (plain LU)
+    assert weights.values == (0.5, 0.0, 0.7) and weights.zero_indices() == (2,)
+    # separated zeros are not merged: they stay two zeroed intervals
     sep = IntervalPartition((0.0, 0.2, 0.4, 0.6))
     part, weights = fredholm_module._checked_weights(sep, (0.0, 0.5, 0.0))
-    assert part is sep and weights.mode == "general"
+    assert part is sep and weights.is_real and weights.zero_indices() == (1, 3)
 
 
 def test_discretization_log_det_is_fredholm_det_without_the_half_pass():
@@ -458,10 +458,10 @@ def test_hard_gap_route_agrees_with_lu_where_lu_is_accurate(monkeypatch):
     for endpoints, weights in (FIG2_LEFT, FIG2_RIGHT):
         for r in (10.0, 20.0):
             monkeypatch.setattr(fredholm_module, "HARD_GAP_TAU", 0.0)
-            assert fredholm_module._hard_gap_modes(IntervalPartition(endpoints), weights, r) is None
+            assert fredholm_module._hard_gap_route(IntervalPartition(endpoints), weights, r) == (None, 0.0)
             plain = fredholm_det(endpoints, weights, r, 64).log_f
             monkeypatch.setattr(fredholm_module, "HARD_GAP_TAU", 0.5)
-            _, modes = fredholm_module._hard_gap_modes(IntervalPartition(endpoints), weights, r)
+            (_, modes), _ = fredholm_module._hard_gap_route(IntervalPartition(endpoints), weights, r)
             assert modes.count >= 2
             deflated = fredholm_det(endpoints, weights, r, 64).log_f
             assert abs(plain - deflated) < 1e-10, (endpoints, r, abs(plain - deflated))
@@ -495,34 +495,47 @@ def test_hard_gap_route_raises_instead_of_returning_garbage():
         fredholm_det(endpoints, weights, 120.0, 128)
 
 
-SEPARATED_ZEROS = ((0.0, 0.6, 0.8, 1.4), (0.0, 1.0, 0.0))
+# zeros on separated intervals, with 40-digit references at r = 40
+# (tools/hard_gap_references.py, n = 40 and 52 per interval agree to 22
+# digits): in A and B the first gap is the longest and is deflated, in C
+# the two gaps are equal and the second one stays in the LU
+SEPARATED_A = ((0.0, 0.6, 0.8, 1.0), (0.0, 1.0, 0.0))
+SEPARATED_B = ((0.0, 0.6, 0.8, 1.1), (0.0, 0.5, 0.0))
+SEPARATED_C = ((0.0, 0.6, 0.8, 1.4), (0.0, 1.0, 0.0))
+SEPARATED_REFERENCES = (
+    (SEPARATED_A, -84.75187979627598072771),
+    (SEPARATED_B, -102.0919196248959044089),
+    (SEPARATED_C, -160.9929075516577824876),
+)
 
 
-def test_separated_zeros_keep_the_plain_lu_below_the_rounding_limit():
-    # half-length 6 and 12: 1 - lambda_0 = 9.8e-5 and 8.9e-10, so the plain
-    # LU's rounding bound eps / (1 - lambda_0) stays below 1e-5; the result
-    # is the plain LU at n and n // 2, bit for bit.  (Not frozen literals:
-    # at r = 40 one BLAS thread and two differ by 6e-9 in log F.)
-    endpoints, s = SEPARATED_ZEROS
-    weights = WeightConfiguration(s)
-    for r in (20.0, 40.0):
-        assert fredholm_module._hard_gap_modes(IntervalPartition(endpoints), weights, r) is None
-        full = Discretization(endpoints, r, 64)
-        plain = full._log_det(weights, None)
-        half = full.halved()._log_det(weights, None)
-        rounding = 3 * 64 * fredholm_module._plain_lu_rounding(IntervalPartition(endpoints), weights, r)
-        want = DeterminantResult(log_f=plain, order_used=64, error_estimate=abs(plain - half) + rounding)
-        assert fredholm_det(endpoints, s, r) == want
-        assert abs(want.log_f.real - {20.0: -41.46817478034, 40.0: -160.99290}[r]) < 1e-6
+def test_separated_zeros_deflate_the_smallest_gap_and_match_references():
+    # the plain LU was off by 2.5e-7 (A) and 4.0e-7 (B) at n = 64; with
+    # the longest gap deflated they are off by about 1e-12.  C keeps one
+    # of its two equal gaps in the LU and is covered by its estimate only.
+    for (endpoints, s), want in SEPARATED_REFERENCES:
+        (k, modes), lu_rounding = fredholm_module._hard_gap_route(
+            IntervalPartition(endpoints), WeightConfiguration(s), 40.0
+        )
+        assert k == 0 and modes.count >= 1 and lu_rounding > 0.0
+        for n in (64, 128):
+            res = fredholm_det(endpoints, s, 40.0, n)
+            assert abs(res.log_f.real - want) <= res.error_estimate, (endpoints, n)
+            if endpoints != SEPARATED_C[0]:
+                assert abs(res.log_f.real - want) < 1e-10, (endpoints, n, res.log_f.real - want)
+    # of two zeroed intervals the one with the smaller 1 - lambda_0 is
+    # deflated: here the second, since it is the longer
+    (k, _), _ = fredholm_module._hard_gap_route(
+        IntervalPartition((0.0, 0.4, 0.8, 1.4)), WeightConfiguration((0.0, 1.0, 0.0)), 40.0
+    )
+    assert k == 2
 
 
 def test_separated_zeros_error_estimate_covers_the_next_order():
-    # |log F(n) - log F(n // 2)| alone reported 3.95e-6 at r = 40, where
-    # n = 64 and 128 differ by 1.05e-5: the plain LU's rounding on the
-    # zeroed intervals, up to N eps / (1 - lambda_0) each, need not show in
-    # it.  With that bound added the estimate covers the difference by
-    # 7x or more from r = 30 to 46 (one BLAS thread).
-    endpoints, s = SEPARATED_ZEROS
+    # the LU's rounding on the zeroed intervals, up to N eps / (1 - lambda_0)
+    # each, need not show in |log F(n) - log F(n // 2)|; with that bound
+    # added the estimate covers the next order from r = 30 to 46
+    endpoints, s = SEPARATED_C
     for r in (30.0, 40.0, 46.0):
         coarse = fredholm_det(endpoints, s, r, 64)
         fine = fredholm_det(endpoints, s, r, 128)
@@ -532,13 +545,17 @@ def test_separated_zeros_error_estimate_covers_the_next_order():
 def test_separated_zeros_raise_past_the_rounding_limit():
     # the plain LU returned about -358 at r = 60, with n = 64 and 128 apart
     # by 0.7 to 2.0 depending on the BLAS thread count; from half-length
-    # 14.1 (r = 47) on, eps / (1 - lambda_0) > 1e-5
-    endpoints, s = SEPARATED_ZEROS
-    for r in (50.0, 60.0):
-        with pytest.raises(NumericalError, match="separated"):
-            fredholm_det(endpoints, s, r)
+    # 14.1 (r = 47) on, eps / (1 - lambda_0) > 1e-5.  Deflating only the
+    # longest gap leaves that range as it was: a guard over the other
+    # gaps alone let A return -188.45657 at r = 60, off by 4.1e-8 with an
+    # estimate of 3.4e-8.
+    for endpoints, s in (SEPARATED_A, SEPARATED_C):
+        for r in (47.0, 50.0, 60.0):
+            with pytest.raises(NumericalError, match="separated"):
+                fredholm_det(endpoints, s, r)
+        fredholm_det(endpoints, s, 46.0)
     with pytest.raises(NumericalError, match="separated"):
         thinned_gap_probability(endpoints, s, 60.0)
     # complex weights are never checked
     unit = WeightConfiguration((1j, 1.0, 1j))
-    assert fredholm_module._hard_gap_modes(IntervalPartition(endpoints), unit, 60.0) is None
+    assert fredholm_module._hard_gap_route(IntervalPartition(endpoints), unit, 60.0) == (None, 0.0)

@@ -4,11 +4,15 @@
     python3 tools/hard_gap_references.py gaps 12          # 1 - lambda_k(c)
 
 `logf NAME N` prints log F at r = 40 for NAME in {gap, fig2-left,
-fig2-right}: Nystrom discretization with N Gauss-Legendre nodes per
-interval, nodes, kernel matrix and determinant all in 40-digit
-arithmetic.  Endpoints and log-ratios are read as decimals, which moves
+fig2-right} (one zero weight, the others from log-ratios) or in
+{A, B, C} (zeros on separated intervals, the weights given directly):
+Nystrom discretization with N Gauss-Legendre nodes per interval, nodes,
+kernel matrix and determinant all in 40-digit arithmetic.  Intervals of
+weight 1 add nothing to the operator and are left out exactly.
+Endpoints, weights and log-ratios are read as decimals, which moves
 log F by at most 3e-14 against their double values.  N = 40 takes about
-a minute for fig2-right; N = 40 and N = 52 agree to all printed digits.
+a minute for fig2-right and 3-16 s for A, B and C (one CPU core,
+mpmath 1.3); N = 40 and N = 52 agree to all printed digits.
 
 `gaps C` prints 1 - lambda_k for the prolate modes at half-length C, from
 a 60-digit eigendecomposition of the prolate matrices in the orthonormal
@@ -23,10 +27,17 @@ import sys
 
 import mpmath as mp
 
-CASES = {
+# (endpoints, log-ratios u, index p of the zero weight)
+ZERO_U_CASES = {
     "gap": (("0", "0.6"), None, 1),
     "fig2-left": (("0", "0.5", "1.1", "1.7"), ("0.8", "-1.32"), 2),
     "fig2-right": (("0", "0.5", "1.1", "1.7", "2.5"), ("0.8", "1.8", "-1.87"), 3),
+}
+# (endpoints, weights s): zeros on separated intervals
+WEIGHT_CASES = {
+    "A": (("0", "0.6", "0.8", "1"), ("0", "1", "0")),
+    "B": (("0", "0.6", "0.8", "1.1"), ("0", "0.5", "0")),
+    "C": (("0", "0.6", "0.8", "1.4"), ("0", "1", "0")),
 }
 
 
@@ -70,12 +81,18 @@ def zero_weights(u, p, m):
 
 def log_f(name, n, r=40):
     mp.mp.dps = 40
-    endpoints, u, p = CASES[name]
+    if name in WEIGHT_CASES:
+        endpoints, weights = WEIGHT_CASES[name]
+        s = [mp.mpf(v) for v in weights]
+    else:
+        endpoints, u, p = ZERO_U_CASES[name]
+        s = zero_weights(u, p, len(endpoints) - 1)
     x = [mp.mpf(v) for v in endpoints]
-    s = zero_weights(u, p, len(x) - 1)
     base_nodes, base_weights = gauss_legendre(n)
     t, c = [], []
     for k in range(len(x) - 1):
+        if s[k] == 1:  # 1 - s_k = 0: no rows or columns of the operator
+            continue
         a, b = r * x[k], r * x[k + 1]
         for node, weight in zip(base_nodes, base_weights):
             t.append((a + b) / 2 + (b - a) / 2 * node)

@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .fredholm import _as_partition, _checked_u, reduced_indices
+from .fredholm import IntervalPartition, _as_partition, _checked_u, reduced_indices
 from .quadrature import _check_r
 from .specfun import DYSON_CONSTANT, EULER_GAMMA, barnes_pair
 
@@ -86,23 +86,26 @@ class ExpansionBreakdown:
 
 @dataclass(frozen=True)
 class StatisticsTriple:
-    """Per-interval means and variances plus the pair covariances.
+    """Per-interval means plus the covariance matrix.
 
     `labels[i]` names the endpoint index j behind row i (counts live on
     the nested intervals (r x_0, r x_j), or on the intervals away from the
     gap for the conditional variants).  `cross` is symmetric with the
-    variances on its diagonal.
+    variances on its diagonal, which `sigma2` reads.
     """
 
     mu: np.ndarray
-    sigma2: np.ndarray
     cross: np.ndarray
     labels: tuple[int, ...]
 
     def __post_init__(self):
         self.mu.setflags(write=False)
-        self.sigma2.setflags(write=False)
         self.cross.setflags(write=False)
+
+    @property
+    def sigma2(self) -> np.ndarray:
+        """The variances, a read-only view of the diagonal of `cross`."""
+        return np.diagonal(self.cross)
 
 
 def dyson_gap_log(r: float, x0: float, x1: float) -> ExpansionBreakdown:
@@ -114,9 +117,7 @@ def dyson_gap_log(r: float, x0: float, x1: float) -> ExpansionBreakdown:
     Depends on r and x1 - x0 only.
     """
     r = _check_r(r)
-    length = float(x1) - float(x0)
-    if not (math.isfinite(length) and length > 0.0):
-        raise ValidationError(f"need x1 > x0, got x0 = {x0!r}, x1 = {x1!r}")
+    (length,) = IntervalPartition((x0, x1)).lengths
     return ExpansionBreakdown(
         r_squared_term=-((r * length) ** 2) / 8.0,
         r_linear_term=0.0,
@@ -132,9 +133,7 @@ def basor_widom_log(r: float, x0: float, x1: float, u1: float) -> ExpansionBreak
                 + 2 log[G(1 + u1/(2 pi i)) G(1 - u1/(2 pi i))] + O(1/r).
     """
     r = _check_r(r)
-    length = float(x1) - float(x0)
-    if not (math.isfinite(length) and length > 0.0):
-        raise ValidationError(f"need x1 > x0, got x0 = {x0!r}, x1 = {x1!r}")
+    (length,) = IntervalPartition((x0, x1)).lengths
     u1 = float(_checked_u((u1,), 1)[0])
     c = u1 * u1 / (2.0 * PI2)
     return ExpansionBreakdown(
@@ -232,13 +231,12 @@ def counting_stats(partition, r: float) -> StatisticsTriple:
     d = x[1:] - x[0]
 
     mu = r * d / PI
-    sigma2 = np.log(2.0 * r * d) / PI2
-    cross = np.diag(sigma2.copy())
+    cross = np.diag(np.log(2.0 * r * d) / PI2)
     for j in range(m):
         for k in range(j + 1, m):
             v = math.log(2.0 * r * d[j] * d[k] / abs(x[k + 1] - x[j + 1])) / (2.0 * PI2)
             cross[j, k] = cross[k, j] = v
-    return StatisticsTriple(mu=mu, sigma2=sigma2, cross=cross, labels=tuple(range(1, m + 1)))
+    return StatisticsTriple(mu=mu, cross=cross, labels=tuple(range(1, m + 1)))
 
 
 def conditional_stats(partition, p: int, r: float) -> StatisticsTriple:
@@ -263,7 +261,7 @@ def conditional_stats(partition, p: int, r: float) -> StatisticsTriple:
     gap = x[p] - x[p - 1]
 
     mu = np.array([r / PI * math.sqrt(abs(x[p] - x[j]) * abs(x[p - 1] - x[j])) for j in idx])
-    sigma2 = np.array(
+    cross = np.diag(
         [
             math.log(
                 4.0
@@ -276,14 +274,13 @@ def conditional_stats(partition, p: int, r: float) -> StatisticsTriple:
             for j in idx
         ]
     )
-    cross = np.diag(sigma2.copy())
     for a_i in range(len(idx)):
         for b_i in range(a_i + 1, len(idx)):
             j, k = idx[a_i], idx[b_i]
             a = math.sqrt(abs(x[k] - x[p]) * abs(x[j] - x[p - 1]))
             b = math.sqrt(abs(x[k] - x[p - 1]) * abs(x[j] - x[p]))
             cross[a_i, b_i] = cross[b_i, a_i] = math.log((a + b) / abs(a - b)) / (2.0 * PI2)
-    return StatisticsTriple(mu=mu, sigma2=sigma2, cross=cross, labels=idx)
+    return StatisticsTriple(mu=mu, cross=cross, labels=idx)
 
 
 def var_cov_expansion(partition, r: float) -> StatisticsTriple:
@@ -298,7 +295,6 @@ def var_cov_expansion(partition, r: float) -> StatisticsTriple:
     base = counting_stats(partition, r)
     var_off = (1.0 + EULER_GAMMA) / PI2
     cov_off = (1.0 + EULER_GAMMA) / (2.0 * PI2)
-    sigma2 = base.sigma2 + var_off
     cross = base.cross + cov_off
-    np.fill_diagonal(cross, sigma2)
-    return StatisticsTriple(mu=base.mu.copy(), sigma2=sigma2, cross=cross, labels=base.labels)
+    np.fill_diagonal(cross, base.sigma2 + var_off)
+    return StatisticsTriple(mu=base.mu.copy(), cross=cross, labels=base.labels)

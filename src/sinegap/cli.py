@@ -16,7 +16,9 @@ numerical failure (exit 3), and nothing is written.
 
 Exit codes: 0 success, 2 input validation, 3 numerical failure,
 4 I/O failure.  All validation problems are reported before any
-computation starts.
+computation starts.  The CLI parses the flags and knows which ones each
+command takes; every value is checked by the library function that will
+use it, and its message is reported as "<flag>: <message>".
 
 Note: option values starting with a minus sign must use the '=' form,
 e.g. --u=-1.1,-2.4.
@@ -40,14 +42,41 @@ from .asymptotics import (
     positive_weights_expansion,
     zero_weight_expansion,
 )
-from .counting import joint_pmf
+from .counting import _checked_counts, joint_pmf
 from .errors import NumericalError, ValidationError
-from .fredholm import IntervalPartition, WeightConfiguration, fredholm_det
+from .fredholm import (
+    IntervalPartition,
+    WeightConfiguration,
+    _checked_u,
+    _matched_weights,
+    fredholm_det,
+    reduced_indices,
+)
+from .quadrature import _check_order, _check_r
 
 __all__ = ["JobSpec", "build_parser", "main", "console_main"]
 
-COMMANDS = ("fredholm", "asym1", "asym2", "converge", "pmf", "stats")
 FORMATS = ("csv", "json")
+
+# the flags each command takes besides --x, --format and --out (by their
+# argparse names), and the groups of them it needs exactly one of
+TAKES = {
+    "fredholm": ("s", "u", "p", "r", "r_range", "n"),
+    "asym1": ("u", "r", "r_range"),
+    "asym2": ("u", "p", "r", "r_range"),
+    "converge": ("u", "p", "r_range", "n"),
+    "pmf": ("r", "n", "k"),
+    "stats": ("p", "r", "r_range"),
+}
+NEEDS = {
+    "fredholm": (("s", "u"), ("r", "r_range")),
+    "asym1": (("u",), ("r", "r_range")),
+    "asym2": (("u",), ("p",), ("r", "r_range")),
+    "converge": (("u",), ("r_range",)),
+    "pmf": (("r",), ("k",)),
+    "stats": (("r", "r_range"),),
+}
+COMMANDS = tuple(TAKES)
 
 
 @dataclass(frozen=True)
@@ -89,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p", help="index of the zero-weight interval (1-based)")
     parser.add_argument("--r", help="single scale value")
     parser.add_argument("--r-range", dest="r_range", help="geometric scan lo:hi:count")
-    parser.add_argument("--n", default="64", help="quadrature order per interval (default 64)")
+    parser.add_argument("--n", help="fredholm, converge, pmf: quadrature order per interval (default 64)")
     parser.add_argument("--k", help="pmf: max count kept, one integer for every interval")
     parser.add_argument("--format", dest="fmt", default="csv", help="csv or json (default csv)")
     parser.add_argument("--out", help="output path (default stdout)")
@@ -100,44 +129,32 @@ def build_parser() -> argparse.ArgumentParser:
 # validation: collect every problem, then refuse as a batch
 
 
-def _parse_floats(text: str, flag: str, errors: list[str]) -> tuple[float, ...] | None:
-    try:
-        values = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        errors.append(f"{flag}: could not parse {text!r} as comma-separated floats")
-        return None
-    if not all(math.isfinite(v) for v in values):
-        errors.append(f"{flag}: values must be finite, got {text!r}")
-        return None
-    return values
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _parse_int(text: str, flag: str, errors: list[str]) -> int | None:
-    try:
-        return int(text)
-    except ValueError:
-        errors.append(f"{flag}: could not parse {text!r} as an integer")
-        return None
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(","))
 
 
-def _parse_r_range(text: str, errors: list[str]) -> tuple[float, float, int] | None:
-    parts = text.split(":")
-    if len(parts) != 3:
-        errors.append(f"--r-range: expected lo:hi:count, got {text!r}")
-        return None
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-        count = int(parts[2])
-    except ValueError:
-        errors.append(f"--r-range: could not parse {text!r} as lo:hi:count")
-        return None
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
-        errors.append(f"--r-range: need finite 0 < lo < hi, got {text!r}")
-        return None
-    if count < 2:
-        errors.append(f"--r-range: count must be >= 2, got {count}")
-        return None
+def _r_range(text: str) -> tuple[float, float, int]:
+    lo, hi, count = text.split(":")
+    lo, hi, count = float(lo), float(hi), int(count)
+    if not (lo < hi and count >= 2):
+        raise ValueError
     return lo, hi, count
+
+
+_SYNTAX = {
+    "x": (_floats, "comma-separated floats"),
+    "s": (_floats, "comma-separated floats"),
+    "u": (_floats, "comma-separated floats"),
+    "p": (int, "an integer"),
+    "r": (float, "a float"),
+    "r_range": (_r_range, "lo:hi:count with lo < hi and count >= 2"),
+    "n": (int, "an integer"),
+    "k": (int, "an integer"),
+}
 
 
 def validate_args(ns: argparse.Namespace) -> tuple[JobSpec | None, list[str]]:
@@ -148,108 +165,69 @@ def validate_args(ns: argparse.Namespace) -> tuple[JobSpec | None, list[str]]:
         errors.append(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
         return None, errors
 
-    x = None
-    if ns.x is None:
-        errors.append("--x is required")
-    else:
-        x = _parse_floats(ns.x, "--x", errors)
-    if x is not None:
-        if len(x) < 2:
-            errors.append("--x: need at least two endpoints")
-            x = None
-        elif not all(a < b for a, b in zip(x, x[1:])):
-            errors.append("--x: endpoints must be strictly increasing")
-            x = None
-    m = None if x is None else len(x) - 1
+    def check(flag, fn, *args):
+        try:
+            return fn(*args)
+        except ValidationError as exc:
+            errors.append(f"{flag}: {exc}")
+            return None
 
-    s = _parse_floats(ns.s, "--s", errors) if ns.s is not None else None
-    u = _parse_floats(ns.u, "--u", errors) if ns.u is not None else None
-    p = _parse_int(ns.p, "--p", errors) if ns.p is not None else None
-    if ns.u is None and ns.s is None and p is not None and m == 1 and command in ("fredholm", "asym2", "converge"):
+    takes = ("x", *TAKES[command])
+    given = {name for name in _SYNTAX if getattr(ns, name) is not None}
+    values = {}
+    for name in sorted(given & set(takes)):
+        parse, syntax = _SYNTAX[name]
+        try:
+            values[name] = parse(getattr(ns, name))
+        except ValueError:
+            errors.append(f"{_flag(name)}: could not parse {getattr(ns, name)!r} as {syntax}")
+    x, s, u, p, r, r_range, n, k = (values.get(name) for name in _SYNTAX)
+
+    partition = None if x is None else check("--x", IntervalPartition, x)
+    m = None if partition is None else partition.m
+    if m == 1 and p is not None and "u" in takes and not given & {"s", "u"}:
         u = ()  # --p leaves m - 1 = 0 log-ratios, so --u may be left out
-    u_missing = ns.u is None and u is None
-    k = _parse_int(ns.k, "--k", errors) if ns.k is not None else None
-    r = None
-    if ns.r is not None:
-        vals = _parse_floats(ns.r, "--r", errors)
-        if vals is not None and len(vals) == 1 and vals[0] > 0.0:
-            r = vals[0]
-        elif vals is not None:
-            errors.append(f"--r: expected a single positive value, got {ns.r!r}")
-    r_range = _parse_r_range(ns.r_range, errors) if ns.r_range is not None else None
+        given.add("u")
 
-    n = _parse_int(ns.n, "--n", errors)
-    if n is not None and not 8 <= n <= 2048:
-        errors.append(f"--n: order must lie in [8, 2048], got {n}")
-        n = None
+    if "x" not in given:
+        errors.append("--x is required")
+    for name in sorted(given - set(takes)):
+        errors.append(f"{command}: takes no {_flag(name)}")
+    for group in NEEDS[command]:
+        present = [_flag(name) for name in group if name in given]
+        if len(present) > 1:
+            errors.append(f"{' and '.join(present)} are mutually exclusive")
+        elif not present:
+            one_of = "exactly one of " if len(group) > 1 else ""
+            errors.append(f"{command}: {one_of}{' / '.join(map(_flag, group))} is required")
+    if command == "fredholm" and {"s", "p"} <= given:
+        errors.append("fredholm: --p zeroes a weight of --u; it takes no --s")
     if ns.fmt not in FORMATS:
         errors.append(f"--format: choose from {', '.join(FORMATS)}, got {ns.fmt!r}")
 
-    if ns.s is not None and ns.u is not None:
-        errors.append("--s and --u are mutually exclusive")
-
-    needs_r = {"fredholm": "either", "asym1": "either", "asym2": "either",
-               "converge": "range", "pmf": "single", "stats": "either"}[command]
-    if needs_r == "either" and (ns.r is None) == (ns.r_range is None):
-        errors.append(f"{command}: exactly one of --r / --r-range is required")
-    elif needs_r == "range":
-        if ns.r_range is None:
-            errors.append("converge: --r-range is required")
-        if ns.r is not None:
-            errors.append("converge: takes --r-range, not --r")
-    elif needs_r == "single":
-        if ns.r is None:
-            errors.append("pmf: --r is required")
-        if ns.r_range is not None:
-            errors.append("pmf: takes --r, not --r-range")
-
-    if command == "fredholm":
-        if (ns.s is None) == u_missing:
-            errors.append("fredholm: exactly one of --s / --u is required")
-        if ns.s is not None and ns.p is not None:
-            errors.append("fredholm: --p zeroes a weight of --u; it takes no --s")
-    elif command in ("asym1", "asym2", "converge"):
-        if ns.s is not None:
-            errors.append(f"{command}: parameterized by --u, not --s")
-        if u_missing:
-            errors.append(f"{command}: --u is required")
-    else:
-        if ns.s is not None or ns.u is not None:
-            errors.append(f"{command}: takes neither --s nor --u")
-
-    if command == "asym1" and ns.p is not None:
-        errors.append("asym1: takes no --p (all weights positive)")
-    if command == "asym2" and ns.p is None:
-        errors.append("asym2: --p is required")
-    if command == "pmf":
-        if ns.p is not None:
-            errors.append("pmf: takes no --p")
-        if k is None and ns.k is None:
-            errors.append("pmf: --k is required")
-        elif k is not None and k < 0:
-            errors.append(f"--k: must be >= 0, got {k}")
-        if m is not None and m > 3:
-            errors.append(f"pmf: supports at most 3 intervals, got m = {m}")
-    elif ns.k is not None:
-        errors.append(f"{command}: takes no --k")
-
-    if p is not None and m is not None and not 1 <= p <= m:
-        errors.append(f"--p: must lie in [1, {m}], got {p}")
+    if r is not None:
+        check("--r", _check_r, r)
+    if r_range is not None and check("--r-range", _check_r, r_range[0]) is not None:
+        check("--r-range", _check_r, r_range[1])
+    if n is not None:
+        check("--n", _check_order, n)
     if m is not None:
-        if s is not None and len(s) != m:
-            errors.append(f"--s: expected {m} weights for {m} intervals, got {len(s)}")
-        if s is not None and any(v < 0.0 for v in s):
-            errors.append("--s: weights must be >= 0")
-        if u is not None:
-            want = m - 1 if (p is not None and command in ("fredholm", "asym2", "converge")) else m
-            if len(u) != want:
-                errors.append(f"--u: expected {want} values here, got {len(u)}")
+        gap = None if p is None else check("--p", reduced_indices, m, p)
+        if k is not None:
+            check("--k", _checked_counts, k, m)
+        if s is not None:
+            check("--s", _matched_weights, partition, s)
+        if u is not None and (p is None or gap is not None):
+            # as the expansions do; fredholm and converge build weights too
+            size = m if p is None else len(gap)
+            if check("--u", _checked_u, u, size) is not None and command in ("fredholm", "converge"):
+                check("--u", _weights, None, u, p, m)
 
     if errors:
         return None, errors
     return (
         JobSpec(command=command, x=x, s=s, u=u, p=p, r=r, r_range=r_range,
-                n=n, k=k, fmt=ns.fmt, out=ns.out),
+                n=64 if n is None else n, k=k, fmt=ns.fmt, out=ns.out),
         [],
     )
 
@@ -258,16 +236,16 @@ def validate_args(ns: argparse.Namespace) -> tuple[JobSpec | None, list[str]]:
 # handlers: each returns (header, rows); cells are float, int, str, or None
 
 
-def _weights(job: JobSpec) -> WeightConfiguration:
-    if job.s is not None:
-        return WeightConfiguration(job.s)
-    if job.p is not None:
-        return WeightConfiguration.from_zero_u(job.u, job.p, job.m)
-    return WeightConfiguration.from_positive_u(job.u)
+def _weights(s, u, p, m: int) -> WeightConfiguration:
+    if s is not None:
+        return WeightConfiguration(s)
+    if p is not None:
+        return WeightConfiguration.from_zero_u(u, p, m)
+    return WeightConfiguration.from_positive_u(u)
 
 
 def _run_fredholm(job: JobSpec, partition: IntervalPartition):
-    weights = _weights(job)
+    weights = _weights(job.s, job.u, job.p, job.m)
 
     def one(r: float):
         res = fredholm_det(partition, weights, r, job.n)
@@ -292,7 +270,7 @@ def _run_asym(job: JobSpec, partition: IntervalPartition):
 
 
 def _run_converge(job: JobSpec, partition: IntervalPartition):
-    weights = _weights(job)
+    weights = _weights(job.s, job.u, job.p, job.m)
 
     def one(r: float):
         numeric = fredholm_det(partition, weights, r, job.n).log_f.real

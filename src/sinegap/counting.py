@@ -32,7 +32,7 @@ import numpy as np
 
 from .asymptotics import StatisticsTriple
 from .errors import NumericalError, ValidationError
-from .fredholm import Discretization, WeightConfiguration, _as_partition
+from .fredholm import Discretization, WeightConfiguration, _as_partition, _matched_weights
 
 # Not called here since the kernel is shared, but kept importable as
 # `sinegap.counting.fredholm_det`: bench/spans.py wraps that name, and a
@@ -68,52 +68,51 @@ class JointPMF:
         return float(self.table[tuple(counts)])
 
 
-def joint_pmf(
-    partition,
-    r: float,
-    max_counts: Sequence[int] | int,
-    n_quad: int = 64,
-    n_grid_per_dim: int | None = None,
-) -> JointPMF:
+def _checked_counts(max_counts: Sequence[int] | int, m: int) -> tuple[int, ...]:
+    """The table bounds K_j of `joint_pmf` on m <= 3 intervals: one
+    integer K_j >= 0 per interval, or one integer for all of them."""
+    if m > 3:
+        raise ValidationError(f"joint_pmf supports m <= 3 intervals, got m = {m}")
+    ks = max_counts
+    if isinstance(ks, (int, np.integer)) and not isinstance(ks, bool):
+        ks = (int(ks),) * m
+    ks = tuple(int(k) for k in ks)
+    if len(ks) != m or any(k < 0 for k in ks):
+        raise ValidationError(f"max_counts must give one K_j >= 0 per interval, got {max_counts!r}")
+    return ks
+
+
+def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int = 64) -> JointPMF:
     """Joint count probabilities by Fourier inversion on the unit torus.
 
     P(k) = (2 pi)^{-m} \\int F(e^{i theta}) e^{-i k . theta} dtheta is
-    evaluated with a uniform grid of n_grid_per_dim points per dimension
-    (default, and minimum, 2 max(K_j) + 2); the trapezoid rule on the
-    torus is a plain DFT, so the grid values are FFT'd.  Supported for
-    m <= 3.  By normalization the full DFT sums to F(1) = 1 exactly, and
-    the mass not in the table is reported as residual_mass.  The sine
-    kernel is built once at order n_quad.  Since F(conj s) = conj F(s),
-    one LU is made per conjugate pair of grid points, the mirror
-    (-i mod g per index) being filled with the conjugate, plus one per
-    self-conjugate point (indices 0 or g/2): (g^m + 2^m) / 2 LUs for
-    even g, (g^m + 1) / 2 for odd g.  No n/2 error-estimate pass is made.
+    evaluated with a uniform grid of g = 2 max(K_j) + 2 points per
+    dimension; the trapezoid rule on the torus is a plain DFT, so the
+    grid values are FFT'd.  Supported for m <= 3.  By normalization the
+    full DFT sums to F(1) = 1 exactly, and the mass not in the table is
+    reported as residual_mass.  The sine kernel is built once at order
+    n_quad.  Since F(conj s) = conj F(s), one LU is made per conjugate
+    pair of grid points, the mirror (-i mod g per index) being filled
+    with the conjugate, plus one per self-conjugate point (indices 0 or
+    g/2): (g^m + 2^m) / 2 LUs.  No n/2 error-estimate pass is made.
 
     Entries in (-1e-9, 0) are clamped to 0 (roundoff from the inversion);
     anything below -1e-9 raises, as does any imaginary part above 1e-8.
     The mirror fill makes the table's imaginary part come from the
-    self-conjugate points alone, which for odd g is s = 1 only, so for
-    g > 2 one extra LU evaluates the mirror of s_j = exp(2 pi i / g)
-    directly, and a departure from conj F(s) above 1e-8 raises too.
+    self-conjugate points alone, where s_j = +-1, so for g > 2 one extra
+    LU evaluates the mirror of s_j = exp(2 pi i / g) directly, and a
+    departure from conj F(s) above 1e-8 raises too.
+
+    The grid folds the mass at counts N_j >= g onto N_j - g, so the
+    grid's marginal mean sum_k k P_j(k) falls short of the exact mean
+    r (x_j - x_{j-1}) / pi by at least g times the folded mass.  A
+    shortfall above g * 1e-9 raises NumericalError: K is too small for
+    the counts of that interval.
     """
     partition = _as_partition(partition)
     m = partition.m
-    if m > 3:
-        raise ValidationError(f"joint_pmf supports m <= 3 intervals, got m = {m}")
-    if isinstance(max_counts, (int, np.integer)) and not isinstance(max_counts, bool):
-        max_counts = (int(max_counts),) * m
-    ks = tuple(int(k) for k in max_counts)
-    if len(ks) != m or any(k < 0 for k in ks):
-        raise ValidationError(f"max_counts must give one K_j >= 0 per interval, got {max_counts!r}")
-    min_grid = 2 * max(ks) + 2
-    if n_grid_per_dim is None:
-        n_grid_per_dim = min_grid
-    if not isinstance(n_grid_per_dim, int) or n_grid_per_dim < min_grid:
-        raise ValidationError(
-            f"n_grid_per_dim must be an integer >= 2 max(K_j) + 2 = {min_grid}, got {n_grid_per_dim!r}"
-        )
-
-    g = n_grid_per_dim
+    ks = _checked_counts(max_counts, m)
+    g = 2 * max(ks) + 2
     disc = Discretization(partition, r, n_quad)
     phases = np.exp(2j * math.pi * np.arange(g) / g)
 
@@ -140,6 +139,14 @@ def joint_pmf(
         asym = abs(f_at(mirror) - f_grid[mirror])
         if asym > IMAG_TOL:
             raise NumericalError(f"F(conj s) departs from conj F(s) by {asym:.3e} > {IMAG_TOL:g}")
+    for j, length in enumerate(partition.lengths):
+        marginal = coeff.real.sum(axis=tuple(a for a in range(m) if a != j))
+        deficit = disc.r * length / math.pi - float(np.arange(g) @ marginal)
+        if deficit > g * NEGATIVE_TOL:
+            raise NumericalError(
+                f"the torus grid of {g} points folds counts of interval {j + 1} onto the table:"
+                f" its mean falls short by {deficit:.3e} > {g} * {NEGATIVE_TOL:g}; raise K"
+            )
     table = table.real.copy()
     low = float(table.min())
     if low < -NEGATIVE_TOL:
@@ -150,13 +157,12 @@ def joint_pmf(
     return JointPMF(table=table, residual_mass=residual, max_counts=ks)
 
 
-def _validate_unit_weights(s, m: int) -> WeightConfiguration:
-    arr = np.asarray(s, dtype=float)
-    if arr.shape != (m,):
-        raise ValidationError(f"expected {m} weights, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValidationError(f"weights must lie in [0, 1], got {arr!r}")
-    return WeightConfiguration(tuple(float(v) for v in arr))
+def _validate_unit_weights(partition, s) -> WeightConfiguration:
+    """The thinning weights s, one per interval, each at most 1."""
+    weights = _matched_weights(partition, s)
+    if not weights.is_real or any(v.real > 1.0 for v in weights.values):
+        raise ValidationError(f"weights must lie in [0, 1], got {s!r}")
+    return weights
 
 
 def thinned_gap_probability(partition, s, r: float, n: int = 64) -> float:
@@ -164,7 +170,7 @@ def thinned_gap_probability(partition, s, r: float, n: int = 64) -> float:
     independently with probability 1 - s_k) has no points at all: exactly
     F(s).  Equals 1 at s = 1 and the hard-gap probability at s = 0."""
     partition = _as_partition(partition)
-    weights = _validate_unit_weights(s, partition.m)
+    weights = _validate_unit_weights(partition, s)
     log_f = Discretization(partition, r, n).log_det(weights)
     return min(1.0, math.exp(log_f.real))
 
@@ -174,7 +180,7 @@ def conditional_zero_probability(partition, s, r: float, n: int = 64) -> float:
     = F((x_0, x_m), s = 0) / F(x, s), a ratio of two determinants in
     (0, 1].  At s = 0 thinning removes nothing and the ratio is 1."""
     partition = _as_partition(partition)
-    weights = _validate_unit_weights(s, partition.m)
+    weights = _validate_unit_weights(partition, s)
     num = Discretization(partition.merged(), r, n).log_det(WeightConfiguration((0.0,))).real
     den = Discretization(partition, r, n).log_det(weights).real
     return min(1.0, math.exp(num - den))
@@ -214,10 +220,10 @@ def numerical_cumulants(
     mu = (np.diagonal(kernel) * w) @ nested
     labels = tuple(range(1, m + 1))
     if order == 1:
-        return StatisticsTriple(mu=mu, sigma2=np.full(m, np.nan), cross=np.full((m, m), np.nan), labels=labels)
+        return StatisticsTriple(mu=mu, cross=np.full((m, m), np.nan), labels=labels)
 
     # tr(K W P_j K W P_l) = sum over a in P_l, b in P_j of K_ab^2 w_a w_b
     pairs = nested.T @ (kernel * kernel * np.outer(w, w)) @ nested
     cross = mu[np.minimum.outer(np.arange(m), np.arange(m))] - pairs
     cross = 0.5 * (cross + cross.T)  # the matrix products need not round symmetrically
-    return StatisticsTriple(mu=mu, sigma2=np.diagonal(cross).copy(), cross=cross, labels=labels)
+    return StatisticsTriple(mu=mu, cross=cross, labels=labels)

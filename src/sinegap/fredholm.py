@@ -54,7 +54,7 @@ from scipy.linalg import lu_factor
 
 from .errors import NumericalError, ValidationError
 from .prolate import EPS, gap_modes
-from .quadrature import _check_r, composite_rule, gauss_legendre
+from .quadrature import _check_order, _check_r, composite_rule, gauss_legendre
 
 __all__ = [
     "IntervalPartition",
@@ -198,14 +198,17 @@ class WeightConfiguration:
         u = _checked_u(u, m - 1)
         by_index = dict(zip(idx, u))
         s = np.zeros(m)
-        acc = 0.0
-        for k in range(1, p):  # left of the gap: s_k = exp(-(u_0 + ... + u_{k-1}))
-            acc += by_index[k - 1]
-            s[k - 1] = math.exp(-acc)
-        acc = 0.0
-        for j in range(m, p, -1):  # right of the gap: s_j = exp(u_j + ... + u_m)
-            acc += by_index[j]
-            s[j - 1] = math.exp(acc)
+        try:
+            acc = 0.0
+            for k in range(1, p):  # left of the gap: s_k = exp(-(u_0 + ... + u_{k-1}))
+                acc += by_index[k - 1]
+                s[k - 1] = math.exp(-acc)
+            acc = 0.0
+            for j in range(m, p, -1):  # right of the gap: s_j = exp(u_j + ... + u_m)
+                acc += by_index[j]
+                s[j - 1] = math.exp(acc)
+        except OverflowError:
+            raise ValidationError(f"weights must be finite, but u = {u.tolist()} overflows exp") from None
         return cls(tuple(float(v) for v in s))
 
     @property
@@ -264,15 +267,21 @@ def _as_partition(partition) -> IntervalPartition:
     return IntervalPartition(partition)
 
 
-def _checked_weights(partition: IntervalPartition, weights):
-    """(partition, weights) with the weights checked against the partition
-    and every run of adjacent zero weights merged into one zeroed
-    interval, so that a hard gap written in pieces takes the hard-gap
-    route.  The operator is the same; only the quadrature differs."""
+def _matched_weights(partition: IntervalPartition, weights) -> WeightConfiguration:
+    """`weights` as a WeightConfiguration with one weight per interval."""
     if not isinstance(weights, WeightConfiguration):
         weights = WeightConfiguration(weights)
     if weights.m != partition.m:
         raise ValidationError(f"{weights.m} weights for {partition.m} intervals")
+    return weights
+
+
+def _checked_weights(partition: IntervalPartition, weights):
+    """(partition, weights) with the weights matched to the partition and
+    every run of adjacent zero weights merged into one zeroed interval,
+    so that a hard gap written in pieces takes the hard-gap route.  The
+    operator is the same; only the quadrature differs."""
+    weights = _matched_weights(partition, weights)
     vals = weights.values
     inner = {j for j in range(1, weights.m) if vals[j - 1] == 0.0 == vals[j]}
     if not inner:
@@ -306,10 +315,7 @@ class Discretization:
 
     def __init__(self, partition, r: float, n: int):
         partition = _as_partition(partition)
-        r = _check_r(r)
-        if not isinstance(n, int) or isinstance(n, bool) or n < 8:
-            raise ValidationError(f"quadrature order n must be an integer >= 8, got {n!r}")
-        self._build(partition, r, n)
+        self._build(partition, _check_r(r), _check_order(n))
 
     def _build(self, partition: IntervalPartition, r: float, n: int) -> None:
         self.partition, self.r, self.n = partition, r, n
@@ -464,7 +470,7 @@ def _deflated_log_det(rule, kernel, c, k, modes) -> complex:
 def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult:
     """log F for the weighted multi-interval sine kernel at scale r.
 
-    `n` is the Gauss-Legendre order per interval (>= 8); the result is
+    `n` is the Gauss-Legendre order per interval (8 to 2048); the result is
     computed on a `Discretization` at n and on one at n//2, and the
     modulus of the difference is reported as `error_estimate`.  Callers
     that evaluate many weights on one partition and r, and do not need
@@ -514,10 +520,11 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     return DeterminantResult(log_f=log_full, order_used=n, error_estimate=err)
 
 
-def series_det(partition, weights, r: float, k_max: int = 3) -> float:
-    """F by the truncated determinant series, an LU-free cross-check.
+def series_det(partition, weights, r: float) -> float:
+    """F by the determinant series truncated after k = 3, an LU-free
+    cross-check.
 
-    F = sum_{k=0}^{k_max} (-1)^k / k! int...int det[Khat(t_i, t_j)] dt,
+    F = sum_{k=0}^{3} (-1)^k / k! int...int det[Khat(t_i, t_j)] dt,
     Khat(x, y) = K(x, y) (1 - s(y)), each k-fold integral evaluated as a
     tensorized Gauss-Legendre sum written out term by term (Leibniz for
     the 2x2 and 3x3 determinants).  Only valid for small instances: the
@@ -525,13 +532,8 @@ def series_det(partition, weights, r: float, k_max: int = 3) -> float:
     below 0.5.
     """
     partition = _as_partition(partition)
-    if not isinstance(weights, WeightConfiguration):
-        weights = WeightConfiguration(weights)
-    if weights.m != partition.m:
-        raise ValidationError(f"{weights.m} weights for {partition.m} intervals")
+    weights = _matched_weights(partition, weights)
     r = _check_r(r)
-    if not isinstance(k_max, int) or isinstance(k_max, bool) or not (0 <= k_max <= 3):
-        raise ValidationError(f"k_max must be an integer in [0, 3], got {k_max!r}")
 
     lengths = np.asarray(partition.lengths)
     trace = float(np.sum(np.abs(1.0 - weights.as_array()) * r * lengths) / math.pi)
@@ -547,23 +549,20 @@ def series_det(partition, weights, r: float, k_max: int = 3) -> float:
     mat = sine_kernel(t[:, None], t[None, :]) * (1.0 - s[rule.interval_index])[None, :]
 
     total = 1.0 + 0.0j
-    if k_max >= 1:
-        total -= np.einsum("a,aa->", w, mat)
-    if k_max >= 2:
-        total += 0.5 * (
-            np.einsum("a,b,aa,bb->", w, w, mat, mat)
-            - np.einsum("a,b,ab,ba->", w, w, mat, mat)
-        )
-    if k_max >= 3:
-        det3 = (
-            np.einsum("a,b,c,aa,bb,cc->", w, w, w, mat, mat, mat)
-            - np.einsum("a,b,c,aa,bc,cb->", w, w, w, mat, mat, mat)
-            - np.einsum("a,b,c,ab,ba,cc->", w, w, w, mat, mat, mat)
-            + np.einsum("a,b,c,ab,bc,ca->", w, w, w, mat, mat, mat)
-            + np.einsum("a,b,c,ac,ba,cb->", w, w, w, mat, mat, mat)
-            - np.einsum("a,b,c,ac,bb,ca->", w, w, w, mat, mat, mat)
-        )
-        total -= det3 / 6.0
+    total -= np.einsum("a,aa->", w, mat)
+    total += 0.5 * (
+        np.einsum("a,b,aa,bb->", w, w, mat, mat)
+        - np.einsum("a,b,ab,ba->", w, w, mat, mat)
+    )
+    det3 = (
+        np.einsum("a,b,c,aa,bb,cc->", w, w, w, mat, mat, mat)
+        - np.einsum("a,b,c,aa,bc,cb->", w, w, w, mat, mat, mat)
+        - np.einsum("a,b,c,ab,ba,cc->", w, w, w, mat, mat, mat)
+        + np.einsum("a,b,c,ab,bc,ca->", w, w, w, mat, mat, mat)
+        + np.einsum("a,b,c,ac,ba,cb->", w, w, w, mat, mat, mat)
+        - np.einsum("a,b,c,ac,bb,ca->", w, w, w, mat, mat, mat)
+    )
+    total -= det3 / 6.0
     total = complex(total)
     if abs(total.imag) > 1e-10:
         raise NumericalError(f"series value has a non-negligible imaginary part: {total!r}")

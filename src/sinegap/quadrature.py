@@ -103,6 +103,13 @@ def _check_r(r: float) -> float:
     return r
 
 
+def _check_order(n: int) -> int:
+    """The per-interval order n of a determinant, an integer in [8, MAX_ORDER]."""
+    if not isinstance(n, int) or isinstance(n, bool) or not 8 <= n <= MAX_ORDER:
+        raise ValidationError(f"quadrature order n must be an integer in [8, {MAX_ORDER}], got {n!r}")
+    return n
+
+
 def composite_rule(partition, r: float, n_per_interval: int) -> CompositeRule:
     """Map the n-point base rule onto every interval (r x_{k-1}, r x_k).
 

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,15 +13,21 @@ import pytest
 import sinegap.cli as cli
 from sinegap import (
     DeterminantResult,
+    IntervalPartition,
     NumericalError,
+    ValidationError,
     WeightConfiguration,
     conditional_stats,
     counting_stats,
     fredholm_det,
     joint_pmf,
     positive_weights_expansion,
+    reduced_indices,
     zero_weight_expansion,
 )
+from sinegap.counting import _checked_counts
+from sinegap.fredholm import _checked_u, _matched_weights
+from sinegap.quadrature import _check_order, _check_r
 
 
 def run_cli(capsys, *argv):
@@ -334,6 +342,74 @@ def test_bad_range_and_order_values(capsys):
         capsys, "fredholm", "--x", "0,1", "--s", "0.5", "--r", "2", "--n", "4"
     )
     assert code == 2 and "--n" in err
+
+
+def _library_message(call):
+    with pytest.raises(ValidationError) as info:
+        call()
+    return str(info.value)
+
+
+VALUE_ERRORS = [
+    (("fredholm", "--x", "1,0.5", "--s", "0.5", "--r", "2"), "--x",
+     lambda: IntervalPartition((1.0, 0.5))),
+    (("fredholm", "--x", "0,nan", "--s", "0.5", "--r", "2"), "--x",
+     lambda: IntervalPartition((0.0, math.nan))),
+    (("fredholm", "--x", "0,1", "--s", "0.5", "--r", "0"), "--r", lambda: _check_r(0.0)),
+    (("converge", "--x", "0,1", "--u=-1", "--r-range", "5:inf:4"), "--r-range", lambda: _check_r(math.inf)),
+    (("fredholm", "--x", "0,1", "--s", "0.5", "--r", "2", "--n", "4"), "--n", lambda: _check_order(4)),
+    (("pmf", "--x", "0,1", "--r", "2", "--k", "-1"), "--k", lambda: _checked_counts(-1, 1)),
+    (("pmf", "--x", "0,1,2,3,4", "--r", "2", "--k", "1"), "--k", lambda: _checked_counts(1, 4)),
+    (("fredholm", "--x", "0,1", "--s", "-0.5", "--r", "2"), "--s",
+     lambda: WeightConfiguration((-0.5,))),
+    (("fredholm", "--x", "0,1", "--s", "0.5,0.5", "--r", "2"), "--s",
+     lambda: _matched_weights(IntervalPartition((0.0, 1.0)), (0.5, 0.5))),
+    (("asym1", "--x", "0,1", "--u=1,2", "--r", "2"), "--u", lambda: _checked_u((1.0, 2.0), 1)),
+    (("asym2", "--x", "0,1,2", "--p", "1", "--u=1,2", "--r", "2"), "--u", lambda: _checked_u((1.0, 2.0), 1)),
+    (("fredholm", "--x", "0,1", "--u=nan", "--r", "2"), "--u", lambda: _checked_u((math.nan,), 1)),
+    (("stats", "--x", "0,1,2", "--p", "3", "--r", "2"), "--p", lambda: reduced_indices(2, 3)),
+    (("fredholm", "--x", "0,1,2", "--u=1", "--p", "0", "--r", "2"), "--p", lambda: reduced_indices(2, 0)),
+]
+
+
+@pytest.mark.parametrize("argv, flag, call", VALUE_ERRORS, ids=[" ".join(c[0]) for c in VALUE_ERRORS])
+def test_value_errors_are_the_library_messages_under_their_flag(argv, flag, call, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag}: {_library_message(call)}\n"
+
+
+def test_n_is_refused_where_no_determinant_reads_it(capsys):
+    for argv in (
+        ("asym1", "--x", "0,1", "--u=-1.1", "--r", "1"),
+        ("asym2", "--x", "0,0.6", "--p", "1", "--r", "20"),
+        ("stats", "--x", "0,1", "--r", "2"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--n", "2000", "--format", "json")
+        assert (code, out) == (2, "") and f"{argv[0]}: takes no --n" in err
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["jobspec"]["n"] == 64
+
+
+def test_aliased_pmf_exits_3_with_empty_stdout(capsys):
+    code, out, err = run_cli(capsys, "pmf", "--x", "0,3", "--r", "5", "--k", "1")
+    assert (code, out) == (3, "")
+    assert "raise K" in err
+
+
+def _readme_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("Examples:", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("sinegap ")]
+
+
+def test_readme_examples_run(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 5
+    for argv in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert out
 
 
 def test_numerical_failure_maps_to_exit_3(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """Count distributions, thinning, conditioning, numerical cumulants.
 
-Oracles: the s = 0 determinant gives P(all counts zero) directly; the
+Oracles: the s = 0 determinant gives P(all counts zero) directly; on
+one interval the discretized F(s) is prod_i (1 - (1 - s) lambda_i), so
+the count is a Poisson-binomial law in the eigenvalues lambda_i; the
 exact mean r (x_1 - x_0)/pi anchors both the PMF first moment and the
 trace cumulants, whose covariances are checked against the closed-form
 sine-process number variance and against differences of log F;
@@ -51,6 +53,23 @@ def test_pmf_single_interval_against_determinant():
     assert pmf.probability((0,)) == pmf.table[0]
 
 
+def _poisson_binomial(endpoints, r, k, n_quad=64):
+    # P(N = 0..k) from F(s) = prod_i (1 - (1 - s) lambda_i), lambda_i the
+    # eigenvalues of W^1/2 K W^1/2 on the same discretization
+    disc = fredholm_module.Discretization(endpoints, r, n_quad)
+    root_w = np.sqrt(disc.rule.weights)
+    coeffs = np.array([1.0])
+    for lam in np.linalg.eigvalsh(root_w[:, None] * disc.kernel * root_w[None, :]):
+        coeffs = np.convolve(coeffs, (1.0 - lam, lam))
+    return coeffs[: k + 1]
+
+
+def test_pmf_single_interval_is_poisson_binomial():
+    for endpoints, r, k in (((0.0, 3.0), 5.0, 10), ((0.0, 0.5), 1.0, 6), ((0.0, 1.0), 10.0, 8)):
+        table = joint_pmf(endpoints, r, k).table
+        assert np.max(np.abs(table - _poisson_binomial(endpoints, r, k))) < 1e-14
+
+
 def test_pmf_mass_and_nonnegativity():
     pmf = joint_pmf((0.0, 0.5, 1.0), 2.0, (4, 4))
     assert np.all(pmf.table >= 0.0)
@@ -83,12 +102,16 @@ def test_pmf_three_intervals_smoke():
     assert abs(pmf.table.sum() + pmf.residual_mass - 1.0) < 1e-12
 
 
-def test_pmf_grid_override_and_validation():
-    fine = joint_pmf((0.0, 0.5), 1.0, 3, n_grid_per_dim=16)
-    coarse = joint_pmf((0.0, 0.5), 1.0, 3)
-    assert np.max(np.abs(fine.table - coarse.table)) < 1e-12
-    with pytest.raises(ValidationError):
-        joint_pmf((0.0, 0.5), 1.0, 3, n_grid_per_dim=7)  # < 2 max(K) + 2
+def test_pmf_aliased_grid_raises_and_validation():
+    # mean 4.77 on a grid of 4 points, and mean 3.18 on 6 points: the
+    # folded counts moved P(N = 1) to 0.529 (true 4.4e-8) and P(N = 0) to
+    # 6.8e-5 (true 1.6e-6)
+    for endpoints, r, k in (((0.0, 3.0), 5.0, 1), ((0.0, 1.0), 10.0, 2)):
+        with pytest.raises(NumericalError, match="raise K"):
+            joint_pmf(endpoints, r, k)
+    # the same intervals with K large enough
+    assert joint_pmf((0.0, 3.0), 5.0, 10).table[1] < 1e-7
+    assert abs(joint_pmf((0.0, 1.0), 10.0, 8).table[0] - _poisson_binomial((0.0, 1.0), 10.0, 0)[0]) < 1e-15
     with pytest.raises(ValidationError):
         joint_pmf((0.0, 0.5), 1.0, (-1,))
     with pytest.raises(ValidationError):
@@ -308,13 +331,13 @@ def test_counting_fills_one_kernel_and_factors_once_per_weight(monkeypatch):
         fn(*args, **kwargs)
         return dict(calls)
 
-    # (g^m + 2^m) / 2 torus points for even g = 2 K + 2, plus the
+    # (g^m + 2^m) / 2 torus points for g = 2 K + 2, plus the
     # conjugate-symmetry check's LU
     assert run(joint_pmf, (0.0, 0.5, 1.0), 2.0, 2) == {"kernel": 1, "lu": 20 + 1}
     assert run(joint_pmf, (0.0, 0.4, 0.8, 1.2), 1.0, 1) == {"kernel": 1, "lu": 36 + 1}
-    # odd g: (g^m + 1) / 2; g = 2 (K = 0): every point is self-conjugate, no check
-    assert run(joint_pmf, (0.0, 0.5, 1.0), 2.0, 2, n_grid_per_dim=7) == {"kernel": 1, "lu": 25 + 1}
-    assert run(joint_pmf, (0.0, 0.5, 1.0), 2.0, 0) == {"kernel": 1, "lu": 4}
+    # g = 2 (K = 0): every point is self-conjugate, no check; r is small
+    # enough that two counts in one interval do not fold onto zero
+    assert run(joint_pmf, (0.0, 0.5, 1.0), 0.01, 0) == {"kernel": 1, "lu": 4}
     # the cumulants are traces: no factorization
     assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0) == {"kernel": 1, "lu": 0}
     assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0, order=1) == {"kernel": 1, "lu": 0}
@@ -324,23 +347,22 @@ def test_counting_fills_one_kernel_and_factors_once_per_weight(monkeypatch):
 
 
 def test_pmf_conjugate_symmetry_check_catches_a_skewed_determinant(monkeypatch):
-    # an imaginary offset on log F at non-real weights breaks F(conj s) =
-    # conj F(s); the mirror fill hides it from the table, whose imaginary
-    # part for odd g comes from s = 1 alone, so only the extra LU sees it
+    # log F - 1e-5 sum_j Im s_j breaks F(conj s) = conj F(s) but vanishes
+    # at the self-conjugate points s_j = +-1.  The mirror fill hides it
+    # from the table, whose imaginary part comes from those points alone,
+    # and it raises the grid's mean, which the aliasing check lets pass;
+    # so only the extra LU on a mirror pair sees it
     exact = fredholm_module.Discretization.log_det
+    only_self_conjugate = joint_pmf((0.0, 0.5, 1.0), 0.01, 0).table  # g = 2
 
     def skewed(self, weights):
-        log_f = exact(self, weights)
-        return log_f if weights.is_real else log_f + 1e-5j
+        return exact(self, weights) - 1e-5 * sum(v.imag for v in weights.values)
 
     monkeypatch.setattr(fredholm_module.Discretization, "log_det", skewed)
-    for g in (3, 5, 7):
+    for k in (1, 2, 3):  # g = 4, 6, 8
         with pytest.raises(NumericalError, match=r"F\(conj s\) departs from conj F\(s\)"):
-            joint_pmf((0.0, 0.5, 1.0), 2.0, (g - 2) // 2, n_grid_per_dim=g)
-    # even g: the check, or the self-conjugate points' imaginary mass
-    for g in (2, 4, 6):
-        with pytest.raises(NumericalError):
-            joint_pmf((0.0, 0.5, 1.0), 2.0, (g - 2) // 2, n_grid_per_dim=g)
+            joint_pmf((0.0, 0.5, 1.0), 2.0, k)
+    assert np.array_equal(joint_pmf((0.0, 0.5, 1.0), 0.01, 0).table, only_self_conjugate)
 
 
 def test_counting_keeps_order_and_sign_checks(monkeypatch):

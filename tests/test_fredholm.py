@@ -162,6 +162,13 @@ def test_weights_validation():
         WeightConfiguration.from_zero_u((0.8,), 2, 3)  # needs m-1 = 2 values
 
 
+def test_weights_from_zero_u_overflow_is_a_validation_error():
+    # exp(800) overflows on either side of the gap, as from_positive_u's does
+    for u, p in (((-800.0,), 2), ((800.0,), 1)):
+        with pytest.raises(ValidationError, match="overflows exp"):
+            WeightConfiguration.from_zero_u(u, p, 2)
+
+
 # ---------------------------------------------------------------------------
 # determinant: exact anchors
 
@@ -210,12 +217,10 @@ def test_series_truncation_respects_trace_bound():
 def test_series_preconditions():
     with pytest.raises(ValidationError):
         series_det((0.0, 1.0), (0.0,), 5.0)  # trace 5/pi too large
-    with pytest.raises(ValidationError):
-        series_det((0.0, 1.0), (0.9,), 0.5, k_max=4)
-    with pytest.raises(ValidationError):
-        series_det((0.0, 1.0), (0.9,), 0.5, k_max=-1)
-    # k_max = 0 returns exactly 1
-    assert series_det((0.0, 1.0), (0.999,), 0.01, k_max=0) == 1.0
+    with pytest.raises(ValidationError, match="2 weights for 1 intervals"):
+        series_det((0.0, 1.0), (0.9, 0.9), 0.5)
+    # s = 1 leaves every term of the series zero
+    assert series_det((0.0, 1.0), (1.0,), 0.5) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,18 @@ None of these needs the n/2 error estimate of `fredholm_det`.  So every
 function here builds one `Discretization` per partition (the composite
 rule and the sine kernel on its nodes).  The gap probabilities call its
 `log_det` once per weight: one matrix assembly and one factorization
-each.  F has real Taylor coefficients, F(conj s) = conj F(s), so the
-PMF calls it on one point of each conjugate pair of the torus grid and
-on the self-conjugate points, about half the grid.  The cumulants read
-the traces off its rule and kernel.
+each.  The PMF factors nothing of size N: B = W^{1/2} K W^{1/2} has
+numerical rank rho of about r (x_m - x_0) / pi + O(log 1 / eps), so one
+diagonally pivoted Cholesky factor B ~ V V^T (N x rho, stopped once the
+residual trace is at most eps tr(B)) turns every torus value into a
+rho x rho determinant by Sylvester's identity.  The cumulants read the
+traces off its rule and kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +34,7 @@ import numpy as np
 from .asymptotics import StatisticsTriple
 from .errors import NumericalError, ValidationError
 from .fredholm import Discretization, WeightConfiguration, _as_partition, _matched_weights
+from .prolate import EPS
 
 # Not called here since the kernel is shared, but kept importable as
 # `sinegap.counting.fredholm_det`: bench/spans.py wraps that name, and a
@@ -91,17 +93,20 @@ def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int 
     grid values are FFT'd.  Supported for m <= 3.  By normalization the
     full DFT sums to F(1) = 1 exactly, and the mass not in the table is
     reported as residual_mass.  The sine kernel is built once at order
-    n_quad.  Since F(conj s) = conj F(s), one LU is made per conjugate
-    pair of grid points, the mirror (-i mod g per index) being filled
-    with the conjugate, plus one per self-conjugate point (indices 0 or
-    g/2): (g^m + 2^m) / 2 LUs.  No n/2 error-estimate pass is made.
+    n_quad, and no n/2 error-estimate pass is made.
+
+    The grid values come from one low-rank factor, not one LU each:
+    B = W^{1/2} K W^{1/2} ~ V V^T by the diagonally pivoted Cholesky of
+    `_pivoted_cholesky`, which stops once the trace of B - V V^T is at
+    most eps tr(B) (tr(B) is the total mean count), or at a pivot that
+    is not positive.  By Sylvester's identity every grid value is then
+    F(s) = det(I - sum_j (1 - s_j) V_j^T V_j), a determinant of the size
+    rho of the factor, with V_j the rows of V on interval j.
 
     Entries in (-1e-9, 0) are clamped to 0 (roundoff from the inversion);
-    anything below -1e-9 raises, as does any imaginary part above 1e-8.
-    The mirror fill makes the table's imaginary part come from the
-    self-conjugate points alone, where s_j = +-1, so for g > 2 one extra
-    LU evaluates the mirror of s_j = exp(2 pi i / g) directly, and a
-    departure from conj F(s) above 1e-8 raises too.
+    anything below -1e-9 raises, as does any imaginary part above 1e-8,
+    or a departure of F(conj s) from conj F(s) above 1e-8 anywhere on
+    the grid (F has real Taylor coefficients).
 
     The grid folds the mass at counts N_j >= g onto N_j - g, so the
     grid's marginal mean sum_k k P_j(k) falls short of the exact mean
@@ -114,19 +119,15 @@ def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int 
     ks = _checked_counts(max_counts, m)
     g = 2 * max(ks) + 2
     disc = Discretization(partition, r, n_quad)
-    phases = np.exp(2j * math.pi * np.arange(g) / g)
+    v = _pivoted_cholesky(disc)
+    n = disc.n
+    grams = [v[j * n : (j + 1) * n].T @ v[j * n : (j + 1) * n] for j in range(m)]
+    f_grid = _torus_values(grams, np.exp(2j * math.pi * np.arange(g) / g))
 
-    def f_at(combo):
-        return np.exp(disc.log_det(WeightConfiguration(tuple(phases[i] for i in combo))))
-
-    f_grid = np.empty((g,) * m, dtype=complex)
-    for combo in product(range(g), repeat=m):
-        mirror = tuple(-i % g for i in combo)
-        if mirror < combo:  # filled with its pair
-            continue
-        f = f_at(combo)
-        f_grid[mirror] = np.conj(f)
-        f_grid[combo] = f
+    mirror = f_grid[np.ix_(*[-np.arange(g) % g] * m)]  # F(conj s): index i_j -> -i_j mod g
+    asym = float(np.max(np.abs(mirror - np.conj(f_grid))))
+    if asym > IMAG_TOL:
+        raise NumericalError(f"F(conj s) departs from conj F(s) by {asym:.3e} > {IMAG_TOL:g}")
 
     coeff = np.fft.fftn(f_grid) / g**m
     table = coeff[tuple(slice(0, k + 1) for k in ks)]
@@ -134,11 +135,6 @@ def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int 
     max_imag = float(np.max(np.abs(table.imag)))
     if max_imag > IMAG_TOL:
         raise NumericalError(f"inversion left imaginary mass {max_imag:.3e} > {IMAG_TOL:g}")
-    if g > 2:  # at g = 2 every grid point is self-conjugate and evaluated
-        mirror = (g - 1,) * m  # filled as conj F at s_j = exp(2 pi i / g)
-        asym = abs(f_at(mirror) - f_grid[mirror])
-        if asym > IMAG_TOL:
-            raise NumericalError(f"F(conj s) departs from conj F(s) by {asym:.3e} > {IMAG_TOL:g}")
     for j, length in enumerate(partition.lengths):
         marginal = coeff.real.sum(axis=tuple(a for a in range(m) if a != j))
         deficit = disc.r * length / math.pi - float(np.arange(g) @ marginal)
@@ -155,6 +151,52 @@ def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int 
 
     residual = 1.0 - float(table.sum())
     return JointPMF(table=table, residual_mass=residual, max_counts=ks)
+
+
+def _pivoted_cholesky(disc: Discretization) -> np.ndarray:
+    """V of shape (N, rho) with B = W^{1/2} K W^{1/2} ~ V V^T on the nodes
+    of `disc`.
+
+    Each step pivots on the largest diagonal entry of B - V V^T and reads
+    that one column of the kernel (Harbrecht, Peters & Schneider, Appl.
+    Numer. Math. 62, 2012).  It stops once the residual trace is at most
+    eps tr(B), or at a pivot that is not positive.  B is positive
+    semidefinite, so the residual trace bounds the error of every entry,
+    and rho is about r (x_m - x_0) / pi + O(log 1 / eps).
+    """
+    w = disc.rule.weights
+    root_w = np.sqrt(w)
+    resid = np.diagonal(disc.kernel) * w
+    tol = EPS * float(resid.sum())
+    vt = np.empty((0, len(w)))  # V^T, one row per pivot
+    while len(vt) < len(w) and float(resid.sum()) > tol:
+        p = int(np.argmax(resid))
+        pivot = float(resid[p])
+        if not pivot > 0.0:
+            break
+        col = disc.kernel[p] * (root_w * root_w[p]) - vt[:, p] @ vt
+        row = col / math.sqrt(pivot)
+        vt = np.vstack((vt, row))
+        resid -= row * row
+    return vt.T
+
+
+def _torus_values(grams, phases) -> np.ndarray:
+    """F(s) = det(I - sum_j (1 - s_j) G_j) at s_j = phases[i_j] for every
+    index tuple (i_1, ..., i_m), as an array of shape (g,) * m.  One
+    `slogdet` call takes the g^(m-1) matrices with i_1 fixed."""
+    m, g, rho = len(grams), len(phases), grams[0].shape[0]
+    one_minus = 1.0 - phases
+    rest = np.eye(rho, dtype=complex)
+    for j in range(1, m):  # the terms of intervals 2..m, each along its own grid axis
+        shape = [1] * (m + 1)
+        shape[j - 1] = g
+        rest = rest - one_minus.reshape(shape) * grams[j]
+    f_grid = np.empty((g,) * m, dtype=complex)
+    for i in range(g):
+        sign, log_abs = np.linalg.slogdet(rest - one_minus[i] * grams[0])
+        f_grid[i] = sign * np.exp(log_abs)
+    return f_grid
 
 
 def _validate_unit_weights(partition, s) -> WeightConfiguration:

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor
 
 from .errors import NumericalError, ValidationError
 from .prolate import EPS, gap_modes
@@ -187,7 +186,11 @@ class WeightConfiguration:
         """Weights from log-ratios u_j = log(s_j / s_{j+1}), all s_j > 0:
         s_j = exp(u_j + u_{j+1} + ... + u_m)."""
         u = _checked_u(u)
-        s = np.exp(np.cumsum(u[::-1])[::-1])
+        try:
+            with np.errstate(over="raise"):
+                s = np.exp(np.cumsum(u[::-1])[::-1])
+        except FloatingPointError:
+            raise ValidationError(f"weights must be finite, but u = {u.tolist()} overflows exp") from None
         return cls(tuple(float(v) for v in s))
 
     @classmethod
@@ -365,6 +368,15 @@ def _nystrom_matrix(kernel, c) -> np.ndarray:
     return mat
 
 
+def lu_factor(a, overwrite_a=False):
+    """scipy.linalg.lu_factor, imported on the first call: commands that
+    factor no matrix (the PMF, the expansions, the cumulants) then never
+    load scipy.linalg, which costs about 0.25 s and 27 MB per process."""
+    from scipy.linalg import lu_factor as scipy_lu_factor
+
+    return scipy_lu_factor(a, overwrite_a=overwrite_a)
+
+
 def _lu_log_det(mat) -> complex:
     """log det(mat) by a pivoted LU that overwrites `mat`."""
     lu, piv = lu_factor(mat, overwrite_a=True)
@@ -463,7 +475,8 @@ def _deflated_log_det(rule, kernel, c, k, modes) -> complex:
     if len(c) > n:  # R is not empty
         eq = kernel[:, g] @ (rule.weights[g][:, None] * psi) / math.sqrt(modes.c)
         eq[g] = 0.0  # E Q lives on R; zero rows keep G untouched
-        mat -= (eq * (lam / modes.gaps)) @ (eq.T * c[None, :])
+        mat_t = mat.T  # a C-order view, so the update runs in mat's own memory order
+        mat_t -= (c[:, None] * eq) @ (eq * (lam / modes.gaps)).T
     return float(np.sum(np.log(modes.gaps))) + _lu_log_det(mat)
 
 

@@ -30,7 +30,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
-from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import NumericalError
 from .quadrature import gauss_legendre
@@ -129,6 +128,10 @@ def _laguerre_rule():
 def _parity_modes(c: float, parity: int, count: int):
     """The `count` lowest modes of one parity at half-length c, as
     (degrees j, coefficients on Pbar_j one mode per column, psi(1), lambda)."""
+    # imported here so that callers which deflate no hard gap never load
+    # scipy.linalg (about 0.25 s and 27 MB per process)
+    from scipy.linalg.lapack import dstebz, dstein
+
     size = (int(2.0 * c) + DEGREE_MARGIN) // 2 + 1
     j, jj, diag_u2, off_u2, scale, at_zero = _legendre_tables(parity, size)
     c2 = c * c

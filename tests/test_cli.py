@@ -4,12 +4,16 @@ import csv
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sinegap
 import sinegap.cli as cli
 from sinegap import (
     DeterminantResult,
@@ -367,6 +371,8 @@ VALUE_ERRORS = [
     (("asym1", "--x", "0,1", "--u=1,2", "--r", "2"), "--u", lambda: _checked_u((1.0, 2.0), 1)),
     (("asym2", "--x", "0,1,2", "--p", "1", "--u=1,2", "--r", "2"), "--u", lambda: _checked_u((1.0, 2.0), 1)),
     (("fredholm", "--x", "0,1", "--u=nan", "--r", "2"), "--u", lambda: _checked_u((math.nan,), 1)),
+    (("fredholm", "--x", "0,1", "--u=1000", "--r", "2"), "--u",
+     lambda: WeightConfiguration.from_positive_u((1000.0,))),
     (("stats", "--x", "0,1,2", "--p", "3", "--r", "2"), "--p", lambda: reduced_indices(2, 3)),
     (("fredholm", "--x", "0,1,2", "--u=1", "--p", "0", "--r", "2"), "--p", lambda: reduced_indices(2, 0)),
 ]
@@ -389,6 +395,33 @@ def test_n_is_refused_where_no_determinant_reads_it(capsys):
         assert (code, out) == (2, "") and f"{argv[0]}: takes no --n" in err
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0 and json.loads(out)["jobspec"]["n"] == 64
+
+
+IMPORT_BOUNDARY = """
+import contextlib, io, sys
+import sinegap, sinegap.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["pmf", "--x", "0,0.5,1.1,1.7", "--r", "1", "--k", "2"],
+        ["asym1", "--x", "0,1", "--u=-1.1", "--r", "1"],
+        ["asym2", "--x", "0,0.6", "--p", "1", "--r", "20"],
+        ["stats", "--x", "0,0.7,1.2", "--r", "20"],
+    ):
+        assert sinegap.cli.main(argv) == 0, argv
+sinegap.numerical_cumulants((0.0, 0.5, 1.2), 5.0)
+print("scipy.linalg" in sys.modules)
+sinegap.fredholm_det((0.0, 1.0), (0.5,), 2.0)
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_commands_that_factor_nothing_leave_scipy_linalg_unimported():
+    # scipy.linalg costs 0.25 s and 27 MB per process; only an LU loads it
+    src = str(Path(sinegap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["False", "True"]
 
 
 def test_aliased_pmf_exits_3_with_empty_stdout(capsys):

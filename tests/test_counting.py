@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
+import sinegap.counting as counting_module
 import sinegap.fredholm as fredholm_module
 from sinegap import (
     IntervalPartition,
@@ -248,34 +249,37 @@ def test_cumulant_validation():
 # one discretization per call: same numbers as fredholm_det, fewer kernels
 
 
-def _pmf_from_fredholm_det(endpoints, r, k, n_quad=64, half=True):
-    # joint_pmf's inversion written over plain fredholm_det calls: with
-    # `half`, one call per conjugate pair (the mirror -i mod g filled with
-    # the conjugate) and per self-conjugate point; else every grid point
+def _pmf_by_lu(endpoints, r, k, n_quad=64):
+    # joint_pmf's inversion with one pivoted LU per torus point: the
+    # Discretization.log_det route, whose values fredholm_det returns bit
+    # for bit at the same order
     m = len(endpoints) - 1
     g = 2 * k + 2
+    disc = fredholm_module.Discretization(endpoints, r, n_quad)
     phases = np.exp(2j * math.pi * np.arange(g) / g)
     f_grid = np.empty((g,) * m, dtype=complex)
     for combo in product(range(g), repeat=m):
-        mirror = tuple(-i % g for i in combo)
-        if half and mirror < combo:
-            continue
-        weights = WeightConfiguration(tuple(phases[i] for i in combo))
-        f = np.exp(fredholm_det(endpoints, weights, r, n_quad).log_f)
-        if half:
-            f_grid[mirror] = np.conj(f)
-        f_grid[combo] = f
+        f_grid[combo] = np.exp(disc.log_det(WeightConfiguration(tuple(phases[i] for i in combo))))
     table = (np.fft.fftn(f_grid) / g**m)[(slice(0, k + 1),) * m].real.copy()
     table[table < 0.0] = 0.0
     return table
 
 
 def test_counting_equals_loop_over_fredholm_det():
-    for endpoints, r, k in (((0.0, 0.5, 1.0), 2.0, 2), ((0.0, 0.4, 0.8, 1.2), 1.0, 1)):
+    # m = 1, 2, 3 and r = 0.5 to 10, K up to 8: the low-rank torus values
+    # move the per-point LU cells by rounding only
+    for endpoints, r, k in (
+        ((0.0, 0.5), 0.5, 3),
+        ((0.0, 1.0), 10.0, 8),
+        ((0.0, 0.5, 1.0), 2.0, 2),
+        ((0.0, 0.5, 1.0), 5.0, 5),
+        ((0.0, 0.3, 0.6), 10.0, 6),
+        ((0.0, 0.5, 1.1, 1.7), 0.5, 1),
+        ((0.0, 0.4, 0.8, 1.2), 1.0, 1),
+        ((0.0, 0.2, 0.4, 0.6), 5.0, 1),
+    ):
         table = joint_pmf(endpoints, r, k).table
-        assert np.array_equal(table, _pmf_from_fredholm_det(endpoints, r, k))
-        # the half grid moves the full grid's cells by rounding only
-        assert np.max(np.abs(table - _pmf_from_fredholm_det(endpoints, r, k, half=False))) < 1e-15
+        assert np.max(np.abs(table - _pmf_by_lu(endpoints, r, k))) <= 1e-14, (endpoints, r, k)
 
     # the cumulants as Richardson-extrapolated central differences of
     # log F(u), s_j = exp(u_j + ... + u_m), at steps h and h / 2
@@ -331,13 +335,12 @@ def test_counting_fills_one_kernel_and_factors_once_per_weight(monkeypatch):
         fn(*args, **kwargs)
         return dict(calls)
 
-    # (g^m + 2^m) / 2 torus points for g = 2 K + 2, plus the
-    # conjugate-symmetry check's LU
-    assert run(joint_pmf, (0.0, 0.5, 1.0), 2.0, 2) == {"kernel": 1, "lu": 20 + 1}
-    assert run(joint_pmf, (0.0, 0.4, 0.8, 1.2), 1.0, 1) == {"kernel": 1, "lu": 36 + 1}
-    # g = 2 (K = 0): every point is self-conjugate, no check; r is small
-    # enough that two counts in one interval do not fold onto zero
-    assert run(joint_pmf, (0.0, 0.5, 1.0), 0.01, 0) == {"kernel": 1, "lu": 4}
+    # the torus values are determinants of the low-rank factor's size,
+    # none an LU of the Nystrom matrix; at K = 0 (g = 2) r is small enough
+    # that two counts in one interval do not fold onto zero
+    assert run(joint_pmf, (0.0, 0.5, 1.0), 2.0, 2) == {"kernel": 1, "lu": 0}
+    assert run(joint_pmf, (0.0, 0.4, 0.8, 1.2), 1.0, 1) == {"kernel": 1, "lu": 0}
+    assert run(joint_pmf, (0.0, 0.5, 1.0), 0.01, 0) == {"kernel": 1, "lu": 0}
     # the cumulants are traces: no factorization
     assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0) == {"kernel": 1, "lu": 0}
     assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0, order=1) == {"kernel": 1, "lu": 0}
@@ -347,22 +350,34 @@ def test_counting_fills_one_kernel_and_factors_once_per_weight(monkeypatch):
 
 
 def test_pmf_conjugate_symmetry_check_catches_a_skewed_determinant(monkeypatch):
-    # log F - 1e-5 sum_j Im s_j breaks F(conj s) = conj F(s) but vanishes
-    # at the self-conjugate points s_j = +-1.  The mirror fill hides it
-    # from the table, whose imaginary part comes from those points alone,
-    # and it raises the grid's mean, which the aliasing check lets pass;
-    # so only the extra LU on a mirror pair sees it
-    exact = fredholm_module.Discretization.log_det
+    # F exp(-1e-5 sum_j Im s_j) breaks F(conj s) = conj F(s) on every grid
+    # point off the real axis, and leaves the points s_j = +-1 (all of
+    # them at g = 2) as they are
+    exact = counting_module._torus_values
     only_self_conjugate = joint_pmf((0.0, 0.5, 1.0), 0.01, 0).table  # g = 2
 
-    def skewed(self, weights):
-        return exact(self, weights) - 1e-5 * sum(v.imag for v in weights.values)
+    def skewed(grams, phases):
+        im = phases.imag
+        return exact(grams, phases) * np.exp(-1e-5 * np.add.outer(im, im))
 
-    monkeypatch.setattr(fredholm_module.Discretization, "log_det", skewed)
+    monkeypatch.setattr(counting_module, "_torus_values", skewed)
     for k in (1, 2, 3):  # g = 4, 6, 8
         with pytest.raises(NumericalError, match=r"F\(conj s\) departs from conj F\(s\)"):
             joint_pmf((0.0, 0.5, 1.0), 2.0, k)
     assert np.array_equal(joint_pmf((0.0, 0.5, 1.0), 0.01, 0).table, only_self_conjugate)
+
+
+def test_pmf_factor_has_low_rank_and_meets_its_stopping_rule():
+    # the count_inversion bench partition at r = 0.5 to 1.5: rho of 6 to 8
+    # columns out of N = 192, residual trace at most eps tr(B)
+    for r in (0.5, 1.0, 1.5):
+        disc = fredholm_module.Discretization((0.0, 0.5, 1.1, 1.7), r, 64)
+        v = counting_module._pivoted_cholesky(disc)
+        b = np.sqrt(disc.rule.weights)[:, None] * disc.kernel * np.sqrt(disc.rule.weights)[None, :]
+        eps_trace = np.finfo(float).eps * np.trace(b)
+        assert v.shape[0] == 192 and v.shape[1] < 192
+        assert np.trace(b - v @ v.T) <= eps_trace
+        assert np.max(np.abs(b - v @ v.T)) <= eps_trace
 
 
 def test_counting_keeps_order_and_sign_checks(monkeypatch):

@@ -14,11 +14,16 @@ Evaluation is Nystrom discretization on composite Gauss-Legendre nodes
 followed by a pivoted-LU log-determinant.  The discretization depends
 on (partition, r, n) only and is built once per `Discretization`: the
 kernel is filled one interval's rows at a time from the diagonal block
-rightwards, and each block's transpose is mirrored into the lower part,
-so K is symmetric bit for bit at about (m + 1) / (2m) of the full fill.
-Each weight then costs one factorization of I - K diag(c), assembled in
-Fortran order (`_nystrom_matrix`) so that the LU overwrites it instead
-of copying it.  A truncated series evaluation `series_det` provides an
+rightwards, as (sin t_a cos t_b - cos t_a sin t_b) / (pi (t_a - t_b))
+from one sine and one cosine per node, and each block's transpose is
+mirrored into the lower part.  K is symmetric bit for bit, exactly 1/pi
+on the diagonal, and off it within about 3 eps / (pi |t_a - t_b|) of
+the kernel at the node doubles.  That error is large only where the
+node spacing, and so the quadrature weight w_b, is as small, so each
+K_ab w_b is right to a few eps.  Each weight then costs one
+factorization of I - K diag(c), assembled in Fortran order
+(`_nystrom_matrix`) so that the LU overwrites it instead of copying
+it.  A truncated series evaluation `series_det` provides an
 independent cross-check route for small instances and is deliberately
 kept free of any LU code.
 
@@ -246,9 +251,10 @@ class DeterminantResult:
 
 def sine_kernel(x, y):
     """sin(x - y) / (pi (x - y)), with the diagonal limit 1/pi."""
-    # np.sinc(d / pi) / pi computed in place, with the same roundings:
-    # the kernel fill is the largest layer of a determinant, and most of
-    # np.sinc's time went to its five full-size temporaries.
+    # np.sinc(d / pi) / pi computed in place, with the same roundings.
+    # This pointwise form, not the separable fill of `Discretization`, is
+    # the reference that `series_det` and the tests use: it keeps its
+    # relative accuracy for near-coincident x and y.
     d = np.asarray(np.subtract(x, y), dtype=float)
     d /= math.pi
     d *= math.pi
@@ -310,9 +316,14 @@ class Discretization:
     weights through `log_det`, each one a weight column, an in-place
     matrix assembly and one factorization.  The kernel is filled in
     blocks: the rows of interval k against the nodes of intervals k..m,
-    each block's transpose mirrored below the diagonal, so `kernel` is
-    exactly symmetric and equals `sine_kernel(t[:, None], t[None, :])`
-    bit for bit.  The Nystrom method is Bornemann's (Math. Comp. 79,
+    each block's transpose mirrored below the diagonal.  Each entry is
+    sin(t_a - t_b) written as sin t_a cos t_b - cos t_a sin t_b, so a
+    kernel of size N takes 2N sines and cosines instead of N^2 sines.
+    `kernel` is exactly symmetric (the numerator and t_a - t_b both
+    change sign exactly when a and b swap), exactly 1/pi on the
+    diagonal, and off it within about 3 eps / (pi |t_a - t_b|) of the
+    kernel at the node doubles, so |dK_ab w_b| stays at a few eps on
+    Gauss nodes.  The Nystrom method is Bornemann's (Math. Comp. 79,
     2010).
     """
 
@@ -324,11 +335,20 @@ class Discretization:
         self.partition, self.r, self.n = partition, r, n
         self.rule = composite_rule(partition, r, n)
         t = self.rule.nodes
+        sin_t, cos_t = np.sin(t), np.cos(t)
         self.kernel = np.empty((len(t), len(t)))
         for lo in range(0, len(t), n):  # one interval's rows, diagonal block rightwards
-            block = sine_kernel(t[lo : lo + n, None], t[None, lo:])
-            self.kernel[lo : lo + n, lo:] = block
-            self.kernel[lo:, lo : lo + n] = block.T
+            rows = slice(lo, lo + n)
+            block = self.kernel[rows, lo:]
+            np.multiply.outer(sin_t[rows], cos_t[lo:], out=block)
+            scratch = np.multiply.outer(cos_t[rows], sin_t[lo:])
+            block -= scratch
+            np.subtract.outer(t[rows], t[lo:], out=scratch)
+            scratch *= math.pi
+            scratch.ravel()[:: len(t) - lo + 1] = 1.0  # the diagonal: 0 / 1, not 0 / 0
+            block /= scratch
+            self.kernel[lo + n :, rows] = block[:, n:].T
+        np.fill_diagonal(self.kernel, 1.0 / math.pi)
         self.kernel.setflags(write=False)
 
     def halved(self) -> "Discretization":

@@ -66,7 +66,8 @@ class GapModes:
     `coefficients[:, k]` holds psi_k in the orthonormal Legendre basis
     (degrees 0..degree); `gaps[k]` = 1 - lambda_k to relative accuracy;
     `rounding` is the largest relative rounding bound of the values
-    psi_k(1) that the gaps below DIRECT_GAP are built from (0 if none).
+    psi_k(1) that the gaps below DIRECT_GAP are built from (0 if none,
+    inf if one of them rounds to 0.0).
     """
 
     c: float
@@ -178,6 +179,9 @@ def gap_modes(c: float, tau: float) -> GapModes:
     rounding = 0.0
     for k in range(small):
         j, beta, edge, _ = mode(k)
+        if edge == 0.0:  # psi_k(1) rounded away entirely: no digit is left
+            rounding = math.inf
+            break
         rounding = max(rounding, EPS * float(np.sqrt(j + 0.5) @ np.abs(beta)) / abs(float(edge)))
     if small:
         gaps[:small] = 0.0

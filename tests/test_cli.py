@@ -430,6 +430,15 @@ def test_aliased_pmf_exits_3_with_empty_stdout(capsys):
     assert "raise K" in err
 
 
+def test_hard_gap_whose_edge_value_rounds_to_zero_exits_3(capsys):
+    # at r = 132.7 the zeroed interval has half-length 39.8, where psi_0(1)
+    # rounds to 0.0: a numerical failure with one message, not a crash
+    code, out, err = run_cli(capsys, "converge", "--x", "0,0.5,1.1,1.7", "--p", "2", "--u", "0.8,-1.32",
+                             "--r-range", "5:200:10", "--n", "128")
+    assert (code, out) == (3, "")
+    assert "rounding bound inf" in err and "Traceback" not in err
+
+
 def _readme_examples():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = text.split("Examples:", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

@@ -415,17 +415,67 @@ def test_discretization_validation_and_sign_check(monkeypatch):
     assert disc.log_det((1j,)) == complex(-1.0, 0.5)  # complex weights have no sign to lose
 
 
-def test_block_kernel_fill_is_the_full_fill_bit_for_bit():
-    # rows of interval k against intervals k..m, mirrored below the diagonal
+def test_kernel_fill_is_symmetric_and_within_its_rounding_bound():
+    # the fill is sin t_a cos t_b - cos t_a sin t_b over pi (t_a - t_b):
+    # exactly symmetric, exactly 1/pi on the diagonal, and off it within
+    # 3 eps / (pi |t_a - t_b|) of the kernel at the node doubles; against
+    # the reference form the rounding of t_a - t_b inside sine_kernel adds
+    # the |t_a| + |t_b| term.  Weighted by w_b, which is as small as the
+    # node spacing, the difference stays at a few eps.
+    eps = np.finfo(float).eps
     for endpoints in ((0.0, 0.7), (0.0, 0.5, 1.2), (0.0, 0.5, 1.1, 1.7), (0.0, 0.5, 1.1, 1.7, 2.5)):
-        for r in (1.0, 23.0):
-            disc = Discretization(endpoints, r, 9)
-            for d in (disc, disc.halved()):  # n = 9, then 4
-                t = d.rule.nodes
-                assert d.kernel.shape == (len(t), len(t)) == (d.n * (len(endpoints) - 1),) * 2
-                assert np.array_equal(d.kernel, sine_kernel(t[:, None], t[None, :]))
-                assert np.array_equal(d.kernel, d.kernel.T)
-            assert disc.halved().n == 4
+        for r in (1e-3, 1.0, 23.0, 200.0):
+            for n in (9, 128):
+                disc = Discretization(endpoints, r, n)
+                for d in (disc, disc.halved()):
+                    t = d.rule.nodes
+                    assert d.kernel.shape == (len(t), len(t)) == (d.n * (len(endpoints) - 1),) * 2
+                    assert np.array_equal(d.kernel, d.kernel.T)
+                    assert np.all(np.diagonal(d.kernel) == 1.0 / math.pi)
+                assert disc.halved().n == n // 2
+                t, w = disc.rule.nodes, disc.rule.weights
+                diff = np.abs(disc.kernel - sine_kernel(t[:, None], t[None, :]))
+                dist = np.abs(np.subtract.outer(t, t))
+                np.fill_diagonal(dist, 1.0)  # diff is 0 there
+                size = np.abs(t)
+                bound = 4.0 * eps * (1.0 + size[:, None] + size[None, :]) / (math.pi * dist)
+                assert np.all(diff <= bound), (endpoints, r, n)
+                assert np.max(diff * w[None, :]) <= 8.0 * eps, (endpoints, r, n)
+
+
+# (endpoints, r, n, a, b, t_a, t_b, K(t_a, t_b)): sin(t_a - t_b) /
+# (pi (t_a - t_b)) at the node doubles in 40-digit arithmetic (mpmath),
+# printed to 30 digits.  The first two pairs are adjacent nodes across an
+# interval boundary.
+KERNEL_REFERENCES = (
+    ((0.0, 0.5, 1.1, 1.7), 200.0, 128, 127, 128, 99.9912443973566, 100.01050672317207,
+     0.318290202414369433316996085913),
+    ((0.0, 0.5, 1.1, 1.7), 200.0, 128, 255, 256, 219.98949327682794, 220.0105067231721,
+     0.318286460954028201323046380544),
+    ((0.0, 0.5, 1.1, 1.7), 200.0, 128, 63, 64, 49.38881505196921, 50.61118494803079,
+     0.244756520569842504952499309465),
+    ((0.0, 0.5, 1.1, 1.7), 200.0, 128, 0, 383, 0.008755602643404359, 339.9894932768279,
+     0.00059504666104254494800314193571),
+    ((0.0, 0.7), 1e-3, 9, 3, 4, 0.00023651130180866688, 0.00035,
+     0.318309885500502181215722568145),
+    ((0.0, 0.5, 1.2), 23.0, 9, 2, 15, 2.2231142619716056, 24.48764003323975,
+     -0.00385989878268230294809505752549),
+)
+
+
+def test_kernel_fill_matches_extended_precision_entries():
+    eps = np.finfo(float).eps
+    for endpoints, r, n, a, b, t_a, t_b, want in KERNEL_REFERENCES:
+        disc = Discretization(endpoints, r, n)
+        moved_a, moved_b = disc.rule.nodes[a] - t_a, disc.rule.nodes[b] - t_b
+        assert max(abs(moved_a), abs(moved_b)) <= 1e-13 * max(1.0, abs(t_a), abs(t_b))
+        # a rule whose nodes differ from the references' in the last bits
+        # (np.cos differs by an ulp between CPUs) moves K to first order
+        d = t_a - t_b
+        want += (math.cos(d) - math.sin(d) / d) / (math.pi * d) * (moved_a - moved_b)
+        tol = 3.0 * eps / (math.pi * abs(d)) + 2.0 * eps * abs(want)
+        for got in (disc.kernel[a, b], disc.kernel[b, a]):
+            assert abs(got - want) <= tol, (endpoints, r, n, a, b, got - want)
 
 
 def test_nystrom_matrix_is_identity_minus_weighted_kernel_bit_for_bit():

@@ -56,3 +56,11 @@ def test_rounding_bound_grows_with_the_gap():
     assert 1e-9 < gap_modes(24.0, 1e-4).rounding < 1e-5
     assert gap_modes(36.0, 1e-4).rounding > 1e-3
     assert math.isfinite(gap_modes(36.0, 1e-4).gaps[0])
+
+
+def test_edge_value_rounded_to_zero_gives_an_infinite_rounding_bound():
+    # psi_0(1) rounds to exactly 0.0 at some half-lengths between 39 and
+    # 40; no digit of it is left, so the bound is inf, not a division by 0
+    modes = gap_modes(39.05, 1e-4)
+    assert modes.rounding == math.inf
+    assert np.all(np.isfinite(modes.gaps))

@@ -52,6 +52,14 @@ __all__ = [
 
 NEGATIVE_TOL = 1e-9
 IMAG_TOL = 1e-8
+# The torus grid of `joint_pmf` has g^m cells, g = 2 max(K_j) + 2, and
+# `_torus_values` holds g^(m-1) complex rho x rho matrices at once, so
+# time and memory grow with the cell count (and with rho^2).  The bound
+# admits m = 4 at K <= 10 and m = 6 at K <= 3; with six intervals of
+# 0.5 at K = 3 one process took 0.6 s and a peak RSS of 101 MB at r = 1
+# (rho = 8), and 2.8 s and 326 MB at r = 6 (rho = 17).  Fewer intervals
+# admit larger K: K <= 31 at m = 3, K <= 255 at m = 2.
+MAX_TORUS_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -71,16 +79,20 @@ class JointPMF:
 
 
 def _checked_counts(max_counts: Sequence[int] | int, m: int) -> tuple[int, ...]:
-    """The table bounds K_j of `joint_pmf` on m <= 3 intervals: one
-    integer K_j >= 0 per interval, or one integer for all of them."""
-    if m > 3:
-        raise ValidationError(f"joint_pmf supports m <= 3 intervals, got m = {m}")
+    """The table bounds K_j of `joint_pmf` on m intervals: one integer
+    K_j >= 0 per interval, or one integer for all of them, with a torus
+    grid of at most MAX_TORUS_CELLS cells."""
     ks = max_counts
     if isinstance(ks, (int, np.integer)) and not isinstance(ks, bool):
         ks = (int(ks),) * m
     ks = tuple(int(k) for k in ks)
     if len(ks) != m or any(k < 0 for k in ks):
         raise ValidationError(f"max_counts must give one K_j >= 0 per interval, got {max_counts!r}")
+    g = 2 * max(ks) + 2
+    if g**m > MAX_TORUS_CELLS:
+        raise ValidationError(
+            f"joint_pmf's torus grid of (2 max K + 2)^m = {g}^{m} cells exceeds {MAX_TORUS_CELLS}"
+        )
     return ks
 
 
@@ -90,10 +102,11 @@ def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int 
     P(k) = (2 pi)^{-m} \\int F(e^{i theta}) e^{-i k . theta} dtheta is
     evaluated with a uniform grid of g = 2 max(K_j) + 2 points per
     dimension; the trapezoid rule on the torus is a plain DFT, so the
-    grid values are FFT'd.  Supported for m <= 3.  By normalization the
-    full DFT sums to F(1) = 1 exactly, and the mass not in the table is
-    reported as residual_mass.  The sine kernel is built once at order
-    n_quad, and no n/2 error-estimate pass is made.
+    grid values are FFT'd.  The grid may have at most MAX_TORUS_CELLS =
+    2^18 cells.  By normalization the full DFT sums to F(1) = 1 exactly,
+    and the mass not in the table is reported as residual_mass.  The
+    sine kernel is built once at order n_quad, and no n/2 error-estimate
+    pass is made.
 
     The grid values come from one low-rank factor, not one LU each:
     B = W^{1/2} K W^{1/2} ~ V V^T by the diagonally pivoted Cholesky of

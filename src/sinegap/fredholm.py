@@ -11,21 +11,15 @@ entire function of s, so complex weights (unit-circle values for
 probability inversion) are accepted alongside real nonnegative ones.
 
 Evaluation is Nystrom discretization on composite Gauss-Legendre nodes
-followed by a pivoted-LU log-determinant.  The discretization depends
-on (partition, r, n) only and is built once per `Discretization`: the
-kernel is filled one interval's rows at a time from the diagonal block
-rightwards, as (sin t_a cos t_b - cos t_a sin t_b) / (pi (t_a - t_b))
-from one sine and one cosine per node, and each block's transpose is
-mirrored into the lower part.  K is symmetric bit for bit, exactly 1/pi
-on the diagonal, and off it within about 3 eps / (pi |t_a - t_b|) of
-the kernel at the node doubles.  That error is large only where the
-node spacing, and so the quadrature weight w_b, is as small, so each
-K_ab w_b is right to a few eps.  Each weight then costs one
-factorization of I - K diag(c), assembled in Fortran order
-(`_nystrom_matrix`) so that the LU overwrites it instead of copying
-it.  A truncated series evaluation `series_det` provides an
-independent cross-check route for small instances and is deliberately
-kept free of any LU code.
+(Bornemann, Math. Comp. 79, 2010) followed by a pivoted-LU
+log-determinant.  Every kernel is filled by `_kernel_matrix` and every
+Nystrom matrix is assembled and factored by `_log_det`; a
+`Discretization` holds the weight-independent part for (partition, r,
+n), so each weight costs one factorization of I - K diag(c), assembled
+in Fortran order (`_nystrom_matrix`) so that the LU overwrites it
+instead of copying it.  A truncated series evaluation `series_det`
+provides an independent cross-check route for small instances and is
+deliberately kept free of any LU code.
 
 Hard gaps.  A zeroed interval G = (r x_{p-1}, r x_p) of real weights
 (s_p = 0) is a hard gap: K on G has eigenvalues lambda_k within about
@@ -37,11 +31,11 @@ gap of 0.6.  Every real weight configuration takes one route
 deflated.  1 - lambda_k and the eigenfunctions come from prolate
 spheroidal wave functions (`prolate.gap_modes`) to relative accuracy,
 and the LU factors a matrix of the same size whose condition on that
-interval is about 1 / HARD_GAP_TAU (`_deflated_log_det`).  Inputs
-without such a mode keep the plain LU and its exact output.  A run of
-adjacent zero weights is one hard gap and is merged into one interval
-first.  Where the prolate values themselves lose their digits, the
-route raises NumericalError (see HARD_GAP_MAX_ROUNDING).  With zeros on
+interval is about 1 / HARD_GAP_TAU (`_log_det`).  Inputs without such
+a mode keep the plain LU and its exact output.  A run of adjacent zero
+weights is one hard gap and is merged into one interval first.  Where
+the prolate values themselves lose their digits, the route raises
+NumericalError (see HARD_GAP_MAX_ROUNDING).  With zeros on
 separated intervals the other gaps stay in the LU: the route raises
 NumericalError where eps / (1 - lambda_0) of some zeroed interval
 exceeds the same bound, and below it their `error_estimate` counts N
@@ -251,23 +245,10 @@ class DeterminantResult:
 
 def sine_kernel(x, y):
     """sin(x - y) / (pi (x - y)), with the diagonal limit 1/pi."""
-    # np.sinc(d / pi) / pi computed in place, with the same roundings.
-    # This pointwise form, not the separable fill of `Discretization`, is
+    # This pointwise form, not the separable fill of `_kernel_matrix`, is
     # the reference that `series_det` and the tests use: it keeps its
     # relative accuracy for near-coincident x and y.
-    d = np.asarray(np.subtract(x, y), dtype=float)
-    d /= math.pi
-    d *= math.pi
-    d[d == 0.0] = np.finfo(float).eps  # sin(eps) / eps = 1, as in np.sinc
-    k = np.sin(d)
-    k /= d
-    k /= math.pi
-    return k[()]
-
-
-def _weight_column(rule, weights: WeightConfiguration) -> np.ndarray:
-    s = weights.as_array()
-    return rule.weights * (1.0 - s[rule.interval_index])
+    return np.sinc(np.subtract(x, y) / math.pi) / math.pi
 
 
 def _as_partition(partition) -> IntervalPartition:
@@ -307,56 +288,55 @@ def _check_sign(weights: WeightConfiguration, log_f: complex) -> None:
         )
 
 
+def _kernel_matrix(rule) -> np.ndarray:
+    """The sine kernel on the nodes of the composite rule `rule`, read-only.
+
+    It is filled in blocks: the rows of interval k against the nodes of
+    intervals k..m, each block's transpose mirrored below the diagonal.
+    Each entry is sin(t_a - t_b) written as sin t_a cos t_b -
+    cos t_a sin t_b, so a kernel of size N takes 2N sines and cosines
+    instead of N^2 sines.  The kernel is exactly symmetric (the
+    numerator and t_a - t_b both change sign exactly when a and b swap),
+    exactly 1/pi on the diagonal, and off it within about
+    3 eps / (pi |t_a - t_b|) of the kernel at the node doubles.  That
+    error is large only where the node spacing, and so the quadrature
+    weight w_b, is as small, so each K_ab w_b is right to a few eps.
+    """
+    n, t = rule.n_per_interval, rule.nodes
+    sin_t, cos_t = np.sin(t), np.cos(t)
+    kernel = np.empty((len(t), len(t)))
+    for lo in range(0, len(t), n):  # one interval's rows, diagonal block rightwards
+        rows = slice(lo, lo + n)
+        block = kernel[rows, lo:]
+        np.multiply.outer(sin_t[rows], cos_t[lo:], out=block)
+        scratch = np.multiply.outer(cos_t[rows], sin_t[lo:])
+        block -= scratch
+        np.subtract.outer(t[rows], t[lo:], out=scratch)
+        scratch *= math.pi
+        scratch.ravel()[:: len(t) - lo + 1] = 1.0  # the diagonal: 0 / 1, not 0 / 0
+        block /= scratch
+        kernel[lo + n :, rows] = block[:, n:].T
+    np.fill_diagonal(kernel, 1.0 / math.pi)
+    kernel.setflags(write=False)
+    return kernel
+
+
 class Discretization:
     """The weight-independent part of log F at order n: the composite
     Gauss-Legendre rule with n nodes per interval of the scaled partition
-    (`rule`), and the sine kernel on its nodes (`kernel`, read-only).
+    (`rule`), and the sine kernel on its nodes (`kernel`, read-only, see
+    `_kernel_matrix`).
 
     Built once for (partition, r, n), it gives log F at any number of
     weights through `log_det`, each one a weight column, an in-place
-    matrix assembly and one factorization.  The kernel is filled in
-    blocks: the rows of interval k against the nodes of intervals k..m,
-    each block's transpose mirrored below the diagonal.  Each entry is
-    sin(t_a - t_b) written as sin t_a cos t_b - cos t_a sin t_b, so a
-    kernel of size N takes 2N sines and cosines instead of N^2 sines.
-    `kernel` is exactly symmetric (the numerator and t_a - t_b both
-    change sign exactly when a and b swap), exactly 1/pi on the
-    diagonal, and off it within about 3 eps / (pi |t_a - t_b|) of the
-    kernel at the node doubles, so |dK_ab w_b| stays at a few eps on
-    Gauss nodes.  The Nystrom method is Bornemann's (Math. Comp. 79,
-    2010).
+    matrix assembly and one factorization.
     """
 
     def __init__(self, partition, r: float, n: int):
-        partition = _as_partition(partition)
-        self._build(partition, _check_r(r), _check_order(n))
-
-    def _build(self, partition: IntervalPartition, r: float, n: int) -> None:
-        self.partition, self.r, self.n = partition, r, n
-        self.rule = composite_rule(partition, r, n)
-        t = self.rule.nodes
-        sin_t, cos_t = np.sin(t), np.cos(t)
-        self.kernel = np.empty((len(t), len(t)))
-        for lo in range(0, len(t), n):  # one interval's rows, diagonal block rightwards
-            rows = slice(lo, lo + n)
-            block = self.kernel[rows, lo:]
-            np.multiply.outer(sin_t[rows], cos_t[lo:], out=block)
-            scratch = np.multiply.outer(cos_t[rows], sin_t[lo:])
-            block -= scratch
-            np.subtract.outer(t[rows], t[lo:], out=scratch)
-            scratch *= math.pi
-            scratch.ravel()[:: len(t) - lo + 1] = 1.0  # the diagonal: 0 / 1, not 0 / 0
-            block /= scratch
-            self.kernel[lo + n :, rows] = block[:, n:].T
-        np.fill_diagonal(self.kernel, 1.0 / math.pi)
-        self.kernel.setflags(write=False)
-
-    def halved(self) -> "Discretization":
-        """The same partition and r at order n // 2 (which may be below 8):
-        the coarse pass of `fredholm_det`'s error estimate."""
-        half = Discretization.__new__(Discretization)
-        half._build(self.partition, self.r, self.n // 2)
-        return half
+        self.partition = _as_partition(partition)
+        self.r, self.n = _check_r(r), _check_order(n)
+        self.rule = composite_rule(self.partition, self.r, self.n)
+        self.kernel = _kernel_matrix(self.rule)
 
     def log_det(self, weights) -> complex:
         """log F at `weights` (one per interval), by the same route as
@@ -366,15 +346,9 @@ class Discretization:
         if partition is not self.partition:  # merged zeros: fewer intervals, another rule
             return Discretization(partition, self.r, self.n).log_det(weights)
         gap, _ = _hard_gap_route(partition, weights, self.r)
-        log_f = self._log_det(weights, gap)
+        log_f = _log_det(self.rule, self.kernel, weights, gap)
         _check_sign(weights, log_f)
         return log_f
-
-    def _log_det(self, weights, gap) -> complex:
-        c = _weight_column(self.rule, weights)
-        if gap is not None:
-            return _deflated_log_det(self.rule, self.kernel, c, *gap)
-        return _lu_log_det(_nystrom_matrix(self.kernel, c))
 
 
 def _nystrom_matrix(kernel, c) -> np.ndarray:
@@ -388,18 +362,19 @@ def _nystrom_matrix(kernel, c) -> np.ndarray:
     return mat
 
 
-def lu_factor(a, overwrite_a=False):
-    """scipy.linalg.lu_factor, imported on the first call: commands that
-    factor no matrix (the PMF, the expansions, the cumulants) then never
-    load scipy.linalg, which costs about 0.25 s and 27 MB per process."""
+def lu_factor(a):
+    """scipy.linalg.lu_factor overwriting `a`, imported on the first
+    call: commands that factor no matrix (the PMF, the expansions, the
+    cumulants) then never load scipy.linalg, which costs about 0.25 s
+    and 27 MB per process."""
     from scipy.linalg import lu_factor as scipy_lu_factor
 
-    return scipy_lu_factor(a, overwrite_a=overwrite_a)
+    return scipy_lu_factor(a, overwrite_a=True)
 
 
 def _lu_log_det(mat) -> complex:
     """log det(mat) by a pivoted LU that overwrites `mat`."""
-    lu, piv = lu_factor(mat, overwrite_a=True)
+    lu, piv = lu_factor(mat)
     diag = np.diagonal(lu)
     if np.any(diag == 0.0):
         raise NumericalError("zero pivot in LU: quadrature order too small or invalid input")
@@ -461,16 +436,19 @@ def _hard_gap_route(partition, weights, r):
     return (k, modes), lu_rounding
 
 
-def _deflated_log_det(rule, kernel, c, k, modes) -> complex:
-    """log det(I - K diag(c)) with the prolate modes of interval k deflated.
+def _log_det(rule, kernel, weights: WeightConfiguration, gap) -> complex:
+    """log det(I - K diag(c)) with c = w (1 - s) on the nodes of `rule`
+    and K = `kernel`, by one pivoted LU; with gap = (k, modes) from
+    `_hard_gap_route`, the prolate modes of interval k are deflated
+    first.
 
     With G the nodes of interval k (where c = w) and R the rest, the
     matrix is similar to [[I - B, -E^T C_R], [-E, A_RR]], with
     B = W^{1/2} K_GG W^{1/2}, E = K_RG W^{1/2}, C_R = diag(c_R) and
-    A_RR = I - K_RR C_R.  B has
-    eigenpairs (lambda_j, q_j), q = W^{1/2} psi(nodes) / sqrt(h) on the
-    half-length h, and 1 - lambda_j is known to relative accuracy, so
-    with B' = B - Q diag(lambda) Q^T,
+    A_RR = I - K_RR C_R.  B has eigenpairs (lambda_j, q_j),
+    q = W^{1/2} psi(nodes) / sqrt(h) on the half-length h, and
+    1 - lambda_j is known to relative accuracy, so with
+    B' = B - Q diag(lambda) Q^T,
 
         det = prod_j (1 - lambda_j)
               * det [[I - B', -E^T C_R],
@@ -481,31 +459,36 @@ def _deflated_log_det(rule, kernel, c, k, modes) -> complex:
     factored is as large as the plain one, and G adds no more than
     1 / HARD_GAP_TAU to its condition; R may hold other zeroed intervals.
     """
-    n = rule.n_per_interval
-    g = slice(k * n, (k + 1) * n)
-    base = gauss_legendre(n)
-    psi = modes.at_gauss_nodes(n)  # G's nodes are the base nodes mapped onto it
-    lam = 1.0 - modes.gaps
+    s = weights.as_array()
+    c = rule.weights * (1.0 - s[rule.interval_index])
     mat = _nystrom_matrix(kernel, c)
-    root_w = np.sqrt(rule.weights[g])
-    mat[g, :] *= root_w[:, None]
-    mat[:, g] /= root_w[None, :]
-    q = np.sqrt(base.weights)[:, None] * psi  # W^{1/2} psi / sqrt(h), w = h * base weight
-    mat[g, g] += (q * lam) @ q.T
-    if len(c) > n:  # R is not empty
-        eq = kernel[:, g] @ (rule.weights[g][:, None] * psi) / math.sqrt(modes.c)
-        eq[g] = 0.0  # E Q lives on R; zero rows keep G untouched
-        mat_t = mat.T  # a C-order view, so the update runs in mat's own memory order
-        mat_t -= (c[:, None] * eq) @ (eq * (lam / modes.gaps)).T
-    return float(np.sum(np.log(modes.gaps))) + _lu_log_det(mat)
+    if gap is not None:
+        k, modes = gap
+        n = rule.n_per_interval
+        g = slice(k * n, (k + 1) * n)
+        base = gauss_legendre(n)
+        psi = modes.at_gauss_nodes(n)  # G's nodes are the base nodes mapped onto it
+        lam = 1.0 - modes.gaps
+        root_w = np.sqrt(rule.weights[g])
+        mat[g, :] *= root_w[:, None]
+        mat[:, g] /= root_w[None, :]
+        q = np.sqrt(base.weights)[:, None] * psi  # W^{1/2} psi / sqrt(h), w = h * base weight
+        mat[g, g] += (q * lam) @ q.T
+        if len(c) > n:  # R is not empty
+            eq = kernel[:, g] @ (rule.weights[g][:, None] * psi) / math.sqrt(modes.c)
+            eq[g] = 0.0  # E Q lives on R; zero rows keep G untouched
+            mat_t = mat.T  # a C-order view, so the update runs in mat's own memory order
+            mat_t -= (c[:, None] * eq) @ (eq * (lam / modes.gaps)).T
+    log_f = _lu_log_det(mat)
+    return log_f if gap is None else float(np.sum(np.log(modes.gaps))) + log_f
 
 
 def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult:
     """log F for the weighted multi-interval sine kernel at scale r.
 
     `n` is the Gauss-Legendre order per interval (8 to 2048); the result is
-    computed on a `Discretization` at n and on one at n//2, and the
-    modulus of the difference is reported as `error_estimate`.  Callers
+    computed at orders n and n//2, and the modulus of the difference is
+    reported as `error_estimate`.  Callers
     that evaluate many weights on one partition and r, and do not need
     the estimate, should call `Discretization(partition, r, n).log_det`
     instead: it builds the kernel once and skips the n//2 pass.
@@ -539,8 +522,9 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
 
     full = Discretization(partition, r, n)
     gap, lu_rounding = _hard_gap_route(partition, weights, full.r)
-    log_full = full._log_det(weights, gap)
-    log_half = full.halved()._log_det(weights, gap)
+    log_full = _log_det(full.rule, full.kernel, weights, gap)
+    half = composite_rule(partition, full.r, n // 2)
+    log_half = _log_det(half, _kernel_matrix(half), weights, gap)
     # rounding that the difference of the two orders need not show is
     # added as its bound: the prolate 1 - lambda_k are shared by both
     # passes, and the LU's rounding on a zeroed interval is no smaller

@@ -144,6 +144,11 @@ def test_pmf_table_and_residual_row(capsys):
     k_cell, residual = lines[-1].split(",")
     assert k_cell == ""
     assert abs(float(residual)) < 1e-8
+    # four intervals: 3^4 counts and the residual row
+    code, out, _ = run_cli(capsys, "pmf", "--x", "0,0.2,0.4,0.6,0.8", "--r", "1", "--k", "2")
+    lines = out.strip().split("\n")
+    assert code == 0 and lines[0] == "k_1,k_2,k_3,k_4,probability" and len(lines) == 83
+    assert lines[-1].startswith(",,,,")
 
 
 def test_stats_long_format(capsys):
@@ -304,6 +309,10 @@ def test_all_validation_errors_reported_at_once(capsys):
     assert "strictly increasing" in err
     assert "--r" in err
     assert "--s / --u" in err
+    code, out, err = run_cli(capsys, "fredholm", "--s", "0.5", "--r", "2")
+    assert (code, out) == (2, "") and "error: --x is required" in err
+    code, out, err = run_cli(capsys, "fredholm", "--x", "0,1", "--s", "0.5", "--r", "2", "--format", "xml")
+    assert (code, out) == (2, "") and "error: --format: choose from csv, json, got 'xml'" in err
 
 
 def test_s_and_u_are_exclusive(capsys):
@@ -363,7 +372,7 @@ VALUE_ERRORS = [
     (("converge", "--x", "0,1", "--u=-1", "--r-range", "5:inf:4"), "--r-range", lambda: _check_r(math.inf)),
     (("fredholm", "--x", "0,1", "--s", "0.5", "--r", "2", "--n", "4"), "--n", lambda: _check_order(4)),
     (("pmf", "--x", "0,1", "--r", "2", "--k", "-1"), "--k", lambda: _checked_counts(-1, 1)),
-    (("pmf", "--x", "0,1,2,3,4", "--r", "2", "--k", "1"), "--k", lambda: _checked_counts(1, 4)),
+    (("pmf", "--x", "0,1,2,3,4", "--r", "2", "--k", "11"), "--k", lambda: _checked_counts(11, 4)),
     (("fredholm", "--x", "0,1", "--s", "-0.5", "--r", "2"), "--s",
      lambda: WeightConfiguration((-0.5,))),
     (("fredholm", "--x", "0,1", "--s", "0.5,0.5", "--r", "2"), "--s",

@@ -85,6 +85,22 @@ def test_pmf_marginal_consistency():
     single = joint_pmf((0.0, 0.5), 2.0, 5)
     marginal = joint.table.sum(axis=1)
     assert np.max(np.abs(marginal - single.table)) < 1e-8
+    # on four and five intervals each one-interval marginal is that
+    # interval's Poisson-binomial law, short of it by no more than the
+    # mass outside the table
+    for endpoints, r, k in (
+        ((0.0, 0.2, 0.4, 0.6, 0.8), 1.0, 2),
+        ((0.0, 0.3, 0.7, 1.0, 1.4), 3.0, 5),
+        ((0.0, 0.5, 1.1, 1.7, 2.5, 3.0), 2.0, 3),
+    ):
+        joint = joint_pmf(endpoints, r, k)
+        m = len(endpoints) - 1
+        assert joint.table.shape == (k + 1,) * m
+        assert abs(joint.table.sum() + joint.residual_mass - 1.0) < 1e-12
+        for j in range(m):
+            marginal = joint.table.sum(axis=tuple(a for a in range(m) if a != j))
+            single = _poisson_binomial(endpoints[j : j + 2], r, k)
+            assert np.max(np.abs(marginal - single)) <= abs(joint.residual_mass) + 1e-14, (endpoints, j)
 
 
 def test_pmf_residual_bound_with_wide_table():
@@ -106,8 +122,13 @@ def test_pmf_three_intervals_smoke():
 def test_pmf_aliased_grid_raises_and_validation():
     # mean 4.77 on a grid of 4 points, and mean 3.18 on 6 points: the
     # folded counts moved P(N = 1) to 0.529 (true 4.4e-8) and P(N = 0) to
-    # 6.8e-5 (true 1.6e-6)
-    for endpoints, r, k in (((0.0, 3.0), 5.0, 1), ((0.0, 1.0), 10.0, 2)):
+    # 6.8e-5 (true 1.6e-6); mean 1.6 per interval on 4 points at m = 4, 5
+    for endpoints, r, k in (
+        ((0.0, 3.0), 5.0, 1),
+        ((0.0, 1.0), 10.0, 2),
+        ((0.0, 1.0, 2.0, 3.0, 4.0), 5.0, 1),
+        ((0.0, 1.0, 2.0, 3.0, 4.0, 5.0), 5.0, 1),
+    ):
         with pytest.raises(NumericalError, match="raise K"):
             joint_pmf(endpoints, r, k)
     # the same intervals with K large enough
@@ -117,8 +138,14 @@ def test_pmf_aliased_grid_raises_and_validation():
         joint_pmf((0.0, 0.5), 1.0, (-1,))
     with pytest.raises(ValidationError):
         joint_pmf((0.0, 0.5, 1.0), 1.0, (2,))  # one K per interval
-    with pytest.raises(ValidationError):
-        joint_pmf((0.0, 0.2, 0.4, 0.6, 0.8), 1.0, 2)  # m = 4 unsupported
+    # a torus grid above MAX_TORUS_CELLS is refused before any kernel is
+    # built: 24^4 cells at m = 4, K = 11; 8^6 = 2^18 cells is the largest
+    # grid at m = 6
+    with pytest.raises(ValidationError, match="cells"):
+        joint_pmf((0.0, 0.2, 0.4, 0.6, 0.8), 1.0, 11)
+    assert counting_module._checked_counts(3, 6) == (3,) * 6
+    with pytest.raises(ValidationError, match="cells"):
+        counting_module._checked_counts((0, 0, 0, 0, 0, 4), 6)
 
 
 def test_pmf_table_read_only():
@@ -325,9 +352,8 @@ def test_counting_fills_one_kernel_and_factors_once_per_weight(monkeypatch):
 
         return wrapper
 
-    # a kernel is one Discretization build, however many blocks it fills
-    disc_class = fredholm_module.Discretization
-    monkeypatch.setattr(disc_class, "_build", counted("kernel", disc_class._build))
+    # a kernel is one _kernel_matrix call, however many blocks it fills
+    monkeypatch.setattr(fredholm_module, "_kernel_matrix", counted("kernel", fredholm_module._kernel_matrix))
     monkeypatch.setattr(fredholm_module, "lu_factor", counted("lu", fredholm_module.lu_factor))
 
     def run(fn, *args, **kwargs):

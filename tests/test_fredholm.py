@@ -19,12 +19,14 @@ from sinegap import (
     NumericalError,
     ValidationError,
     WeightConfiguration,
+    composite_rule,
     fredholm_det,
     reduced_indices,
     series_det,
     sine_kernel,
     thinned_gap_probability,
 )
+from sinegap.fredholm import _kernel_matrix
 
 # frozen from an independent prototype (numpy leggauss nodes + slogdet),
 # x = (0, 0.7, 1.2), s = (e^{-3.5}, e^{-2.4}), r = 20, n = 64
@@ -50,8 +52,8 @@ def test_sine_kernel_near_diagonal_taylor():
 
 
 def test_sine_kernel_is_numpy_sinc_bit_for_bit():
-    # the in-place fill must round exactly as np.sinc(d / pi) / pi does,
-    # so that determinants do not change in the last digit
+    # the pointwise reference that series_det and the kernel-fill tests
+    # use rounds exactly as np.sinc(d / pi) / pi does
     rng = np.random.default_rng(11)
     x = np.concatenate((rng.uniform(-60.0, 60.0, 300), [0.0, 1e-300, -2.5]))
     d = np.subtract(x[:, None], x[None, :])
@@ -408,7 +410,6 @@ def test_discretization_validation_and_sign_check(monkeypatch):
     disc = Discretization((0.0, 1.0), 2.0, 16)
     with pytest.raises(ValidationError):
         disc.log_det((0.5, 0.5))  # m mismatch
-    assert disc.halved().n == 8 and disc.halved().kernel.shape == (8, 8)
     monkeypatch.setattr(fredholm_module, "_lu_log_det", lambda mat: complex(-1.0, 0.5))
     with pytest.raises(NumericalError, match="lost determinant sign"):
         disc.log_det((0.5,))
@@ -427,12 +428,13 @@ def test_kernel_fill_is_symmetric_and_within_its_rounding_bound():
         for r in (1e-3, 1.0, 23.0, 200.0):
             for n in (9, 128):
                 disc = Discretization(endpoints, r, n)
-                for d in (disc, disc.halved()):
-                    t = d.rule.nodes
-                    assert d.kernel.shape == (len(t), len(t)) == (d.n * (len(endpoints) - 1),) * 2
-                    assert np.array_equal(d.kernel, d.kernel.T)
-                    assert np.all(np.diagonal(d.kernel) == 1.0 / math.pi)
-                assert disc.halved().n == n // 2
+                half = composite_rule(disc.partition, r, n // 2)
+                for rule, kernel in ((disc.rule, disc.kernel), (half, _kernel_matrix(half))):
+                    t = rule.nodes
+                    assert kernel.shape == (len(t), len(t)) == (rule.n_per_interval * (len(endpoints) - 1),) * 2
+                    assert np.array_equal(kernel, kernel.T)
+                    assert np.all(np.diagonal(kernel) == 1.0 / math.pi)
+                    assert not kernel.flags.writeable
                 t, w = disc.rule.nodes, disc.rule.weights
                 diff = np.abs(disc.kernel - sine_kernel(t[:, None], t[None, :]))
                 dist = np.abs(np.subtract.outer(t, t))
@@ -491,6 +493,7 @@ def test_nystrom_matrix_is_identity_minus_weighted_kernel_bit_for_bit():
 
 def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
     calls = {"kernel": 0, "lu": 0}
+    sizes = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -499,11 +502,19 @@ def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
 
         return wrapper
 
-    # a kernel is one Discretization build, however many blocks it fills
-    monkeypatch.setattr(Discretization, "_build", counted("kernel", Discretization._build))
+    fill = fredholm_module._kernel_matrix
+
+    def sized_fill(rule):
+        kernel = fill(rule)
+        sizes.append(len(kernel))
+        return kernel
+
+    # a kernel is one _kernel_matrix call, however many blocks it fills
+    monkeypatch.setattr(fredholm_module, "_kernel_matrix", counted("kernel", sized_fill))
     monkeypatch.setattr(fredholm_module, "lu_factor", counted("lu", fredholm_module.lu_factor))
     fredholm_det((0.0, 0.5, 1.0), (0.3, 0.6), 5.0)
-    assert calls == {"kernel": 2, "lu": 2}  # orders n and n // 2
+    assert calls == {"kernel": 2, "lu": 2}
+    assert sizes == [128, 64]  # orders n = 64 and n // 2 on two intervals
 
 
 def test_hard_gap_route_agrees_with_lu_where_lu_is_accurate(monkeypatch):

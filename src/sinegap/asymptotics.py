@@ -34,13 +34,14 @@ constant slot.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError
 from .fredholm import IntervalPartition, _as_partition, _checked_u, reduced_indices
 from .quadrature import _check_r
 from .specfun import DYSON_CONSTANT, EULER_GAMMA, barnes_pair
@@ -64,7 +65,7 @@ PI2 = math.pi * math.pi
 @dataclass(frozen=True)
 class ExpansionBreakdown:
     """One asymptotic value split by power of r.  `total` is always the
-    exact float sum of the four parts."""
+    exact float sum of the four parts; a non-finite one is a NumericalError."""
 
     r_squared_term: float
     r_linear_term: float
@@ -76,7 +77,7 @@ class ExpansionBreakdown:
         for name in ("r_squared_term", "r_linear_term", "log_r_term", "constant_term"):
             v = getattr(self, name)
             if not math.isfinite(v):
-                raise ValidationError(f"{name} is not finite: {v!r}")
+                raise NumericalError(f"{name} is not finite: {v!r}")
         object.__setattr__(
             self,
             "total",
@@ -108,6 +109,23 @@ class StatisticsTriple:
         return np.diagonal(self.cross)
 
 
+def _checked_arithmetic(fn):
+    """`fn`, with every ArithmeticError turned into NumericalError: numpy's
+    overflow, invalid value and division by zero, `math.pow`'s overflow
+    and a float division by zero."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return fn(*args, **kwargs)
+        except ArithmeticError as exc:
+            raise NumericalError(f"{fn.__name__} leaves double precision: {exc}") from None
+
+    return checked
+
+
+@_checked_arithmetic
 def dyson_gap_log(r: float, x0: float, x1: float) -> ExpansionBreakdown:
     """Gap law for a single empty interval (m = 1, s = 0):
 
@@ -119,7 +137,7 @@ def dyson_gap_log(r: float, x0: float, x1: float) -> ExpansionBreakdown:
     r = _check_r(r)
     (length,) = IntervalPartition((x0, x1)).lengths
     return ExpansionBreakdown(
-        r_squared_term=-((r * length) ** 2) / 8.0,
+        r_squared_term=-math.pow(r * length, 2) / 8.0,
         r_linear_term=0.0,
         log_r_term=-0.25 * math.log(r),
         constant_term=-0.25 * math.log(length) + DYSON_CONSTANT,
@@ -155,6 +173,7 @@ def _cumulant_terms(at_one, at_r, u, r: float, signs=1.0) -> tuple[float, float,
     )
 
 
+@_checked_arithmetic
 def positive_weights_expansion(partition, u: Sequence[float], r: float) -> ExpansionBreakdown:
     """Large-r law of log F for all-positive weights, parameterized by the
     log-ratios u_j = log(s_j / s_{j+1}), j = 1..m (s_{m+1} = 1):
@@ -181,6 +200,7 @@ def positive_weights_expansion(partition, u: Sequence[float], r: float) -> Expan
     )
 
 
+@_checked_arithmetic
 def zero_weight_expansion(partition, p: int, u: Sequence[float], r: float) -> ExpansionBreakdown:
     """Large-r law of log F with a hard gap on interval p (s_p = 0).
 
@@ -208,13 +228,14 @@ def zero_weight_expansion(partition, p: int, u: Sequence[float], r: float) -> Ex
     constant += -0.25 * math.log(gap) + DYSON_CONSTANT
     constant += math.fsum(barnes_pair(float(uj)) for uj in u)
     return ExpansionBreakdown(
-        r_squared_term=-((r * gap) ** 2) / 8.0,
+        r_squared_term=-math.pow(r * gap, 2) / 8.0,
         r_linear_term=linear,
         log_r_term=log_r - 0.25 * math.log(r),
         constant_term=constant,
     )
 
 
+@_checked_arithmetic
 def counting_stats(partition, r: float) -> StatisticsTriple:
     """Leading-order statistics of the nested counts N_(r x_0, r x_j):
 
@@ -239,6 +260,7 @@ def counting_stats(partition, r: float) -> StatisticsTriple:
     return StatisticsTriple(mu=mu, cross=cross, labels=tuple(range(1, m + 1)))
 
 
+@_checked_arithmetic
 def conditional_stats(partition, p: int, r: float) -> StatisticsTriple:
     """Statistics of the counts conditioned on a hard gap on interval p.
 

@@ -249,7 +249,7 @@ def _run_fredholm(job: JobSpec, partition: IntervalPartition):
 
     def one(r: float):
         res = fredholm_det(partition, weights, r, job.n)
-        return [r, res.log_f.real, res.error_estimate]
+        return [r, res.log_f, res.error_estimate]
 
     return ["r", "log_f", "error_estimate"], [one(r) for r in job.r_values()]
 
@@ -273,7 +273,7 @@ def _run_converge(job: JobSpec, partition: IntervalPartition):
     weights = _weights(job.s, job.u, job.p, job.m)
 
     def one(r: float):
-        numeric = fredholm_det(partition, weights, r, job.n).log_f.real
+        numeric = fredholm_det(partition, weights, r, job.n).log_f
         asym = _expansion(job, partition, r).total
         return [r, numeric, asym, r * (numeric - asym)]
 

@@ -215,7 +215,7 @@ def _torus_values(grams, phases) -> np.ndarray:
 def _validate_unit_weights(partition, s) -> WeightConfiguration:
     """The thinning weights s, one per interval, each at most 1."""
     weights = _matched_weights(partition, s)
-    if not weights.is_real or any(v.real > 1.0 for v in weights.values):
+    if any(v > 1.0 for v in weights.values):
         raise ValidationError(f"weights must lie in [0, 1], got {s!r}")
     return weights
 
@@ -227,7 +227,7 @@ def thinned_gap_probability(partition, s, r: float, n: int = 64) -> float:
     partition = _as_partition(partition)
     weights = _validate_unit_weights(partition, s)
     log_f = Discretization(partition, r, n).log_det(weights)
-    return min(1.0, math.exp(log_f.real))
+    return min(1.0, math.exp(log_f))
 
 
 def conditional_zero_probability(partition, s, r: float, n: int = 64) -> float:
@@ -236,8 +236,8 @@ def conditional_zero_probability(partition, s, r: float, n: int = 64) -> float:
     (0, 1].  At s = 0 thinning removes nothing and the ratio is 1."""
     partition = _as_partition(partition)
     weights = _validate_unit_weights(partition, s)
-    num = Discretization(partition.merged(), r, n).log_det(WeightConfiguration((0.0,))).real
-    den = Discretization(partition, r, n).log_det(weights).real
+    num = Discretization(partition.merged(), r, n).log_det(WeightConfiguration((0.0,)))
+    den = Discretization(partition, r, n).log_det(weights)
     return min(1.0, math.exp(num - den))
 
 

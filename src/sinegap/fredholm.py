@@ -6,9 +6,8 @@ scale r > 0, this module evaluates
     F = det(I - sum_k (1 - s_k) K restricted to (r x_{k-1}, r x_k)),
 
 with K(x, y) = sin(x - y) / (pi (x - y)).  F is the generating function
-E[prod_k s_k^{N_k}] of the interval counts of the sine point process, an
-entire function of s, so complex weights (unit-circle values for
-probability inversion) are accepted alongside real nonnegative ones.
+E[prod_k s_k^{N_k}] of the interval counts of the sine point process,
+for real weights s_k >= 0, where F > 0.
 
 Evaluation is Nystrom discretization on composite Gauss-Legendre nodes
 (Bornemann, Math. Comp. 79, 2010) followed by a pivoted-LU
@@ -21,11 +20,11 @@ instead of copying it.  A truncated series evaluation `series_det`
 provides an independent cross-check route for small instances and is
 deliberately kept free of any LU code.
 
-Hard gaps.  A zeroed interval G = (r x_{p-1}, r x_p) of real weights
-(s_p = 0) is a hard gap: K on G has eigenvalues lambda_k within about
+Hard gaps.  A zeroed interval G = (r x_{p-1}, r x_p), one with
+s_p = 0, is a hard gap: K on G has eigenvalues lambda_k within about
 exp(-r (x_p - x_{p-1})) of 1, and rounding the assembled matrix by eps
 moves log F by about eps / (1 - lambda_0), 1e-7 to 3e-6 at r = 40 for a
-gap of 0.6.  Every real weight configuration takes one route
+gap of 0.6.  Every weight configuration takes one route
 (`_hard_gap_route`): of its zeroed intervals with modes
 1 - lambda_k < HARD_GAP_TAU, the one with the smallest 1 - lambda_0 is
 deflated.  1 - lambda_k and the eigenfunctions come from prolate
@@ -45,6 +44,7 @@ times the sum of those roundings for a matrix of size N.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,8 +64,6 @@ __all__ = [
     "series_det",
     "reduced_indices",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 # Hard-gap route (a zero weight s_p): prolate modes of the zeroed
 # interval with 1 - lambda_k below HARD_GAP_TAU are taken out of the LU
@@ -158,24 +156,24 @@ def _checked_u(u, size: int | None = None) -> np.ndarray:
 class WeightConfiguration:
     """Weights s_1, ..., s_m with the boundary convention s_0 = s_{m+1} = 1.
 
-    Real entries must be >= 0; complex entries are allowed (needed for the
-    torus inversion behind the joint count distribution).
+    Entries are real numbers (ints, floats or numpy reals), finite and
+    >= 0, stored as floats; a complex value is rejected even when its
+    imaginary part is zero.
     """
 
-    values: tuple[complex, ...]
+    values: tuple[float, ...]
 
-    def __init__(self, values: Sequence[complex]):
+    def __init__(self, values: Sequence[float]):
         vals = []
         for v in values:
-            v = complex(v)
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            if not isinstance(v, numbers.Real):
+                raise ValidationError(f"weights must be real numbers, got {v!r}")
+            v = float(v)
+            if not math.isfinite(v):
                 raise ValidationError(f"weights must be finite, got {v!r}")
-            if v.imag == 0.0:
-                if v.real < 0.0:
-                    raise ValidationError(f"real weights must be >= 0, got {v.real!r}")
-                vals.append(complex(v.real, 0.0))
-            else:
-                vals.append(v)
+            if v < 0.0:
+                raise ValidationError(f"weights must be >= 0, got {v!r}")
+            vals.append(v)
         if not vals:
             raise ValidationError("at least one weight is required")
         object.__setattr__(self, "values", tuple(vals))
@@ -190,7 +188,7 @@ class WeightConfiguration:
                 s = np.exp(np.cumsum(u[::-1])[::-1])
         except FloatingPointError:
             raise ValidationError(f"weights must be finite, but u = {u.tolist()} overflows exp") from None
-        return cls(tuple(float(v) for v in s))
+        return cls(s)
 
     @classmethod
     def from_zero_u(cls, u: Sequence[float], p: int, m: int) -> "WeightConfiguration":
@@ -211,20 +209,14 @@ class WeightConfiguration:
                 s[j - 1] = math.exp(acc)
         except OverflowError:
             raise ValidationError(f"weights must be finite, but u = {u.tolist()} overflows exp") from None
-        return cls(tuple(float(v) for v in s))
+        return cls(s)
 
     @property
     def m(self) -> int:
         return len(self.values)
 
-    @property
-    def is_real(self) -> bool:
-        return all(v.imag == 0.0 for v in self.values)
-
     def as_array(self) -> np.ndarray:
-        if self.is_real:
-            return np.array([v.real for v in self.values], dtype=float)
-        return np.array(self.values, dtype=complex)
+        return np.array(self.values, dtype=float)
 
     def zero_indices(self) -> tuple[int, ...]:
         """1-based positions of exactly-zero weights."""
@@ -233,12 +225,11 @@ class WeightConfiguration:
 
 @dataclass(frozen=True)
 class DeterminantResult:
-    """log F at the requested order, with |log F(n) - log F(n/2)| plus the
-    rounding bounds that difference cannot show (see `fredholm_det`) as
-    the error estimate.  For real weights the imaginary part is
-    a folded LU argument and is guaranteed tiny (F > 0)."""
+    """log F (a float, F > 0) at the requested order, with
+    |log F(n) - log F(n/2)| plus the rounding bounds that difference
+    cannot show (see `fredholm_det`) as the error estimate."""
 
-    log_f: complex
+    log_f: float
     order_used: int
     error_estimate: float
 
@@ -281,11 +272,12 @@ def _checked_weights(partition: IntervalPartition, weights):
     return IntervalPartition(endpoints), WeightConfiguration(merged)
 
 
-def _check_sign(weights: WeightConfiguration, log_f: complex) -> None:
-    if weights.is_real and abs(log_f.imag) > 1e-9:
-        raise NumericalError(
-            f"lost determinant sign for real weights: folded argument {log_f.imag!r}"
-        )
+def _positive_log(log_f: complex) -> float:
+    """The real part of `log_f` from `_log_det`, which must carry no i pi:
+    F > 0, so a negative determinant means a discretization lost its sign."""
+    if log_f.imag:
+        raise NumericalError(f"lost determinant sign: the LU gives log det = {log_f!r}, but F > 0")
+    return log_f.real
 
 
 def _kernel_matrix(rule) -> np.ndarray:
@@ -338,7 +330,7 @@ class Discretization:
         self.rule = composite_rule(self.partition, self.r, self.n)
         self.kernel = _kernel_matrix(self.rule)
 
-    def log_det(self, weights) -> complex:
+    def log_det(self, weights) -> float:
         """log F at `weights` (one per interval), by the same route as
         `fredholm_det` at order n but without its n // 2 pass.  Raises
         NumericalError where `fredholm_det` would."""
@@ -346,9 +338,7 @@ class Discretization:
         if partition is not self.partition:  # merged zeros: fewer intervals, another rule
             return Discretization(partition, self.r, self.n).log_det(weights)
         gap, _ = _hard_gap_route(partition, weights, self.r)
-        log_f = _log_det(self.rule, self.kernel, weights, gap)
-        _check_sign(weights, log_f)
-        return log_f
+        return _positive_log(_log_det(self.rule, self.kernel, weights, gap))
 
 
 def _nystrom_matrix(kernel, c) -> np.ndarray:
@@ -373,19 +363,17 @@ def lu_factor(a):
 
 
 def _lu_log_det(mat) -> complex:
-    """log det(mat) by a pivoted LU that overwrites `mat`."""
+    """log |det(mat)| + i pi k by a pivoted LU that overwrites `mat`, with
+    k the parity of the number of negative pivots plus row swaps."""
     lu, piv = lu_factor(mat)
     diag = np.diagonal(lu)
     if np.any(diag == 0.0):
         raise NumericalError("zero pivot in LU: quadrature order too small or invalid input")
     log_mag = float(np.sum(np.log(np.abs(diag))))
-    arg = float(np.sum(np.angle(diag)))
-    if np.count_nonzero(piv != np.arange(len(piv))) % 2:
-        arg += math.pi
-    arg = math.remainder(arg, TWO_PI)  # fold into [-pi, pi]
     if not math.isfinite(log_mag):
         raise NumericalError("non-finite log-determinant (pivot under/overflow)")
-    return complex(log_mag, arg)
+    parity = np.count_nonzero(diag < 0.0) + np.count_nonzero(piv != np.arange(len(piv)))
+    return complex(log_mag, math.pi * (parity % 2))
 
 
 def _hard_gap_route(partition, weights, r):
@@ -393,16 +381,16 @@ def _hard_gap_route(partition, weights, r):
 
     gap is (index of the deflated interval, its prolate modes with
     1 - lambda_k < HARD_GAP_TAU), or None for the plain LU: of the zeroed
-    intervals of real weights that have such modes, the one with the
-    smallest 1 - lambda_0 is deflated, the first one on a tie.  With more
-    than one zeroed interval, lu_rounding sums eps / (1 - lambda_0) over
-    every zeroed interval with modes, the deflated one included: the LU's
+    intervals that have such modes, the one with the smallest
+    1 - lambda_0 is deflated, the first one on a tie.  With more than one
+    zeroed interval, lu_rounding sums eps / (1 - lambda_0) over every
+    zeroed interval with modes, the deflated one included: the LU's
     rounding moves log F by up to N times that for a matrix of size N.
     Raises NumericalError where a half-length exceeds
     HARD_GAP_MAX_HALF_LENGTH, where one such eps / (1 - lambda_0) exceeds
     HARD_GAP_MAX_ROUNDING (from half-length 14.1 on), or where the
     deflated modes' rounding bound does."""
-    zeros = weights.zero_indices() if weights.is_real else ()
+    zeros = weights.zero_indices()
     found, lu_rounding = [], 0.0
     for p in zeros:
         a, b = r * partition.endpoints[p - 1], r * partition.endpoints[p]
@@ -528,13 +516,12 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     # rounding that the difference of the two orders need not show is
     # added as its bound: the prolate 1 - lambda_k are shared by both
     # passes, and the LU's rounding on a zeroed interval is no smaller
-    # at the coarse order
+    # at the coarse order; a negative coarse determinant enters as i pi
     err = abs(log_full - log_half) + len(full.rule.nodes) * lu_rounding
     if gap is not None:
         modes = gap[1]
         err += 2.0 * modes.count * modes.rounding
-    _check_sign(weights, log_full)
-    return DeterminantResult(log_f=log_full, order_used=n, error_estimate=err)
+    return DeterminantResult(log_f=_positive_log(log_full), order_used=n, error_estimate=err)
 
 
 def series_det(partition, weights, r: float) -> float:
@@ -565,7 +552,7 @@ def series_det(partition, weights, r: float) -> float:
     s = weights.as_array()
     mat = sine_kernel(t[:, None], t[None, :]) * (1.0 - s[rule.interval_index])[None, :]
 
-    total = 1.0 + 0.0j
+    total = 1.0
     total -= np.einsum("a,aa->", w, mat)
     total += 0.5 * (
         np.einsum("a,b,aa,bb->", w, w, mat, mat)
@@ -580,7 +567,4 @@ def series_det(partition, weights, r: float) -> float:
         - np.einsum("a,b,c,ac,bb,ca->", w, w, w, mat, mat, mat)
     )
     total -= det3 / 6.0
-    total = complex(total)
-    if abs(total.imag) > 1e-10:
-        raise NumericalError(f"series value has a non-negligible imaginary part: {total!r}")
-    return float(total.real)
+    return float(total)

@@ -62,28 +62,20 @@ def gauss_legendre(n: int) -> QuadratureRule:
         raise ValidationError(f"gauss_legendre expects an integer order, got {n!r}")
     if n < 1 or n > MAX_ORDER:
         raise ValidationError(f"gauss_legendre order must be in [1, {MAX_ORDER}], got {n}")
-    if n == 1:
-        return QuadratureRule(1, np.array([0.0]), np.array([2.0]))
 
     i = np.arange(n)
     x = np.cos(math.pi * (i + 0.75) / (n + 0.5))
-    dp = np.empty_like(x)
-    for _ in range(100):
+    dx = math.inf
+    for step in range(101):  # up to 100 Newton steps, then a last pass for dp
         p0 = np.ones_like(x)
         p1 = x.copy()
         for k in range(2, n + 1):
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
         dp = n * (x * p1 - p0) / (x * x - 1.0)
+        if np.max(np.abs(dx)) < 1e-15 or step == 100:
+            break  # dp is P_n' at the final nodes
         dx = p1 / dp
         x -= dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    # one polishing pass so dp matches the final nodes
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    dp = n * (x * p1 - p0) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
 
     order = np.argsort(x)

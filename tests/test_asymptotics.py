@@ -17,6 +17,7 @@ from sinegap import (
     EULER_GAMMA,
     ExpansionBreakdown,
     IntervalPartition,
+    NumericalError,
     ValidationError,
     WeightConfiguration,
     barnes_pair,
@@ -52,9 +53,9 @@ def test_breakdown_total_is_exact_sum():
 
 
 def test_breakdown_rejects_nonfinite():
-    with pytest.raises(ValidationError):
+    with pytest.raises(NumericalError):
         ExpansionBreakdown(math.nan, 0.0, 0.0, 0.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(NumericalError):
         ExpansionBreakdown(0.0, math.inf, 0.0, 0.0)
 
 

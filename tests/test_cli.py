@@ -471,12 +471,24 @@ def test_numerical_failure_maps_to_exit_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "fredholm", "--x", "0,1", "--s", "0.5", "--r", "2")
     assert code == 3
     assert "numerical failure" in err
+    # closed-form terms past double precision: one message, no traceback,
+    # and no numpy warning (the suite turns warnings into errors)
+    for argv in (
+        ("asym2", "--x", "0,1e200", "--p", "1", "--r", "1"),
+        ("asym1", "--x", "0,1e308", "--u=1", "--r", "10"),
+        ("stats", "--x", "0,1e308", "--r", "10"),
+        ("asym1", "--x", "0,1", "--u=1e300", "--r", "1e10"),
+        ("stats", "--x", "0,1e-300,1,2", "--p", "1", "--r", "1"),  # a - b rounds to 0
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), (argv, err)
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, (argv, err)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_non_finite_output_maps_to_exit_3_and_writes_nothing(fmt, tmp_path, capsys, monkeypatch):
     def nan_det(*args, **kwargs):
-        return DeterminantResult(log_f=complex(math.nan, 0.0), order_used=64, error_estimate=0.0)
+        return DeterminantResult(log_f=math.nan, order_used=64, error_estimate=0.0)
 
     monkeypatch.setattr(cli, "fredholm_det", nan_det)
     argv = ("fredholm", "--x", "0,1", "--s", "0.5", "--r", "2", "--format", fmt)

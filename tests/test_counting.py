@@ -24,7 +24,6 @@ from sinegap import (
     JointPMF,
     NumericalError,
     ValidationError,
-    WeightConfiguration,
     conditional_zero_probability,
     counting_stats,
     fredholm_det,
@@ -277,16 +276,18 @@ def test_cumulant_validation():
 
 
 def _pmf_by_lu(endpoints, r, k, n_quad=64):
-    # joint_pmf's inversion with one pivoted LU per torus point: the
-    # Discretization.log_det route, whose values fredholm_det returns bit
-    # for bit at the same order
+    # joint_pmf's inversion with one dense LU per torus point: F(s) =
+    # det(I - K diag(c)), c = w (1 - s), on the Nystrom matrix of size N
     m = len(endpoints) - 1
     g = 2 * k + 2
     disc = fredholm_module.Discretization(endpoints, r, n_quad)
+    rule, size = disc.rule, len(disc.rule.nodes)
     phases = np.exp(2j * math.pi * np.arange(g) / g)
     f_grid = np.empty((g,) * m, dtype=complex)
     for combo in product(range(g), repeat=m):
-        f_grid[combo] = np.exp(disc.log_det(WeightConfiguration(tuple(phases[i] for i in combo))))
+        c = rule.weights * (1.0 - phases[list(combo)][rule.interval_index])
+        sign, log_abs = np.linalg.slogdet(np.eye(size) - disc.kernel * c)
+        f_grid[combo] = sign * np.exp(log_abs)
     table = (np.fft.fftn(f_grid) / g**m)[(slice(0, k + 1),) * m].real.copy()
     table[table < 0.0] = 0.0
     return table
@@ -373,6 +374,19 @@ def test_counting_fills_one_kernel_and_factors_once_per_weight(monkeypatch):
     assert run(thinned_gap_probability, (0.0, 0.6, 1.3), (0.3, 0.7), 6.0) == {"kernel": 1, "lu": 1}
     # the merged gap (numerator) and the thinned partition (denominator)
     assert run(conditional_zero_probability, (0.0, 0.6, 1.3), (0.3, 0.7), 6.0) == {"kernel": 2, "lu": 2}
+
+
+def test_unimodular_weights_bound():
+    # |F(s)| <= 1 for |s_j| = 1 (F is the generating function of a
+    # probability law) and F(1) = 1, on the torus values behind joint_pmf
+    rng = np.random.default_rng(29)
+    disc = fredholm_module.Discretization((0.0, 0.5, 1.1), 4.0, 64)
+    v = counting_module._pivoted_cholesky(disc)
+    grams = [v[j * 64 : (j + 1) * 64].T @ v[j * 64 : (j + 1) * 64] for j in range(2)]
+    phases = np.exp(1j * np.r_[0.0, rng.uniform(0.0, 2.0 * math.pi, 10)])
+    f_grid = counting_module._torus_values(grams, phases)
+    assert f_grid[0, 0] == 1.0
+    assert np.max(np.abs(f_grid)) <= 1.0 + 1e-12
 
 
 def test_pmf_conjugate_symmetry_check_catches_a_skewed_determinant(monkeypatch):

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, _real
 from .fredholm import IntervalPartition, _as_partition, _checked_u, reduced_indices
 from .quadrature import _check_r
 from .specfun import DYSON_CONSTANT, EULER_GAMMA, barnes_pair
@@ -152,7 +152,7 @@ def basor_widom_log(r: float, x0: float, x1: float, u1: float) -> ExpansionBreak
     """
     r = _check_r(r)
     (length,) = IntervalPartition((x0, x1)).lengths
-    u1 = float(_checked_u((u1,), 1)[0])
+    u1 = _real(u1, "u1")
     c = u1 * u1 / (2.0 * PI2)
     return ExpansionBreakdown(
         r_squared_term=0.0,

@@ -255,7 +255,7 @@ def _run_fredholm(job: JobSpec, partition: IntervalPartition):
 
 
 def _expansion(job: JobSpec, partition: IntervalPartition, r: float):
-    if job.command == "asym2" or (job.command == "converge" and job.p is not None):
+    if job.p is not None:
         return zero_weight_expansion(partition, job.p, job.u, r)
     return positive_weights_expansion(partition, job.u, r)
 

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .asymptotics import StatisticsTriple
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _integer
 from .fredholm import Discretization, WeightConfiguration, _as_partition, _matched_weights
 from .prolate import EPS
 
@@ -75,18 +75,24 @@ class JointPMF:
         self.table.setflags(write=False)
 
     def probability(self, counts: Sequence[int]) -> float:
-        return float(self.table[tuple(counts)])
+        """P(N = counts), each count an integer in [0, K_j]."""
+        counts = tuple(counts)
+        if len(counts) != len(self.max_counts):
+            raise ValidationError(f"expected {len(self.max_counts)} counts, got {counts!r}")
+        index = tuple(_integer(k, "count", 0, K) for k, K in zip(counts, self.max_counts))
+        return float(self.table[index])
 
 
 def _checked_counts(max_counts: Sequence[int] | int, m: int) -> tuple[int, ...]:
     """The table bounds K_j of `joint_pmf` on m intervals: one integer
     K_j >= 0 per interval, or one integer for all of them, with a torus
     grid of at most MAX_TORUS_CELLS cells."""
-    ks = max_counts
-    if isinstance(ks, (int, np.integer)) and not isinstance(ks, bool):
-        ks = (int(ks),) * m
-    ks = tuple(int(k) for k in ks)
-    if len(ks) != m or any(k < 0 for k in ks):
+    try:
+        ks = tuple(max_counts)
+    except TypeError:  # one bound for every interval
+        ks = (max_counts,) * m
+    ks = tuple(_integer(k, "max_counts K_j", 0) for k in ks)
+    if len(ks) != m:
         raise ValidationError(f"max_counts must give one K_j >= 0 per interval, got {max_counts!r}")
     g = 2 * max(ks) + 2
     if g**m > MAX_TORUS_CELLS:
@@ -265,8 +271,7 @@ def numerical_cumulants(
     (variances and covariances are returned as NaN); `order` = 2 computes
     all three.
     """
-    if order not in (1, 2):
-        raise ValidationError(f"order must be 1 or 2, got {order!r}")
+    order = _integer(order, "order", 1, 2)
     disc = Discretization(partition, r, n)
     m = disc.partition.m
     w, kernel = disc.rule.weights, disc.kernel

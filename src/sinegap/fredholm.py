@@ -44,13 +44,12 @@ times the sum of those roundings for a matrix of size N.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _integer, _real
 from .prolate import EPS, gap_modes
 from .quadrature import _check_order, _check_r, composite_rule, gauss_legendre
 
@@ -95,11 +94,9 @@ class IntervalPartition:
     endpoints: tuple[float, ...]
 
     def __init__(self, endpoints: Sequence[float]):
-        pts = tuple(float(v) for v in endpoints)
+        pts = tuple(_real(v, "endpoints") for v in endpoints)
         if len(pts) < 2:
             raise ValidationError(f"a partition needs at least 2 endpoints, got {len(pts)}")
-        if not all(math.isfinite(v) for v in pts):
-            raise ValidationError(f"endpoints must be finite, got {pts}")
         if not all(a < b for a, b in zip(pts, pts[1:])):
             raise ValidationError(f"endpoints must be strictly increasing, got {pts}")
         object.__setattr__(self, "endpoints", pts)
@@ -133,22 +130,19 @@ class IntervalPartition:
 def reduced_indices(m: int, p: int) -> tuple[int, ...]:
     """Index set {0, ..., m} minus {p-1, p}: the weight-ratio indices that
     stay finite when s_p = 0."""
-    if not isinstance(p, int) or isinstance(p, bool) or not (1 <= p <= m):
-        raise ValidationError(f"gap index p must be an integer in [1, {m}], got {p!r}")
+    p = _integer(p, "gap index p", 1, m)
     return tuple(j for j in range(m + 1) if j not in (p - 1, p))
 
 
 def _checked_u(u, size: int | None = None) -> np.ndarray:
     """The log-ratios u as a finite 1-d float array with `size` entries
-    (any nonzero number of them when `size` is None)."""
-    u = np.asarray(u, dtype=float)
-    if size is None:
-        if u.ndim != 1 or u.size < 1:
-            raise ValidationError("u must be a nonempty 1-d sequence")
-    elif u.shape != (size,):
+    (any number of them when `size` is None)."""
+    try:
+        u = np.array([_real(v, "log-ratios u") for v in u], dtype=float)
+    except TypeError:
+        raise ValidationError(f"u must be a sequence of real numbers, got {u!r}") from None
+    if size is not None and u.shape != (size,):
         raise ValidationError(f"expected {size} log-ratios, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValidationError(f"u must be finite, got {u!r}")
     return u
 
 
@@ -156,27 +150,20 @@ def _checked_u(u, size: int | None = None) -> np.ndarray:
 class WeightConfiguration:
     """Weights s_1, ..., s_m with the boundary convention s_0 = s_{m+1} = 1.
 
-    Entries are real numbers (ints, floats or numpy reals), finite and
-    >= 0, stored as floats; a complex value is rejected even when its
-    imaginary part is zero.
+    Entries are Python or numpy real numbers, finite and >= 0, stored as
+    floats; a bool, a string or a complex value is rejected, even one
+    whose imaginary part is zero.
     """
 
     values: tuple[float, ...]
 
     def __init__(self, values: Sequence[float]):
-        vals = []
-        for v in values:
-            if not isinstance(v, numbers.Real):
-                raise ValidationError(f"weights must be real numbers, got {v!r}")
-            v = float(v)
-            if not math.isfinite(v):
-                raise ValidationError(f"weights must be finite, got {v!r}")
-            if v < 0.0:
-                raise ValidationError(f"weights must be >= 0, got {v!r}")
-            vals.append(v)
+        vals = tuple(_real(v, "weights") for v in values)
         if not vals:
             raise ValidationError("at least one weight is required")
-        object.__setattr__(self, "values", tuple(vals))
+        if min(vals) < 0.0:
+            raise ValidationError(f"weights must be >= 0, got {min(vals)!r}")
+        object.__setattr__(self, "values", vals)
 
     @classmethod
     def from_positive_u(cls, u: Sequence[float]) -> "WeightConfiguration":
@@ -476,7 +463,10 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
 
     `n` is the Gauss-Legendre order per interval (8 to 2048); the result is
     computed at orders n and n//2, and the modulus of the difference is
-    reported as `error_estimate`.  Callers
+    reported as `error_estimate`.  Below ceil(r L / 2) nodes on an
+    interval of length L (after adjacent zero weights are merged) neither
+    pass resolves the kernel, and the two can still agree, so such an
+    order raises NumericalError before any kernel is built.  Callers
     that evaluate many weights on one partition and r, and do not need
     the estimate, should call `Discretization(partition, r, n).log_det`
     instead: it builds the kernel once and skips the n//2 pass.
@@ -507,11 +497,19 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     a gap of 0.6).
     """
     partition, weights = _checked_weights(_as_partition(partition), weights)
+    r, n = _check_r(r), _check_order(n)
+    e = partition.endpoints
+    need, a, b = max((math.ceil(r * (b - a) / 2.0), a, b) for a, b in zip(e, e[1:]))
+    if n < need:
+        raise NumericalError(
+            f"order n = {n} cannot resolve the interval ({a:g}, {b:g}) at r = {r:g}:"
+            f" it needs n >= ceil(r (x_j - x_(j-1)) / 2) = {need}"
+        )
 
     full = Discretization(partition, r, n)
-    gap, lu_rounding = _hard_gap_route(partition, weights, full.r)
+    gap, lu_rounding = _hard_gap_route(partition, weights, r)
     log_full = _log_det(full.rule, full.kernel, weights, gap)
-    half = composite_rule(partition, full.r, n // 2)
+    half = composite_rule(partition, r, n // 2)
     log_half = _log_det(half, _kernel_matrix(half), weights, gap)
     # rounding that the difference of the two orders need not show is
     # added as its bound: the prolate 1 - lambda_k are shared by both

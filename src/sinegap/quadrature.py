@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integer, _real
 
 __all__ = ["QuadratureRule", "CompositeRule", "gauss_legendre", "composite_rule"]
 
@@ -58,10 +58,7 @@ class CompositeRule:
 @lru_cache(maxsize=128)
 def gauss_legendre(n: int) -> QuadratureRule:
     """The n-point Gauss-Legendre rule on (-1, 1), exact to degree 2n - 1."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValidationError(f"gauss_legendre expects an integer order, got {n!r}")
-    if n < 1 or n > MAX_ORDER:
-        raise ValidationError(f"gauss_legendre order must be in [1, {MAX_ORDER}], got {n}")
+    n = _integer(n, "gauss_legendre order", 1, MAX_ORDER)
 
     i = np.arange(n)
     x = np.cos(math.pi * (i + 0.75) / (n + 0.5))
@@ -89,17 +86,15 @@ def gauss_legendre(n: int) -> QuadratureRule:
 
 def _check_r(r: float) -> float:
     """The scale r as a float, which must be positive and finite."""
-    r = float(r)
-    if not math.isfinite(r) or r <= 0.0:
+    r = _real(r, "scale r")
+    if r <= 0.0:
         raise ValidationError(f"scale r must be positive and finite, got {r!r}")
     return r
 
 
 def _check_order(n: int) -> int:
     """The per-interval order n of a determinant, an integer in [8, MAX_ORDER]."""
-    if not isinstance(n, int) or isinstance(n, bool) or not 8 <= n <= MAX_ORDER:
-        raise ValidationError(f"quadrature order n must be an integer in [8, {MAX_ORDER}], got {n!r}")
-    return n
+    return _integer(n, "quadrature order n", 8, MAX_ORDER)
 
 
 def composite_rule(partition, r: float, n_per_interval: int) -> CompositeRule:
@@ -109,10 +104,7 @@ def composite_rule(partition, r: float, n_per_interval: int) -> CompositeRule:
     works).  Requires r > 0 and n_per_interval >= 4.
     """
     r = _check_r(r)
-    if not isinstance(n_per_interval, int) or isinstance(n_per_interval, bool):
-        raise ValidationError(f"n_per_interval must be an integer, got {n_per_interval!r}")
-    if n_per_interval < 4:
-        raise ValidationError(f"n_per_interval must be >= 4, got {n_per_interval}")
+    n_per_interval = _integer(n_per_interval, "n_per_interval", 4)
 
     base = gauss_legendre(n_per_interval)
     x = np.asarray(partition.endpoints, dtype=float)

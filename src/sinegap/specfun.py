@@ -16,7 +16,7 @@ import cmath
 import math
 from functools import lru_cache
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _integer, _real
 
 __all__ = [
     "EULER_GAMMA",
@@ -109,10 +109,7 @@ def zeta_int(k: int) -> float:
         + sum_j B_{2j}/(2j)! * k(k+1)...(k+2j-2) * N^{1-k-2j}.
     Full double accuracy for every k >= 2.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValidationError(f"zeta_int expects an integer k >= 2, got {k!r}")
-    if k < 2:
-        raise ValidationError(f"zeta_int defined for k >= 2, got {k}")
+    k = _integer(k, "zeta_int argument k", 2)
 
     n_direct = 24
     acc = math.fsum(n ** (-float(k)) for n in range(1, n_direct))
@@ -201,13 +198,7 @@ def barnes_pair(u: float) -> float:
     2 Re log G(1 + i u/(2 pi)); evaluating the real part directly avoids
     cancellation between the factors.  Vanishes at u = 0.
     """
-    if isinstance(u, complex):
-        if u.imag != 0.0:
-            raise ValidationError(f"barnes_pair expects real u, got {u!r}")
-        u = u.real
-    u = float(u)
-    if not math.isfinite(u):
-        raise ValidationError(f"barnes_pair expects finite u, got {u!r}")
+    u = _real(u, "barnes_pair argument u")
     if u == 0.0:
         return 0.0
     val = log_barnes_g(complex(1.0, u / TWO_PI))

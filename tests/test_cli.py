@@ -471,9 +471,12 @@ def test_numerical_failure_maps_to_exit_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "fredholm", "--x", "0,1", "--s", "0.5", "--r", "2")
     assert code == 3
     assert "numerical failure" in err
+    monkeypatch.undo()
     # closed-form terms past double precision: one message, no traceback,
-    # and no numpy warning (the suite turns warnings into errors)
+    # and no numpy warning (the suite turns warnings into errors); and an
+    # order below r (x_j - x_(j-1)) / 2, here 64 < 70 at r = 200
     for argv in (
+        ("converge", "--x", "0,0.7,1.2", "--u=-1.1,-2.4", "--r-range", "5:200:10", "--n", "64"),
         ("asym2", "--x", "0,1e200", "--p", "1", "--r", "1"),
         ("asym1", "--x", "0,1e308", "--u=1", "--r", "10"),
         ("stats", "--x", "0,1e308", "--r", "10"),

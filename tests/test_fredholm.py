@@ -315,6 +315,23 @@ def test_error_estimate_shrinks_with_order():
     assert fine < coarse
 
 
+def test_order_below_r_length_over_two_raises():
+    # at n = 64 and r = 2000 both passes are unresolved, yet they agreed to
+    # 7.5 on log F = 66.2 against a true -441.0
+    with pytest.raises(NumericalError, match=r"n = 64 .* n >= .* = 1000"):
+        fredholm_det((0.0, 1.0), (0.5,), 2000.0)
+    # fig1-left at r = 200 needs n >= 70 on its interval (0, 0.7)
+    part, weights = (0.0, 0.7, 1.2), WeightConfiguration.from_positive_u((-1.1, -2.4))
+    with pytest.raises(NumericalError, match=r"\(0, 0\.7\)"):
+        fredholm_det(part, weights, 200.0, 64)
+    res = fredholm_det(part, weights, 200.0, 128)
+    assert abs(res.log_f - fredholm_det(part, weights, 200.0, 256).log_f) <= res.error_estimate
+    # adjacent zeros are merged first: (0, 0.3, 0.6) with s = (0, 0) is one
+    # gap of 0.6, which needs n >= 12 at r = 40
+    with pytest.raises(NumericalError, match="= 12"):
+        fredholm_det((0.0, 0.3, 0.6), (0.0, 0.0), 40.0, 10)
+
+
 # ---------------------------------------------------------------------------
 # determinant: hard-gap route (one zero weight, prolate deflation)
 

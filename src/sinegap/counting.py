@@ -13,7 +13,8 @@ Process. Related Fields 16, 2010), and need no determinant at all.
 
 None of these needs the n/2 error estimate of `fredholm_det`.  So every
 function here builds one `Discretization` per partition (the composite
-rule and the sine kernel on its nodes).  The gap probabilities call its
+rule and the sine kernel on its nodes), and raises NumericalError below
+its order floor ceil(r L / 2).  The gap probabilities call its
 `log_det` once per weight: one matrix assembly and one factorization
 each.  The PMF factors nothing of size N: B = W^{1/2} K W^{1/2} has
 numerical rank rho of about r (x_m - x_0) / pi + O(log 1 / eps), so one
@@ -76,7 +77,10 @@ class JointPMF:
 
     def probability(self, counts: Sequence[int]) -> float:
         """P(N = counts), each count an integer in [0, K_j]."""
-        counts = tuple(counts)
+        try:
+            counts = tuple(counts)
+        except TypeError:
+            raise ValidationError(f"counts must be a sequence of integers, got {counts!r}") from None
         if len(counts) != len(self.max_counts):
             raise ValidationError(f"expected {len(self.max_counts)} counts, got {counts!r}")
         index = tuple(_integer(k, "count", 0, K) for k, K in zip(counts, self.max_counts))

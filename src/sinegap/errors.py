@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the two checks every
-scalar input of the public API goes through.
+scalar input of the public API goes through (`_reals` applies the first
+to a sequence).
 
 Two failure families are kept apart so callers (and the CLI exit codes)
 can tell bad input from a computation that went off the rails.
@@ -20,10 +21,25 @@ class NumericalError(ArithmeticError):
 
 def _real(value, what: str) -> float:
     """`value` as a float: Python and numpy real numbers that are finite
-    pass; strings, bools, complex values and None do not."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+    pass; strings, bools, complex values, None and integers beyond the
+    float range do not."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
         raise ValidationError(f"{what} must be a finite real number, got {value!r}")
-    return float(value)
+    return x
+
+
+def _reals(values, what: str) -> tuple[float, ...]:
+    """`values` as a tuple of floats, each checked by `_real`; a value
+    that is not iterable is refused too."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence of real numbers, got {values!r}") from None
+    return tuple(_real(v, what) for v in values)
 
 
 def _integer(value, what: str, lo: int, hi: int | None = None) -> int:

@@ -49,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, _integer, _real
+from .errors import NumericalError, ValidationError, _integer, _reals
 from .prolate import EPS, gap_modes
 from .quadrature import _check_order, _check_r, composite_rule, gauss_legendre
 
@@ -94,7 +94,7 @@ class IntervalPartition:
     endpoints: tuple[float, ...]
 
     def __init__(self, endpoints: Sequence[float]):
-        pts = tuple(_real(v, "endpoints") for v in endpoints)
+        pts = _reals(endpoints, "endpoints")
         if len(pts) < 2:
             raise ValidationError(f"a partition needs at least 2 endpoints, got {len(pts)}")
         if not all(a < b for a, b in zip(pts, pts[1:])):
@@ -137,10 +137,7 @@ def reduced_indices(m: int, p: int) -> tuple[int, ...]:
 def _checked_u(u, size: int | None = None) -> np.ndarray:
     """The log-ratios u as a finite 1-d float array with `size` entries
     (any number of them when `size` is None)."""
-    try:
-        u = np.array([_real(v, "log-ratios u") for v in u], dtype=float)
-    except TypeError:
-        raise ValidationError(f"u must be a sequence of real numbers, got {u!r}") from None
+    u = np.array(_reals(u, "log-ratios u"), dtype=float)
     if size is not None and u.shape != (size,):
         raise ValidationError(f"expected {size} log-ratios, got shape {u.shape}")
     return u
@@ -158,7 +155,7 @@ class WeightConfiguration:
     values: tuple[float, ...]
 
     def __init__(self, values: Sequence[float]):
-        vals = tuple(_real(v, "weights") for v in values)
+        vals = _reals(values, "weights")
         if not vals:
             raise ValidationError("at least one weight is required")
         if min(vals) < 0.0:
@@ -304,7 +301,8 @@ class Discretization:
     """The weight-independent part of log F at order n: the composite
     Gauss-Legendre rule with n nodes per interval of the scaled partition
     (`rule`), and the sine kernel on its nodes (`kernel`, read-only, see
-    `_kernel_matrix`).
+    `_kernel_matrix`).  An order n below ceil(r L / 2) on an interval of
+    length L cannot resolve the kernel there and raises NumericalError.
 
     Built once for (partition, r, n), it gives log F at any number of
     weights through `log_det`, each one a weight column, an in-place
@@ -314,6 +312,13 @@ class Discretization:
     def __init__(self, partition, r: float, n: int):
         self.partition = _as_partition(partition)
         self.r, self.n = _check_r(r), _check_order(n)
+        e = self.partition.endpoints
+        need, a, b = max((math.ceil(self.r * (b - a) / 2.0), a, b) for a, b in zip(e, e[1:]))
+        if self.n < need:
+            raise NumericalError(
+                f"order n = {self.n} cannot resolve the interval ({a:g}, {b:g}) at r = {self.r:g}:"
+                f" it needs n >= ceil(r (x_j - x_(j-1)) / 2) = {need}"
+            )
         self.rule = composite_rule(self.partition, self.r, self.n)
         self.kernel = _kernel_matrix(self.rule)
 
@@ -465,8 +470,8 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     computed at orders n and n//2, and the modulus of the difference is
     reported as `error_estimate`.  Below ceil(r L / 2) nodes on an
     interval of length L (after adjacent zero weights are merged) neither
-    pass resolves the kernel, and the two can still agree, so such an
-    order raises NumericalError before any kernel is built.  Callers
+    pass resolves the kernel, and the two can still agree; `Discretization`
+    raises NumericalError there before any kernel is built.  Callers
     that evaluate many weights on one partition and r, and do not need
     the estimate, should call `Discretization(partition, r, n).log_det`
     instead: it builds the kernel once and skips the n//2 pass.
@@ -497,19 +502,10 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     a gap of 0.6).
     """
     partition, weights = _checked_weights(_as_partition(partition), weights)
-    r, n = _check_r(r), _check_order(n)
-    e = partition.endpoints
-    need, a, b = max((math.ceil(r * (b - a) / 2.0), a, b) for a, b in zip(e, e[1:]))
-    if n < need:
-        raise NumericalError(
-            f"order n = {n} cannot resolve the interval ({a:g}, {b:g}) at r = {r:g}:"
-            f" it needs n >= ceil(r (x_j - x_(j-1)) / 2) = {need}"
-        )
-
     full = Discretization(partition, r, n)
-    gap, lu_rounding = _hard_gap_route(partition, weights, r)
+    gap, lu_rounding = _hard_gap_route(partition, weights, full.r)
     log_full = _log_det(full.rule, full.kernel, weights, gap)
-    half = composite_rule(partition, r, n // 2)
+    half = composite_rule(partition, full.r, full.n // 2)
     log_half = _log_det(half, _kernel_matrix(half), weights, gap)
     # rounding that the difference of the two orders need not show is
     # added as its bound: the prolate 1 - lambda_k are shared by both
@@ -519,7 +515,7 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     if gap is not None:
         modes = gap[1]
         err += 2.0 * modes.count * modes.rounding
-    return DeterminantResult(log_f=_positive_log(log_full), order_used=n, error_estimate=err)
+    return DeterminantResult(log_f=_positive_log(log_full), order_used=full.n, error_estimate=err)
 
 
 def series_det(partition, weights, r: float) -> float:

@@ -7,6 +7,7 @@ oracle-free invariance checks.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,10 @@ from sinegap import (
     ValidationError,
     WeightConfiguration,
     composite_rule,
+    conditional_zero_probability,
     fredholm_det,
+    joint_pmf,
+    numerical_cumulants,
     reduced_indices,
     series_det,
     sine_kernel,
@@ -330,6 +334,26 @@ def test_order_below_r_length_over_two_raises():
     # gap of 0.6, which needs n >= 12 at r = 40
     with pytest.raises(NumericalError, match="= 12"):
         fredholm_det((0.0, 0.3, 0.6), (0.0, 0.0), 40.0, 10)
+    # the floor lives in Discretization, so every Nystrom entry point has
+    # it: (call, n, interval, bound)
+    rows = (
+        (lambda: Discretization((0.0, 1.0), 200.0, 64), 64, "(0, 1)", 100),
+        # unresolved, the variance reads -25.10 (0.76687 at n = 128)
+        (lambda: numerical_cumulants((0.0, 1.0), 200.0, n=64), 64, "(0, 1)", 100),
+        # unresolved, F reads 1.0 against a true value of about e^-441
+        (lambda: thinned_gap_probability((0.0, 1.0), (0.5,), 2000.0), 64, "(0, 1)", 1000),
+        # each interval needs 10, the merged numerator (0, 1) needs 20
+        (lambda: conditional_zero_probability((0.0, 0.5, 1.0), (0.3, 0.7), 40.0, n=16), 16, "(0, 1)", 20),
+        # unresolved, the table has a cell of -1.27: the floor is the reason to give
+        (lambda: joint_pmf((0.0, 1.0), 60.0, 40, n_quad=22), 22, "(0, 1)", 30),
+        # each interval needs 6, but log_det rebuilds on the merged gap
+        (lambda: Discretization((0.0, 0.3, 0.6), 40.0, 10).log_det((0.0, 0.0)), 10, "(0, 0.6)", 12),
+    )
+    for call, n, interval, need in rows:
+        with pytest.raises(NumericalError, match=rf"cannot resolve the interval {re.escape(interval)} .* = {need}$") as info:
+            call()
+        assert str(info.value).startswith(f"order n = {n} cannot resolve")
+    assert Discretization((0.0, 1.0), 200.0, 100).n == 100  # the floor itself is allowed
 
 
 # ---------------------------------------------------------------------------
@@ -457,19 +481,23 @@ def test_kernel_fill_is_symmetric_and_within_its_rounding_bound():
     # the |t_a| + |t_b| term.  Weighted by w_b, which is as small as the
     # node spacing, the difference stays at a few eps.
     eps = np.finfo(float).eps
+    # the rules are built directly: n = 9 at r = 200 is below the order
+    # floor of a Discretization, but the fill must hold at any order
     for endpoints in ((0.0, 0.7), (0.0, 0.5, 1.2), (0.0, 0.5, 1.1, 1.7), (0.0, 0.5, 1.1, 1.7, 2.5)):
+        partition = IntervalPartition(endpoints)
         for r in (1e-3, 1.0, 23.0, 200.0):
             for n in (9, 128):
-                disc = Discretization(endpoints, r, n)
-                half = composite_rule(disc.partition, r, n // 2)
-                for rule, kernel in ((disc.rule, disc.kernel), (half, _kernel_matrix(half))):
+                full = composite_rule(partition, r, n)
+                full_kernel = _kernel_matrix(full)
+                half = composite_rule(partition, r, n // 2)
+                for rule, kernel in ((full, full_kernel), (half, _kernel_matrix(half))):
                     t = rule.nodes
                     assert kernel.shape == (len(t), len(t)) == (rule.n_per_interval * (len(endpoints) - 1),) * 2
                     assert np.array_equal(kernel, kernel.T)
                     assert np.all(np.diagonal(kernel) == 1.0 / math.pi)
                     assert not kernel.flags.writeable
-                t, w = disc.rule.nodes, disc.rule.weights
-                diff = np.abs(disc.kernel - sine_kernel(t[:, None], t[None, :]))
+                t, w = full.nodes, full.weights
+                diff = np.abs(full_kernel - sine_kernel(t[:, None], t[None, :]))
                 dist = np.abs(np.subtract.outer(t, t))
                 np.fill_diagonal(dist, 1.0)  # diff is 0 there
                 size = np.abs(t)

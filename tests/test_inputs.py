@@ -10,6 +10,7 @@ import pytest
 
 from sinegap import (
     Discretization,
+    IntervalPartition,
     ValidationError,
     WeightConfiguration,
     barnes_pair,
@@ -20,6 +21,7 @@ from sinegap import (
     numerical_cumulants,
     positive_weights_expansion,
     reduced_indices,
+    thinned_gap_probability,
     zero_weight_expansion,
     zeta_int,
 )
@@ -58,6 +60,14 @@ def test_every_scalar_input_is_checked_by_kind():
         lambda: zeta_int(np.float64(2.0)),
         lambda: barnes_pair(1 + 0j),
         lambda: barnes_pair("1"),
+        # sequences that are not iterable, and integers beyond float range
+        lambda: fredholm_det((0.0, 1.0), 0.5, 2.0),
+        lambda: IntervalPartition(1.0),
+        lambda: WeightConfiguration(0.5),
+        lambda: thinned_gap_probability((0.0, 1.0), 0.5, 2.0),
+        lambda: pmf.probability(1),
+        lambda: fredholm_det((0.0, 10**400), (0.5,), 2.0),
+        lambda: fredholm_det((0.0, 1.0), (0.5,), 10**400),
         # counts outside the table
         lambda: pmf.probability((-1,)),
         lambda: pmf.probability((3,)),

@@ -2,8 +2,8 @@
 expansions, convergence scans, count PMFs, and counting statistics.
 
 Jobs are reproducible: identical invocations produce byte-identical
-output for a fixed BLAS thread count (the LU's last digits can change
-with the number of BLAS threads).  Floats print as Python's shortest
+output for a fixed BLAS thread count (a factorization's last digits can
+change with the number of BLAS threads).  Floats print as Python's shortest
 repr, which round-trips exactly and always carries a '.' or an exponent
 (5.0, 0.7, 1e-05), so a float cell never reads as an integer.  Output
 goes to stdout or --out, as CSV (`csv` module: header row, one row per
@@ -249,6 +249,10 @@ def _run_fredholm(job: JobSpec, partition: IntervalPartition):
 
     def one(r: float):
         res = fredholm_det(partition, weights, r, job.n)
+        if math.isinf(res.error_estimate):  # the n // 2 pass raised: name the order it needs
+            need = max(job.n // 2 + 1, math.ceil(r * max(partition.lengths) / 2.0))
+            raise NumericalError(f"no error estimate at r = {r:g}: the n // 2 = {job.n // 2} pass does not"
+                                 f" resolve the kernel; it needs an order of at least {need}, so --n >= {2 * need}")
         return [r, res.log_f, res.error_estimate]
 
     return ["r", "log_f", "error_estimate"], [one(r) for r in job.r_values()]

@@ -10,15 +10,17 @@ E[prod_k s_k^{N_k}] of the interval counts of the sine point process,
 for real weights s_k >= 0, where F > 0.
 
 Evaluation is Nystrom discretization on composite Gauss-Legendre nodes
-(Bornemann, Math. Comp. 79, 2010) followed by a pivoted-LU
-log-determinant.  Every kernel is filled by `_kernel_matrix` and every
-Nystrom matrix is assembled and factored by `_log_det`; a
-`Discretization` holds the weight-independent part for (partition, r,
-n), so each weight costs one factorization of I - K diag(c), assembled
-in Fortran order (`_nystrom_matrix`) so that the LU overwrites it
-instead of copying it.  A truncated series evaluation `series_det`
-provides an independent cross-check route for small instances and is
-deliberately kept free of any LU code.
+(Bornemann, Math. Comp. 79, 2010) followed by a log-determinant.  Every
+kernel is filled by `_kernel_matrix`, and every Nystrom matrix is
+assembled, in the symmetric scaling I - S D K D of I - K diag(c)
+(D = diag(sqrt|c|), S = diag(sign c)), and factored in place by
+`_log_det`: by Cholesky where c = w (1 - s) has one sign, raising
+NumericalError where the matrix is not positive definite, and by a
+pivoted LU for weights on both sides of 1.  A `Discretization` holds the
+weight-independent part for (partition, r, n), so each weight costs one
+assembly and one factorization.  A truncated series evaluation
+`series_det` provides an independent cross-check route for small
+instances and is deliberately kept free of any factorization.
 
 Hard gaps.  A zeroed interval G = (r x_{p-1}, r x_p), one with
 s_p = 0, is a hard gap: K on G has eigenvalues lambda_k within about
@@ -29,13 +31,13 @@ gap of 0.6.  Every weight configuration takes one route
 1 - lambda_k < HARD_GAP_TAU, the one with the smallest 1 - lambda_0 is
 deflated.  1 - lambda_k and the eigenfunctions come from prolate
 spheroidal wave functions (`prolate.gap_modes`) to relative accuracy,
-and the LU factors a matrix of the same size whose condition on that
-interval is about 1 / HARD_GAP_TAU (`_log_det`).  Inputs without such
-a mode keep the plain LU and its exact output.  A run of adjacent zero
+and the matrix factored has the same size and a condition on that
+interval of about 1 / HARD_GAP_TAU (`_log_det`).  Inputs without such
+a mode keep the plain matrix and its exact output.  A run of adjacent zero
 weights is one hard gap and is merged into one interval first.  Where
 the prolate values themselves lose their digits, the route raises
 NumericalError (see HARD_GAP_MAX_ROUNDING).  With zeros on
-separated intervals the other gaps stay in the LU: the route raises
+separated intervals the other gaps stay in the matrix: the route raises
 NumericalError where eps / (1 - lambda_0) of some zeroed interval
 exceeds the same bound, and below it their `error_estimate` counts N
 times the sum of those roundings for a matrix of size N.
@@ -65,7 +67,7 @@ __all__ = [
 ]
 
 # Hard-gap route (a zero weight s_p): prolate modes of the zeroed
-# interval with 1 - lambda_k below HARD_GAP_TAU are taken out of the LU
+# interval with 1 - lambda_k below HARD_GAP_TAU are taken out of the matrix
 # and put back analytically.  The factored matrix then has condition
 # about 1 / HARD_GAP_TAU, so its rounding moves log F by about
 # eps / HARD_GAP_TAU: between n = 64 and 128 the figure-2 points at
@@ -76,8 +78,8 @@ HARD_GAP_TAU = 1e-4
 # some deflated psi_k(1), and so about twice that of its 1 - lambda_k,
 # may exceed this: from half-length 26.7 on (r = 89 for a gap of 0.6;
 # the bound is 8e-7 at r = 80, where n = 64 and 128 agree to 1.4e-7).
-# Zeros on separated intervals raise when the LU's rounding bound
-# eps / (1 - lambda_0) of some zeroed interval exceeds it.
+# Zeros on separated intervals raise when the factorization's rounding
+# bound eps / (1 - lambda_0) of some zeroed interval exceeds it.
 HARD_GAP_MAX_ROUNDING = 1e-5
 # Beyond this half-length the bound above is always exceeded (it is
 # already about 0.1 at half-length 36), so the route raises at once.
@@ -211,7 +213,8 @@ class WeightConfiguration:
 class DeterminantResult:
     """log F (a float, F > 0) at the requested order, with
     |log F(n) - log F(n/2)| plus the rounding bounds that difference
-    cannot show (see `fredholm_det`) as the error estimate."""
+    cannot show (see `fredholm_det`) as the error estimate, which is inf
+    where the n/2 pass does not resolve the kernel."""
 
     log_f: float
     order_used: int
@@ -256,14 +259,6 @@ def _checked_weights(partition: IntervalPartition, weights):
     return IntervalPartition(endpoints), WeightConfiguration(merged)
 
 
-def _positive_log(log_f: complex) -> float:
-    """The real part of `log_f` from `_log_det`, which must carry no i pi:
-    F > 0, so a negative determinant means a discretization lost its sign."""
-    if log_f.imag:
-        raise NumericalError(f"lost determinant sign: the LU gives log det = {log_f!r}, but F > 0")
-    return log_f.real
-
-
 def _kernel_matrix(rule) -> np.ndarray:
     """The sine kernel on the nodes of the composite rule `rule`, read-only.
 
@@ -306,7 +301,8 @@ class Discretization:
 
     Built once for (partition, r, n), it gives log F at any number of
     weights through `log_det`, each one a weight column, an in-place
-    matrix assembly and one factorization.
+    matrix assembly and one factorization, which raises NumericalError
+    where the floor holds but the matrix is still not positive definite.
     """
 
     def __init__(self, partition, r: float, n: int):
@@ -330,18 +326,7 @@ class Discretization:
         if partition is not self.partition:  # merged zeros: fewer intervals, another rule
             return Discretization(partition, self.r, self.n).log_det(weights)
         gap, _ = _hard_gap_route(partition, weights, self.r)
-        return _positive_log(_log_det(self.rule, self.kernel, weights, gap))
-
-
-def _nystrom_matrix(kernel, c) -> np.ndarray:
-    """I - K diag(c) as a fresh Fortran-order array, the same bits as
-    `np.eye(N) - kernel * c` for the exactly symmetric K of a
-    `Discretization`: (K diag(-c))^T = -K diag(c) there, and the
-    transpose of a C-order product is Fortran order, so `lu_factor` can
-    overwrite it with no copy."""
-    mat = (kernel * -c[:, None]).T
-    np.fill_diagonal(mat, 1.0 - np.diagonal(kernel) * c)
-    return mat
+        return _log_det(self.rule, self.kernel, weights, gap)
 
 
 def lu_factor(a):
@@ -354,9 +339,18 @@ def lu_factor(a):
     return scipy_lu_factor(a, overwrite_a=True)
 
 
-def _lu_log_det(mat) -> complex:
-    """log |det(mat)| + i pi k by a pivoted LU that overwrites `mat`, with
-    k the parity of the number of negative pivots plus row swaps."""
+def cholesky_factor(a):
+    """LAPACK dpotrf on the lower triangle of the Fortran-order `a`,
+    overwriting it, imported on the first call as `lu_factor` is."""
+    from scipy.linalg.lapack import dpotrf
+
+    return dpotrf(a, lower=1, clean=0, overwrite_a=1)
+
+
+def _lu_log_det(mat) -> float:
+    """log det(mat) by a pivoted LU that overwrites `mat`, which must be
+    in Fortran order.  F > 0, so a negative sign (the parity of negative
+    pivots plus row swaps) means a discretization lost its sign."""
     lu, piv = lu_factor(mat)
     diag = np.diagonal(lu)
     if np.any(diag == 0.0):
@@ -364,20 +358,22 @@ def _lu_log_det(mat) -> complex:
     log_mag = float(np.sum(np.log(np.abs(diag))))
     if not math.isfinite(log_mag):
         raise NumericalError("non-finite log-determinant (pivot under/overflow)")
-    parity = np.count_nonzero(diag < 0.0) + np.count_nonzero(piv != np.arange(len(piv)))
-    return complex(log_mag, math.pi * (parity % 2))
+    if (np.count_nonzero(diag < 0.0) + np.count_nonzero(piv != np.arange(len(piv)))) % 2:
+        raise NumericalError(f"lost determinant sign: the LU gives det = -exp({log_mag!r}), but F > 0")
+    return log_mag
 
 
 def _hard_gap_route(partition, weights, r):
     """(gap, lu_rounding) for `weights` on `partition` at scale r.
 
     gap is (index of the deflated interval, its prolate modes with
-    1 - lambda_k < HARD_GAP_TAU), or None for the plain LU: of the zeroed
+    1 - lambda_k < HARD_GAP_TAU), or None for the plain matrix: of the zeroed
     intervals that have such modes, the one with the smallest
     1 - lambda_0 is deflated, the first one on a tie.  With more than one
     zeroed interval, lu_rounding sums eps / (1 - lambda_0) over every
-    zeroed interval with modes, the deflated one included: the LU's
-    rounding moves log F by up to N times that for a matrix of size N.
+    zeroed interval with modes, the deflated one included: the
+    factorization's rounding moves log F by up to N times that for a
+    matrix of size N.
     Raises NumericalError where a half-length exceeds
     HARD_GAP_MAX_HALF_LENGTH, where one such eps / (1 - lambda_0) exceeds
     HARD_GAP_MAX_ROUNDING (from half-length 14.1 on), or where the
@@ -400,7 +396,7 @@ def _hard_gap_route(partition, weights, r):
             if bound > HARD_GAP_MAX_ROUNDING:
                 raise NumericalError(
                     f"zeros on separated intervals: interval {p} of half-length {modes.c:.6g} has"
-                    f" 1 - lambda_0 = {modes.gaps[0]:.2e}, and the LU's rounding bound"
+                    f" 1 - lambda_0 = {modes.gaps[0]:.2e}, and the factorization's rounding bound"
                     f" eps / (1 - lambda_0) exceeds {HARD_GAP_MAX_ROUNDING:g}"
                 )
             lu_rounding += bound
@@ -416,32 +412,40 @@ def _hard_gap_route(partition, weights, r):
     return (k, modes), lu_rounding
 
 
-def _log_det(rule, kernel, weights: WeightConfiguration, gap) -> complex:
+def _log_det(rule, kernel, weights: WeightConfiguration, gap) -> float:
     """log det(I - K diag(c)) with c = w (1 - s) on the nodes of `rule`
-    and K = `kernel`, by one pivoted LU; with gap = (k, modes) from
-    `_hard_gap_route`, the prolate modes of interval k are deflated
-    first.
+    and K = `kernel`; with gap = (k, modes) from `_hard_gap_route`, the
+    prolate modes of interval k are deflated first.
 
-    With G the nodes of interval k (where c = w) and R the rest, the
-    matrix is similar to [[I - B, -E^T C_R], [-E, A_RR]], with
-    B = W^{1/2} K_GG W^{1/2}, E = K_RG W^{1/2}, C_R = diag(c_R) and
-    A_RR = I - K_RR C_R.  B has eigenpairs (lambda_j, q_j),
-    q = W^{1/2} psi(nodes) / sqrt(h) on the half-length h, and
-    1 - lambda_j is known to relative accuracy, so with
-    B' = B - Q diag(lambda) Q^T,
+    The matrix assembled, A = I - S D K D with D = diag(sqrt|c|) and
+    S = diag(sign c) on the rows, has the same determinant.  Where c has
+    one sign A is symmetric and takes a Cholesky factor, which raises
+    NumericalError unless A is positive definite; mixed signs take a
+    pivoted LU, which raises where its sign comes out negative.
+
+    With G the nodes of interval k (where c = w, so D_G = W^{1/2}) and R
+    the rest, A = [[I - B, -E^T D_R], [-S_R D_R E, A_RR]], with
+    B = W^{1/2} K_GG W^{1/2} and E = K_RG W^{1/2}.  B has eigenpairs
+    (lambda_j, q_j), q = W^{1/2} psi(nodes) / sqrt(h) on the half-length
+    h, and 1 - lambda_j is known to relative accuracy, so with
+    B' = B - Q diag(lambda) Q^T and L = diag(lambda / (1 - lambda)),
 
         det = prod_j (1 - lambda_j)
-              * det [[I - B', -E^T C_R],
-                     [-E, A_RR - (E Q) diag(lambda / (1 - lambda)) (E Q)^T C_R]],
+              * det [[I - B', -E^T D_R],
+                     [-S_R D_R E, A_RR - S_R D_R (E Q) L (E Q)^T D_R]],
 
     the Schur complement on G written with (I - B)^{-1} =
-    (I - B')^{-1} + Q diag(lambda / (1 - lambda)) Q^T.  The matrix
-    factored is as large as the plain one, and G adds no more than
+    (I - B')^{-1} + Q L Q^T.  The matrix factored is as large as the
+    plain one, symmetric where c has one sign, and G adds no more than
     1 / HARD_GAP_TAU to its condition; R may hold other zeroed intervals.
     """
     s = weights.as_array()
     c = rule.weights * (1.0 - s[rule.interval_index])
-    mat = _nystrom_matrix(kernel, c)
+    d = np.sqrt(np.abs(c))
+    row = np.copysign(d, c)  # S D: each row carries the sign of its c
+    mat = np.multiply.outer(-row, d)  # d_a d_b before K: exactly symmetric for one-sign c
+    mat *= kernel
+    mat.ravel()[:: len(c) + 1] += 1.0
     if gap is not None:
         k, modes = gap
         n = rule.n_per_interval
@@ -449,17 +453,19 @@ def _log_det(rule, kernel, weights: WeightConfiguration, gap) -> complex:
         base = gauss_legendre(n)
         psi = modes.at_gauss_nodes(n)  # G's nodes are the base nodes mapped onto it
         lam = 1.0 - modes.gaps
-        root_w = np.sqrt(rule.weights[g])
-        mat[g, :] *= root_w[:, None]
-        mat[:, g] /= root_w[None, :]
         q = np.sqrt(base.weights)[:, None] * psi  # W^{1/2} psi / sqrt(h), w = h * base weight
-        mat[g, g] += (q * lam) @ q.T
+        mat[g, g] += (q * lam) @ q.T  # G's block is I - B already
         if len(c) > n:  # R is not empty
             eq = kernel[:, g] @ (rule.weights[g][:, None] * psi) / math.sqrt(modes.c)
             eq[g] = 0.0  # E Q lives on R; zero rows keep G untouched
-            mat_t = mat.T  # a C-order view, so the update runs in mat's own memory order
-            mat_t -= (c[:, None] * eq) @ (eq * (lam / modes.gaps)).T
-    log_f = _lu_log_det(mat)
+            mat -= (row[:, None] * eq * (lam / modes.gaps)) @ (d[:, None] * eq).T
+    if c.min() < 0.0 < c.max():
+        log_f = _lu_log_det(mat.T)
+    else:  # symmetric: mat.T is mat in Fortran order, factored with no copy
+        factor, info = cholesky_factor(mat.T)
+        if info > 0:
+            raise NumericalError("not positive definite: the discretization does not resolve")
+        log_f = 2.0 * float(np.sum(np.log(np.diagonal(factor))))
     return log_f if gap is None else float(np.sum(np.log(modes.gaps))) + log_f
 
 
@@ -471,9 +477,11 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     reported as `error_estimate`.  Below ceil(r L / 2) nodes on an
     interval of length L (after adjacent zero weights are merged) neither
     pass resolves the kernel, and the two can still agree; `Discretization`
-    raises NumericalError there before any kernel is built.  Callers
-    that evaluate many weights on one partition and r, and do not need
-    the estimate, should call `Discretization(partition, r, n).log_det`
+    raises NumericalError there before any kernel is built.  Where only
+    the n//2 pass does not resolve (its factorization raises),
+    `error_estimate` is inf, never a small number.  Callers that
+    evaluate many weights on one partition and r, and do not need the
+    estimate, should call `Discretization(partition, r, n).log_det`
     instead: it builds the kernel once and skips the n//2 pass.
 
     Real weights whose zeroed interval has half-length
@@ -493,7 +501,7 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     Adjacent zero weights are merged into one zeroed interval before the
     route is chosen, so `(0, 0.3, 0.6)` with `(0, 0)` is the hard gap
     `(0, 0.6)`.  Zeros separated by a nonzero weight leave one hard gap
-    deflated and the others in the LU, whose rounding moves log F by up
+    deflated and the others in the matrix, whose rounding moves log F by up
     to N eps / (1 - lambda_0) per zeroed interval for a matrix of size N;
     `error_estimate` adds that bound, summed over every zeroed interval
     with 1 - lambda_0 < HARD_GAP_TAU, the deflated one included.  They
@@ -506,20 +514,23 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     gap, lu_rounding = _hard_gap_route(partition, weights, full.r)
     log_full = _log_det(full.rule, full.kernel, weights, gap)
     half = composite_rule(partition, full.r, full.n // 2)
-    log_half = _log_det(half, _kernel_matrix(half), weights, gap)
+    try:
+        log_half = _log_det(half, _kernel_matrix(half), weights, gap)
+    except NumericalError:  # an unresolved n // 2 pass gives no estimate, never a small one
+        log_half = math.inf
     # rounding that the difference of the two orders need not show is
     # added as its bound: the prolate 1 - lambda_k are shared by both
-    # passes, and the LU's rounding on a zeroed interval is no smaller
-    # at the coarse order; a negative coarse determinant enters as i pi
+    # passes, and the factorization's rounding on a zeroed interval is no
+    # smaller at the coarse order
     err = abs(log_full - log_half) + len(full.rule.nodes) * lu_rounding
     if gap is not None:
         modes = gap[1]
         err += 2.0 * modes.count * modes.rounding
-    return DeterminantResult(log_f=_positive_log(log_full), order_used=full.n, error_estimate=err)
+    return DeterminantResult(log_f=log_full, order_used=full.n, error_estimate=err)
 
 
 def series_det(partition, weights, r: float) -> float:
-    """F by the determinant series truncated after k = 3, an LU-free
+    """F by the determinant series truncated after k = 3, a factorization-free
     cross-check.
 
     F = sum_{k=0}^{3} (-1)^k / k! int...int det[Khat(t_i, t_j)] dt,

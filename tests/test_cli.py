@@ -425,7 +425,8 @@ print("scipy.linalg" in sys.modules)
 
 
 def test_commands_that_factor_nothing_leave_scipy_linalg_unimported():
-    # scipy.linalg costs 0.25 s and 27 MB per process; only an LU loads it
+    # scipy.linalg costs 0.25 s and 27 MB per process; only a factorization
+    # loads it
     src = str(Path(sinegap.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY], env=env, capture_output=True,
@@ -446,6 +447,19 @@ def test_hard_gap_whose_edge_value_rounds_to_zero_exits_3(capsys):
                              "--r-range", "5:200:10", "--n", "128")
     assert (code, out) == (3, "")
     assert "rounding bound inf" in err and "Traceback" not in err
+
+
+def test_unresolved_coarse_pass_exits_3_and_names_the_order_it_needs(capsys):
+    # at n = 128 the fine pass resolves fig1-left at r = 200, but the
+    # n // 2 = 64 pass, below the floor of 70, is not positive definite:
+    # the estimate would be inf, so no row is written
+    argv = ("fredholm", "--x", "0,0.7,1.2", "--u=-1.1,-2.4", "--r", "200")
+    code, out, err = run_cli(capsys, *argv, "--n", "128")
+    assert (code, out) == (3, "")
+    assert "the n // 2 = 64 pass does not resolve" in err and "--n >= 140" in err
+    assert "Traceback" not in err and "non-finite" not in err
+    code, out, _ = run_cli(capsys, *argv, "--n", "150")
+    assert code == 0 and out.count("\n") == 2
 
 
 def _readme_examples():

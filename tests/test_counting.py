@@ -24,6 +24,7 @@ from sinegap import (
     JointPMF,
     NumericalError,
     ValidationError,
+    WeightConfiguration,
     conditional_zero_probability,
     counting_stats,
     fredholm_det,
@@ -344,7 +345,7 @@ def test_counting_equals_loop_over_fredholm_det():
 
 
 def test_counting_fills_one_kernel_and_factors_once_per_weight(monkeypatch):
-    calls = {"kernel": 0, "lu": 0}
+    calls = {"kernel": 0, "factor": 0, "lu": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -355,25 +356,27 @@ def test_counting_fills_one_kernel_and_factors_once_per_weight(monkeypatch):
 
     # a kernel is one _kernel_matrix call, however many blocks it fills
     monkeypatch.setattr(fredholm_module, "_kernel_matrix", counted("kernel", fredholm_module._kernel_matrix))
+    monkeypatch.setattr(fredholm_module, "cholesky_factor", counted("factor", fredholm_module.cholesky_factor))
     monkeypatch.setattr(fredholm_module, "lu_factor", counted("lu", fredholm_module.lu_factor))
 
     def run(fn, *args, **kwargs):
-        calls.update(kernel=0, lu=0)
+        calls.update(kernel=0, factor=0, lu=0)
         fn(*args, **kwargs)
         return dict(calls)
 
     # the torus values are determinants of the low-rank factor's size,
-    # none an LU of the Nystrom matrix; at K = 0 (g = 2) r is small enough
-    # that two counts in one interval do not fold onto zero
-    assert run(joint_pmf, (0.0, 0.5, 1.0), 2.0, 2) == {"kernel": 1, "lu": 0}
-    assert run(joint_pmf, (0.0, 0.4, 0.8, 1.2), 1.0, 1) == {"kernel": 1, "lu": 0}
-    assert run(joint_pmf, (0.0, 0.5, 1.0), 0.01, 0) == {"kernel": 1, "lu": 0}
+    # none a factorization of the Nystrom matrix; at K = 0 (g = 2) r is
+    # small enough that two counts in one interval do not fold onto zero
+    assert run(joint_pmf, (0.0, 0.5, 1.0), 2.0, 2) == {"kernel": 1, "factor": 0, "lu": 0}
+    assert run(joint_pmf, (0.0, 0.4, 0.8, 1.2), 1.0, 1) == {"kernel": 1, "factor": 0, "lu": 0}
+    assert run(joint_pmf, (0.0, 0.5, 1.0), 0.01, 0) == {"kernel": 1, "factor": 0, "lu": 0}
     # the cumulants are traces: no factorization
-    assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0) == {"kernel": 1, "lu": 0}
-    assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0, order=1) == {"kernel": 1, "lu": 0}
-    assert run(thinned_gap_probability, (0.0, 0.6, 1.3), (0.3, 0.7), 6.0) == {"kernel": 1, "lu": 1}
+    assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0) == {"kernel": 1, "factor": 0, "lu": 0}
+    assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0, order=1) == {"kernel": 1, "factor": 0, "lu": 0}
+    # the gap probabilities take weights in [0, 1]: one Cholesky factor each
+    assert run(thinned_gap_probability, (0.0, 0.6, 1.3), (0.3, 0.7), 6.0) == {"kernel": 1, "factor": 1, "lu": 0}
     # the merged gap (numerator) and the thinned partition (denominator)
-    assert run(conditional_zero_probability, (0.0, 0.6, 1.3), (0.3, 0.7), 6.0) == {"kernel": 2, "lu": 2}
+    assert run(conditional_zero_probability, (0.0, 0.6, 1.3), (0.3, 0.7), 6.0) == {"kernel": 2, "factor": 2, "lu": 0}
 
 
 def test_unimodular_weights_bound():
@@ -420,13 +423,17 @@ def test_pmf_factor_has_low_rank_and_meets_its_stopping_rule():
         assert np.max(np.abs(b - v @ v.T)) <= eps_trace
 
 
-def test_counting_keeps_order_and_sign_checks(monkeypatch):
+def test_counting_keeps_order_and_sign_checks():
     with pytest.raises(ValidationError, match="quadrature order"):
         joint_pmf((0.0, 0.5), 1.0, 2, n_quad=4)
     with pytest.raises(ValidationError, match="quadrature order"):
         numerical_cumulants((0.0, 1.0), 4.0, n=7)
     with pytest.raises(ValidationError, match="scale r"):
         thinned_gap_probability((0.0, 1.0), (0.5,), float("nan"))
-    monkeypatch.setattr(fredholm_module, "_lu_log_det", lambda mat: complex(-1.0, 0.5))
-    with pytest.raises(NumericalError, match="lost determinant sign"):
-        thinned_gap_probability((0.0, 1.0), (0.5,), 4.0)
+    # fig1-left at r = 200 and n = 71, one node above the order floor, has
+    # one negative eigenvalue: the Cholesky factor of the gap probability
+    # raises instead of returning a value
+    s = WeightConfiguration.from_positive_u((-1.1, -2.4)).values
+    with pytest.raises(NumericalError, match="not positive definite"):
+        thinned_gap_probability((0.0, 0.7, 1.2), s, 200.0, n=71)
+    assert 0.0 < thinned_gap_probability((0.0, 0.7, 1.2), s, 200.0, n=128) < 1e-99

@@ -1,7 +1,8 @@
-"""Determinant layer: kernel, partitions, weights, LU and series routes.
+"""Determinant layer: kernel, partitions, weights, factorization and series
+routes.
 
-The two evaluation routes (pivoted LU vs truncated series) are kept
-independent in the implementation and are cross-checked here; the exact
+The two evaluation routes (Cholesky or pivoted LU vs truncated series) are
+kept independent in the implementation and are cross-checked here; the exact
 symmetries of the determinant (translation, reflection, scaling) provide
 oracle-free invariance checks.
 """
@@ -434,43 +435,76 @@ def test_discretization_validation_and_sign_check(monkeypatch):
     disc = Discretization((0.0, 1.0), 2.0, 16)
     with pytest.raises(ValidationError):
         disc.log_det((0.5, 0.5))  # m mismatch
-    monkeypatch.setattr(fredholm_module, "_lu_log_det", lambda mat: complex(-1.0, 0.5))
-    with pytest.raises(NumericalError, match="lost determinant sign"):
-        disc.log_det((0.5,))
     with pytest.raises(ValidationError, match="real"):
         disc.log_det((1j,))
+    # only weights on both sides of 1 reach the LU and its sign parity:
+    # a pivot flipped there raises, and one-sign weights never factor by LU
+    lu_factor = fredholm_module.lu_factor
+
+    def negative_pivot(a):
+        lu, piv = lu_factor(a)
+        lu[0, 0] = -lu[0, 0]
+        return lu, piv
+
+    monkeypatch.setattr(fredholm_module, "lu_factor", negative_pivot)
+    disc = Discretization((0.0, 0.5, 1.0), 2.0, 16)
+    with pytest.raises(NumericalError, match="lost determinant sign"):
+        disc.log_det((0.3, 2.5))
+    for weights in ((0.3, 0.6), (2.0, 3.0)):
+        assert disc.log_det(weights) == fredholm_det((0.0, 0.5, 1.0), weights, 2.0, 16).log_f
 
 
 def test_lu_sign_is_the_parity_of_negative_pivots_and_row_swaps():
     # a row-permuted diagonal matrix factors with its diagonal entries as
     # the pivots and one row swap per step of each cycle: 37 swaps for a
-    # 38-cycle on 40 rows.  The sign carries no rounding: a float sum of
-    # 21 + 37 half-turns folded into [-pi, pi] read 7.1e-15 for 0, and
-    # -3.1415926535897896 for pi with 20 negative entries.
+    # 38-cycle on 40 rows.  The sign is an exact count: 21 + 37 half-turns
+    # give log det, 20 + 37 a negative determinant, which F > 0 forbids.
     d = np.linspace(0.5, 2.0, 40)
     rows = np.r_[np.roll(np.arange(38), 1), 38, 39]
-    for negatives, arg in ((21, 0.0), (20, math.pi)):
+    for negatives in (21, 20):
         diag = d.copy()
         diag[:negatives] *= -1.0
-        log_f = fredholm_module._lu_log_det(np.asfortranarray(np.diag(diag)[rows]))
-        assert log_f.imag == arg, (negatives, log_f)
-        assert log_f.real == float(np.sum(np.log(d)))
+        mat = np.asfortranarray(np.diag(diag)[rows])
+        if negatives % 2:
+            assert fredholm_module._lu_log_det(mat) == float(np.sum(np.log(d)))
+        else:
+            with pytest.raises(NumericalError, match="lost determinant sign"):
+                fredholm_module._lu_log_det(mat)
 
 
-def test_negative_coarse_determinant_enters_the_estimate_as_i_pi(monkeypatch):
-    # an unresolved n // 2 pass may come out negative: the fine value is
-    # kept, and the estimate reads |log F(n) - log F(n // 2) - i pi|
-    plain = fredholm_det((0.0, 1.0), (0.5,), 2.0)
-    lu_log_det, passes = fredholm_module._lu_log_det, []
+def test_unresolved_coarse_pass_reads_an_infinite_estimate():
+    # fig2-right at r = 80, n = 64: the n // 2 = 32 pass sits exactly at
+    # the order floor ceil(80 * 0.8 / 2) = 32 and is not positive
+    # definite there.  The fine value is kept, and the estimate is inf,
+    # never a small number.
+    endpoints, weights = FIG2_RIGHT
+    partition = IntervalPartition(endpoints)
+    gap, _ = fredholm_module._hard_gap_route(partition, weights, 80.0)
+    half = composite_rule(partition, 80.0, 32)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        fredholm_module._log_det(half, _kernel_matrix(half), weights, gap)
+    res = fredholm_det(endpoints, weights, 80.0, 64)
+    assert res.log_f == Discretization(endpoints, 80.0, 64).log_det(weights)
+    assert res.error_estimate == math.inf
 
-    def coarse_negative(mat):
-        passes.append(lu_log_det(mat))
-        return passes[-1] + (1j * math.pi if len(passes) == 2 else 0.0)
 
-    monkeypatch.setattr(fredholm_module, "_lu_log_det", coarse_negative)
-    res = fredholm_det((0.0, 1.0), (0.5,), 2.0)
-    assert res.log_f == plain.log_f
-    assert res.error_estimate == math.hypot(passes[0].real - passes[1].real, math.pi)
+def test_indefinite_discretization_raises():
+    # fig1-left at r = 200, n = 64 (below the floor of 70, so the rule and
+    # kernel are built directly) has two negative eigenvalues.  The LU's
+    # sign parity cannot see an even count: it returned -219.10 against a
+    # true -228.64.  The Cholesky factor raises; n = 128 resolves.
+    partition = IntervalPartition((0.0, 0.7, 1.2))
+    weights = WeightConfiguration.from_positive_u((-1.1, -2.4))
+    rule = composite_rule(partition, 200.0, 64)
+    kernel = _kernel_matrix(rule)
+    c = rule.weights * (1.0 - weights.as_array()[rule.interval_index])
+    d = np.sqrt(c)
+    assert np.count_nonzero(np.linalg.eigvalsh(np.eye(len(c)) - d[:, None] * kernel * d) < 0.0) == 2
+    with pytest.raises(NumericalError, match="not positive definite"):
+        fredholm_module._log_det(rule, kernel, weights, None)
+    rule = composite_rule(partition, 200.0, 128)
+    log_f = fredholm_module._log_det(rule, _kernel_matrix(rule), weights, None)
+    assert abs(log_f - -228.64370442447) < 1e-9
 
 
 def test_kernel_fill_is_symmetric_and_within_its_rounding_bound():
@@ -541,18 +575,42 @@ def test_kernel_fill_matches_extended_precision_entries():
             assert abs(got - want) <= tol, (endpoints, r, n, a, b, got - want)
 
 
-def test_nystrom_matrix_is_identity_minus_weighted_kernel_bit_for_bit():
+def test_assembly_is_identity_minus_scaled_kernel_bit_for_bit(monkeypatch):
+    # the factored matrix is I - S D K D, D = diag(sqrt|c|) and S the signs
+    # of c on the rows, handed over in Fortran order so that nothing is
+    # copied.  d_a d_b is formed before K, so for one-sign c the matrix is
+    # exactly symmetric; d_a K d_b, in either order, is not.
     disc = Discretization((0.0, 0.5, 1.1, 1.7), 23.0, 16)
-    rng = np.random.default_rng(5)
-    size = len(disc.rule.nodes)
-    c = rng.uniform(-1.0, 1.0, size)
-    mat = fredholm_module._nystrom_matrix(disc.kernel, c)
-    assert mat.flags.f_contiguous and mat.dtype == np.float64
-    assert np.array_equal(mat, np.eye(size) - disc.kernel * c)
+    size, seen = len(disc.rule.nodes), []
+
+    def recorded(name):
+        factor = getattr(fredholm_module, name)
+
+        def wrapper(a):
+            assert a.flags.f_contiguous and a.dtype == np.float64
+            seen.append((name, a.T.copy()))
+            return factor(a)
+
+        return wrapper
+
+    monkeypatch.setattr(fredholm_module, "cholesky_factor", recorded("cholesky_factor"))
+    monkeypatch.setattr(fredholm_module, "lu_factor", recorded("lu_factor"))
+    for s, factor in (((0.3, 0.6, 0.9), "cholesky_factor"), ((2.0, 3.0, 1.0), "cholesky_factor"),
+                      ((0.3, 2.5, 0.9), "lu_factor")):
+        seen.clear()
+        disc.log_det(s)
+        c = disc.rule.weights * (1.0 - np.asarray(s)[disc.rule.interval_index])
+        d = np.sqrt(np.abs(c))
+        [(name, mat)] = seen
+        assert name == factor
+        assert np.array_equal(mat, np.eye(size) - np.outer(np.sign(c) * d, d) * disc.kernel)
+        if factor == "cholesky_factor":
+            assert np.array_equal(mat, mat.T)
+            assert np.array_equal(mat, np.eye(size) - np.sign(c[0]) * np.outer(d, d) * disc.kernel)
 
 
 def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
-    calls = {"kernel": 0, "lu": 0}
+    calls = {"kernel": 0, "factor": 0, "lu": 0}
     sizes = []
 
     def counted(name, fn):
@@ -571,10 +629,47 @@ def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
 
     # a kernel is one _kernel_matrix call, however many blocks it fills
     monkeypatch.setattr(fredholm_module, "_kernel_matrix", counted("kernel", sized_fill))
+    monkeypatch.setattr(fredholm_module, "cholesky_factor", counted("factor", fredholm_module.cholesky_factor))
     monkeypatch.setattr(fredholm_module, "lu_factor", counted("lu", fredholm_module.lu_factor))
     fredholm_det((0.0, 0.5, 1.0), (0.3, 0.6), 5.0)
-    assert calls == {"kernel": 2, "lu": 2}
+    assert calls == {"kernel": 2, "factor": 2, "lu": 0}
     assert sizes == [128, 64]  # orders n = 64 and n // 2 on two intervals
+    # weights on both sides of 1 take the LU at both orders
+    calls.update(kernel=0, factor=0, lu=0)
+    fredholm_det((0.0, 0.5, 1.0), (0.3, 2.5), 5.0)
+    assert calls == {"kernel": 2, "factor": 0, "lu": 2}
+
+
+def _slogdet_log_f(endpoints, weights, r, n):
+    """log F from numpy's LU of the plain I - K diag(c), with its sign."""
+    disc = Discretization(endpoints, r, n)
+    c = disc.rule.weights * (1.0 - WeightConfiguration(weights).as_array()[disc.rule.interval_index])
+    return np.linalg.slogdet(np.eye(len(c)) - disc.kernel * c)
+
+
+def test_log_det_matches_an_independent_slogdet():
+    # one-sign weights take the Cholesky factor, mixed ones the LU; both
+    # must give numpy's log-determinant of the unscaled matrix.  Hard gaps
+    # are compared at r <= 20, where the plain matrix is still accurate
+    # (see test_hard_gap_route_agrees_with_lu_where_lu_is_accurate).
+    figures = (
+        ((0.0, 0.7, 1.2), WeightConfiguration.from_positive_u((-1.1, -2.4)).values),
+        ((0.0, 0.5, 1.1, 1.7), WeightConfiguration.from_positive_u((-0.8, -1.8, -1.32)).values),
+        (FIG2_LEFT[0], FIG2_LEFT[1].values),
+        (FIG2_RIGHT[0], FIG2_RIGHT[1].values),
+    )
+    for endpoints, figure_weights in figures:
+        m = len(endpoints) - 1
+        above_one = tuple(2.0 + j for j in range(m))
+        mixed = tuple((0.3, 2.5)[j % 2] for j in range(m))
+        for r in (5.0, 20.0):
+            for n in (64, 128):
+                for weights in (figure_weights, above_one, mixed):
+                    sign, want = _slogdet_log_f(endpoints, weights, r, n)
+                    got = Discretization(endpoints, r, n).log_det(weights)
+                    assert sign == 1.0
+                    tol = 1e-10 if 0.0 in weights else 1e-12 * abs(want)
+                    assert abs(got - want) <= tol, (endpoints, weights, r, n, got - want)
 
 
 def test_hard_gap_route_agrees_with_lu_where_lu_is_accurate(monkeypatch):
@@ -595,7 +690,7 @@ def test_hard_gap_route_agrees_with_lu_where_lu_is_accurate(monkeypatch):
 
 def test_hard_gap_route_keeps_lu_bytes_without_small_gaps(monkeypatch):
     # r (x_p - x_{p-1}) / 2 = 3 leaves every 1 - lambda_k above tau: the
-    # result is the plain LU's, bit for bit
+    # result is the plain matrix's, bit for bit
     endpoints, weights = FIG2_LEFT
     default = fredholm_det(endpoints, weights, 10.0, 64)
     monkeypatch.setattr(fredholm_module, "HARD_GAP_TAU", 0.0)
@@ -624,7 +719,7 @@ def test_hard_gap_route_raises_instead_of_returning_garbage():
 # zeros on separated intervals, with 40-digit references at r = 40
 # (tools/hard_gap_references.py, n = 40 and 52 per interval agree to 22
 # digits): in A and B the first gap is the longest and is deflated, in C
-# the two gaps are equal and the second one stays in the LU
+# the two gaps are equal and the second one stays in the factored matrix
 SEPARATED_A = ((0.0, 0.6, 0.8, 1.0), (0.0, 1.0, 0.0))
 SEPARATED_B = ((0.0, 0.6, 0.8, 1.1), (0.0, 0.5, 0.0))
 SEPARATED_C = ((0.0, 0.6, 0.8, 1.4), (0.0, 1.0, 0.0))
@@ -638,7 +733,8 @@ SEPARATED_REFERENCES = (
 def test_separated_zeros_deflate_the_smallest_gap_and_match_references():
     # the plain LU was off by 2.5e-7 (A) and 4.0e-7 (B) at n = 64; with
     # the longest gap deflated they are off by about 1e-12.  C keeps one
-    # of its two equal gaps in the LU and is covered by its estimate only.
+    # of its two equal gaps in the factored matrix and is covered by its
+    # estimate only.
     for (endpoints, s), want in SEPARATED_REFERENCES:
         (k, modes), lu_rounding = fredholm_module._hard_gap_route(
             IntervalPartition(endpoints), WeightConfiguration(s), 40.0
@@ -658,9 +754,10 @@ def test_separated_zeros_deflate_the_smallest_gap_and_match_references():
 
 
 def test_separated_zeros_error_estimate_covers_the_next_order():
-    # the LU's rounding on the zeroed intervals, up to N eps / (1 - lambda_0)
-    # each, need not show in |log F(n) - log F(n // 2)|; with that bound
-    # added the estimate covers the next order from r = 30 to 46
+    # the factorization's rounding on the zeroed intervals, up to
+    # N eps / (1 - lambda_0) each, need not show in |log F(n) -
+    # log F(n // 2)|; with that bound added the estimate covers the next
+    # order from r = 30 to 46
     endpoints, s = SEPARATED_C
     for r in (30.0, 40.0, 46.0):
         coarse = fredholm_det(endpoints, s, r, 64)

@@ -45,6 +45,7 @@ from .asymptotics import (
 from .counting import _checked_counts, joint_pmf
 from .errors import NumericalError, ValidationError
 from .fredholm import (
+    Discretization,
     IntervalPartition,
     WeightConfiguration,
     _checked_u,
@@ -277,7 +278,7 @@ def _run_converge(job: JobSpec, partition: IntervalPartition):
     weights = _weights(job.s, job.u, job.p, job.m)
 
     def one(r: float):
-        numeric = fredholm_det(partition, weights, r, job.n).log_f
+        numeric = Discretization(partition, r, job.n).log_det(weights)  # fredholm_det's log_f, no n // 2 pass
         asym = _expansion(job, partition, r).total
         return [r, numeric, asym, r * (numeric - asym)]
 

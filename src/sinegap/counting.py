@@ -13,10 +13,10 @@ Process. Related Fields 16, 2010), and need no determinant at all.
 
 None of these needs the n/2 error estimate of `fredholm_det`.  So every
 function here builds one `Discretization` per partition (the composite
-rule and the sine kernel on its nodes), and raises NumericalError below
-its order floor ceil(r L / 2).  The gap probabilities call its
-`log_det` once per weight: one matrix assembly and one factorization
-each.  The PMF factors nothing of size N: B = W^{1/2} K W^{1/2} has
+rule, and the sine kernel on its nodes where it is read), and raises
+NumericalError below its order floor ceil(r L / 2).  The gap
+probabilities call its `log_det` once per weight: one fill of the scaled
+Nystrom matrix and one factorization each, and no kernel.  The PMF factors nothing of size N: B = W^{1/2} K W^{1/2} has
 numerical rank rho of about r (x_m - x_0) / pi + O(log 1 / eps), so one
 diagonally pivoted Cholesky factor B ~ V V^T (N x rho, stopped once the
 residual trace is at most eps tr(B)) turns every torus value into a

@@ -11,14 +11,14 @@ for real weights s_k >= 0, where F > 0.
 
 Evaluation is Nystrom discretization on composite Gauss-Legendre nodes
 (Bornemann, Math. Comp. 79, 2010) followed by a log-determinant.  Every
-kernel is filled by `_kernel_matrix`, and every Nystrom matrix is
-assembled, in the symmetric scaling I - S D K D of I - K diag(c)
-(D = diag(sqrt|c|), S = diag(sign c)), and factored in place by
-`_log_det`: by Cholesky where c = w (1 - s) has one sign, raising
+Nystrom matrix is the symmetric scaling I - S D K D of I - K diag(c)
+(D = diag(sqrt|c|), S = diag(sign c)), filled straight from the scaled
+sines and cosines of the nodes by `_scaled_kernel`, and factored in place
+by `_log_det`: by Cholesky where c = w (1 - s) has one sign, raising
 NumericalError where the matrix is not positive definite, and by a
 pivoted LU for weights on both sides of 1.  A `Discretization` holds the
 weight-independent part for (partition, r, n), so each weight costs one
-assembly and one factorization.  A truncated series evaluation
+fill and one factorization.  A truncated series evaluation
 `series_det` provides an independent cross-check route for small
 instances and is deliberately kept free of any factorization.
 
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -223,7 +224,7 @@ class DeterminantResult:
 
 def sine_kernel(x, y):
     """sin(x - y) / (pi (x - y)), with the diagonal limit 1/pi."""
-    # This pointwise form, not the separable fill of `_kernel_matrix`, is
+    # This pointwise form, not the separable fill of `_scaled_kernel`, is
     # the reference that `series_det` and the tests use: it keeps its
     # relative accuracy for near-coincident x and y.
     return np.sinc(np.subtract(x, y) / math.pi) / math.pi
@@ -259,35 +260,54 @@ def _checked_weights(partition: IntervalPartition, weights):
     return IntervalPartition(endpoints), WeightConfiguration(merged)
 
 
-def _kernel_matrix(rule) -> np.ndarray:
-    """The sine kernel on the nodes of the composite rule `rule`, read-only.
+def _scaled_kernel(rule, a, b, upper: bool = False, gap: int | None = None) -> np.ndarray:
+    """diag(a) K diag(b) on the nodes t of the composite rule `rule`, K the
+    sine kernel, from the 2N scaled sines and cosines a sin t, a cos t,
+    b sin t and b cos t.
 
-    It is filled in blocks: the rows of interval k against the nodes of
-    intervals k..m, each block's transpose mirrored below the diagonal.
-    Each entry is sin(t_a - t_b) written as sin t_a cos t_b -
-    cos t_a sin t_b, so a kernel of size N takes 2N sines and cosines
-    instead of N^2 sines.  The kernel is exactly symmetric (the
-    numerator and t_a - t_b both change sign exactly when a and b swap),
-    exactly 1/pi on the diagonal, and off it within about
-    3 eps / (pi |t_a - t_b|) of the kernel at the node doubles.  That
+    Entry (i, j) is ((a_i sin t_i)(b_j cos t_j) - (a_i cos t_i)(b_j sin t_j))
+    / (pi (t_i - t_j)), and a_i b_i / pi on the diagonal.  It is filled in
+    blocks of one interval's rows: against every node, or with `upper`
+    against the nodes of the row's own interval and those right of it
+    (the blocks below are left unset), or with `gap = k` against the nodes
+    of interval k only, an N x n block.  With a = b = 1 this is the
+    kernel: exactly 1/pi on the diagonal, and off it within about
+    3 eps / (pi |t_i - t_j|) of the kernel at the node doubles.  That
     error is large only where the node spacing, and so the quadrature
-    weight w_b, is as small, so each K_ab w_b is right to a few eps.
+    weight w_j, is as small, so each K_ij w_j is right to a few eps.
+    Where a = b or a = -b the fill is exactly symmetric: swapping i and j
+    negates the numerator and t_i - t_j exactly.
     """
     n, t = rule.n_per_interval, rule.nodes
     sin_t, cos_t = np.sin(t), np.cos(t)
-    kernel = np.empty((len(t), len(t)))
-    for lo in range(0, len(t), n):  # one interval's rows, diagonal block rightwards
+    row_sin, row_cos, col_sin, col_cos = a * sin_t, a * cos_t, b * sin_t, b * cos_t
+    lo_col, hi_col = (0, len(t)) if gap is None else (gap * n, (gap + 1) * n)
+    out = np.empty((len(t), hi_col - lo_col))
+    for lo in range(0, len(t), n):
         rows = slice(lo, lo + n)
-        block = kernel[rows, lo:]
-        np.multiply.outer(sin_t[rows], cos_t[lo:], out=block)
-        scratch = np.multiply.outer(cos_t[rows], sin_t[lo:])
+        first = lo if upper else lo_col
+        cols = slice(first, hi_col)
+        block = out[rows, first - lo_col :]
+        np.multiply.outer(row_sin[rows], col_cos[cols], out=block)
+        scratch = np.multiply.outer(row_cos[rows], col_sin[cols])
         block -= scratch
-        np.subtract.outer(t[rows], t[lo:], out=scratch)
+        np.subtract.outer(t[rows], t[cols], out=scratch)
         scratch *= math.pi
-        scratch.ravel()[:: len(t) - lo + 1] = 1.0  # the diagonal: 0 / 1, not 0 / 0
+        if first <= lo < hi_col:  # the diagonal: 0 / 1, not 0 / 0
+            np.fill_diagonal(scratch[:, lo - first :], 1.0)
         block /= scratch
-        kernel[lo + n :, rows] = block[:, n:].T
-    np.fill_diagonal(kernel, 1.0 / math.pi)
+    np.fill_diagonal(out[lo_col:hi_col], (a * b)[lo_col:hi_col] * (1.0 / math.pi))
+    return out
+
+
+def _kernel_matrix(rule) -> np.ndarray:
+    """The sine kernel on the nodes of the composite rule `rule`, read-only:
+    the upper blocks of `_scaled_kernel` with unit scales, each mirrored
+    below the diagonal, which copies the bits the full fill would compute."""
+    n, ones = rule.n_per_interval, np.ones(len(rule.nodes))
+    kernel = _scaled_kernel(rule, ones, ones, upper=True)
+    for lo in range(0, len(ones) - n, n):
+        kernel[lo + n :, lo : lo + n] = kernel[lo : lo + n, lo + n :].T
     kernel.setflags(write=False)
     return kernel
 
@@ -296,12 +316,13 @@ class Discretization:
     """The weight-independent part of log F at order n: the composite
     Gauss-Legendre rule with n nodes per interval of the scaled partition
     (`rule`), and the sine kernel on its nodes (`kernel`, read-only, see
-    `_kernel_matrix`).  An order n below ceil(r L / 2) on an interval of
-    length L cannot resolve the kernel there and raises NumericalError.
+    `_kernel_matrix`), built on first use.  An order n below
+    ceil(r L / 2) on an interval of length L cannot resolve the kernel
+    there and raises NumericalError before anything is filled.
 
     Built once for (partition, r, n), it gives log F at any number of
-    weights through `log_det`, each one a weight column, an in-place
-    matrix assembly and one factorization, which raises NumericalError
+    weights through `log_det`, each one a weight column, one fill of the
+    scaled kernel and one factorization, which raises NumericalError
     where the floor holds but the matrix is still not positive definite.
     """
 
@@ -316,7 +337,12 @@ class Discretization:
                 f" it needs n >= ceil(r (x_j - x_(j-1)) / 2) = {need}"
             )
         self.rule = composite_rule(self.partition, self.r, self.n)
-        self.kernel = _kernel_matrix(self.rule)
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """The sine kernel on the nodes of `rule`, read-only, built on first
+        use: `log_det` fills its matrix without it."""
+        return _kernel_matrix(self.rule)
 
     def log_det(self, weights) -> float:
         """log F at `weights` (one per interval), by the same route as
@@ -326,7 +352,7 @@ class Discretization:
         if partition is not self.partition:  # merged zeros: fewer intervals, another rule
             return Discretization(partition, self.r, self.n).log_det(weights)
         gap, _ = _hard_gap_route(partition, weights, self.r)
-        return _log_det(self.rule, self.kernel, weights, gap)
+        return _log_det(self.rule, weights, gap)
 
 
 def lu_factor(a):
@@ -412,16 +438,20 @@ def _hard_gap_route(partition, weights, r):
     return (k, modes), lu_rounding
 
 
-def _log_det(rule, kernel, weights: WeightConfiguration, gap) -> float:
+def _log_det(rule, weights: WeightConfiguration, gap) -> float:
     """log det(I - K diag(c)) with c = w (1 - s) on the nodes of `rule`
-    and K = `kernel`; with gap = (k, modes) from `_hard_gap_route`, the
-    prolate modes of interval k are deflated first.
+    and K the sine kernel; with gap = (k, modes) from `_hard_gap_route`,
+    the prolate modes of interval k are deflated first.
 
-    The matrix assembled, A = I - S D K D with D = diag(sqrt|c|) and
-    S = diag(sign c) on the rows, has the same determinant.  Where c has
-    one sign A is symmetric and takes a Cholesky factor, which raises
-    NumericalError unless A is positive definite; mixed signs take a
-    pivoted LU, which raises where its sign comes out negative.
+    The matrix factored, A = I - S D K D with D = diag(sqrt|c|) and
+    S = diag(sign c) on the rows, has the same determinant.  It is filled
+    by `_scaled_kernel` with a = -S d and b = d, plus 1 on the diagonal;
+    no kernel is built.  Where c has one sign A is exactly symmetric, and
+    only the blocks that its Cholesky factor reads from A^T (the diagonal
+    blocks and those right of them) are filled; the factor raises
+    NumericalError unless A is positive definite.  Mixed signs fill every
+    block and take a pivoted LU, which raises where its sign comes out
+    negative.
 
     With G the nodes of interval k (where c = w, so D_G = W^{1/2}) and R
     the rest, A = [[I - B, -E^T D_R], [-S_R D_R E, A_RR]], with
@@ -435,16 +465,19 @@ def _log_det(rule, kernel, weights: WeightConfiguration, gap) -> float:
                      [-S_R D_R E, A_RR - S_R D_R (E Q) L (E Q)^T D_R]],
 
     the Schur complement on G written with (I - B)^{-1} =
-    (I - B')^{-1} + Q L Q^T.  The matrix factored is as large as the
-    plain one, symmetric where c has one sign, and G adds no more than
-    1 / HARD_GAP_TAU to its condition; R may hold other zeroed intervals.
+    (I - B')^{-1} + Q L Q^T.  E Q needs K_RG only: the N x n column block
+    of G is filled from the same sines with unit scales.  The matrix
+    factored is as large as the plain one, symmetric where c has one sign
+    (the low-rank term is applied to the filled blocks only), and G adds
+    no more than 1 / HARD_GAP_TAU to its condition; R may hold other
+    zeroed intervals.
     """
     s = weights.as_array()
     c = rule.weights * (1.0 - s[rule.interval_index])
     d = np.sqrt(np.abs(c))
     row = np.copysign(d, c)  # S D: each row carries the sign of its c
-    mat = np.multiply.outer(-row, d)  # d_a d_b before K: exactly symmetric for one-sign c
-    mat *= kernel
+    one_sign = not (c.min() < 0.0 < c.max())
+    mat = _scaled_kernel(rule, -row, d, upper=one_sign)  # only what the factor reads
     mat.ravel()[:: len(c) + 1] += 1.0
     if gap is not None:
         k, modes = gap
@@ -456,10 +489,14 @@ def _log_det(rule, kernel, weights: WeightConfiguration, gap) -> float:
         q = np.sqrt(base.weights)[:, None] * psi  # W^{1/2} psi / sqrt(h), w = h * base weight
         mat[g, g] += (q * lam) @ q.T  # G's block is I - B already
         if len(c) > n:  # R is not empty
-            eq = kernel[:, g] @ (rule.weights[g][:, None] * psi) / math.sqrt(modes.c)
+            ones = np.ones(len(c))
+            eq = _scaled_kernel(rule, ones, ones, gap=k) @ (rule.weights[g][:, None] * psi) / math.sqrt(modes.c)
             eq[g] = 0.0  # E Q lives on R; zero rows keep G untouched
-            mat -= (row[:, None] * eq * (lam / modes.gaps)) @ (d[:, None] * eq).T
-    if c.min() < 0.0 < c.max():
+            left, right = row[:, None] * eq * (lam / modes.gaps), d[:, None] * eq
+            for lo in range(0, len(c), n):  # the blocks filled
+                first = lo if one_sign else 0
+                mat[lo : lo + n, first:] -= left[lo : lo + n] @ right[first:].T
+    if not one_sign:
         log_f = _lu_log_det(mat.T)
     else:  # symmetric: mat.T is mat in Fortran order, factored with no copy
         factor, info = cholesky_factor(mat.T)
@@ -477,12 +514,14 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     reported as `error_estimate`.  Below ceil(r L / 2) nodes on an
     interval of length L (after adjacent zero weights are merged) neither
     pass resolves the kernel, and the two can still agree; `Discretization`
-    raises NumericalError there before any kernel is built.  Where only
-    the n//2 pass does not resolve (its factorization raises),
-    `error_estimate` is inf, never a small number.  Callers that
-    evaluate many weights on one partition and r, and do not need the
-    estimate, should call `Discretization(partition, r, n).log_det`
-    instead: it builds the kernel once and skips the n//2 pass.
+    raises NumericalError there before anything is filled.  Each pass is
+    one fill of its scaled Nystrom matrix and one factorization
+    (`_log_det`); neither builds the plain kernel.  Where only the n//2
+    pass does not resolve (its factorization raises), `error_estimate` is
+    inf, never a small number.  Callers that do not need the estimate
+    (`sinegap converge`, the gap probabilities) should call
+    `Discretization(partition, r, n).log_det` instead: it returns the same
+    `log_f`, bit for bit, and skips the n//2 pass.
 
     Real weights whose zeroed interval has half-length
     c = r (x_p - x_{p-1}) / 2 large enough that some 1 - lambda_k of the
@@ -512,10 +551,10 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     partition, weights = _checked_weights(_as_partition(partition), weights)
     full = Discretization(partition, r, n)
     gap, lu_rounding = _hard_gap_route(partition, weights, full.r)
-    log_full = _log_det(full.rule, full.kernel, weights, gap)
+    log_full = _log_det(full.rule, weights, gap)
     half = composite_rule(partition, full.r, full.n // 2)
     try:
-        log_half = _log_det(half, _kernel_matrix(half), weights, gap)
+        log_half = _log_det(half, weights, gap)
     except NumericalError:  # an unresolved n // 2 pass gives no estimate, never a small one
         log_half = math.inf
     # rounding that the difference of the two orders need not show is

@@ -198,7 +198,13 @@ def barnes_pair(u: float) -> float:
     2 Re log G(1 + i u/(2 pi)); evaluating the real part directly avoids
     cancellation between the factors.  Vanishes at u = 0.
     """
-    u = _real(u, "barnes_pair argument u")
+    return _barnes_pair(_real(u, "barnes_pair argument u"))
+
+
+# keyed on the checked float: a cache on the raw argument would hand the
+# value of 1.0 to True, which compares and hashes equal to it
+@lru_cache(maxsize=256)
+def _barnes_pair(u: float) -> float:
     if u == 0.0:
         return 0.0
     val = log_barnes_g(complex(1.0, u / TWO_PI))

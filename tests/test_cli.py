@@ -75,6 +75,47 @@ def test_converge_delta_bounded(capsys):
     assert all(abs(d) < 1.0 for d in deltas)
 
 
+# the four paper-figure configurations as converge flags
+FIGURE_FLAGS = (
+    ("--x", "0,0.7,1.2", "--u=-1.1,-2.4"),
+    ("--x", "0,0.5,1.1,1.7", "--u=-0.8,-1.8,-1.32"),
+    ("--x", "0,0.5,1.1,1.7", "--p", "2", "--u=0.8,-1.32"),
+    ("--x", "0,0.5,1.1,1.7,2.5", "--p", "3", "--u=0.8,1.8,-1.87"),
+)
+
+
+def test_converge_prints_fredholm_log_f_from_one_factorization_per_row(capsys, monkeypatch):
+    # converge prints fredholm_det's log F, equal as a float, from one
+    # fill and factorization per row: no n // 2 pass and no plain kernel
+    calls = {"kernel": 0, "factor": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    fredholm_module = sinegap.fredholm
+    monkeypatch.setattr(fredholm_module, "_kernel_matrix", counted("kernel", fredholm_module._kernel_matrix))
+    monkeypatch.setattr(fredholm_module, "cholesky_factor", counted("factor", fredholm_module.cholesky_factor))
+    monkeypatch.setattr(fredholm_module, "lu_factor", counted("factor", fredholm_module.lu_factor))
+    for flags in FIGURE_FLAGS:
+        for n in ("64", "128"):
+            calls.update(kernel=0, factor=0)
+            code, out, err = run_cli(capsys, "converge", *flags, "--r-range", "5:40:4", "--n", n)
+            assert code == 0, err
+            rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+            assert np.allclose([float(row[0]) for row in rows], (5.0, 10.0, 20.0, 40.0), rtol=1e-15, atol=0.0)
+            assert calls == {"kernel": 0, "factor": 4}, (flags, n)
+            ns = cli.build_parser().parse_args(["converge", *flags, "--r-range", "5:40:4"])
+            job, _ = cli.validate_args(ns)
+            weights = cli._weights(None, job.u, job.p, job.m)
+            for row in rows:
+                want = fredholm_det(job.x, weights, float(row[0]), int(n)).log_f
+                assert float(row[1]) == want, (flags, n, row)
+
+
 def test_converge_zero_weight_mode(capsys):
     code, out, _ = run_cli(
         capsys, "converge", "--x", "0,0.5,1.1,1.7", "--u=0.8,-1.32", "--p", "2",

@@ -354,8 +354,10 @@ def test_counting_fills_one_kernel_and_factors_once_per_weight(monkeypatch):
 
         return wrapper
 
-    # a kernel is one _kernel_matrix call, however many blocks it fills
-    monkeypatch.setattr(fredholm_module, "_kernel_matrix", counted("kernel", fredholm_module._kernel_matrix))
+    # a kernel is one _scaled_kernel fill, however many blocks it takes:
+    # the traces build disc.kernel, and each determinant fills its own
+    # scaled kernel in _log_det
+    monkeypatch.setattr(fredholm_module, "_scaled_kernel", counted("kernel", fredholm_module._scaled_kernel))
     monkeypatch.setattr(fredholm_module, "cholesky_factor", counted("factor", fredholm_module.cholesky_factor))
     monkeypatch.setattr(fredholm_module, "lu_factor", counted("lu", fredholm_module.lu_factor))
 

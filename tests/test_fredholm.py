@@ -482,7 +482,7 @@ def test_unresolved_coarse_pass_reads_an_infinite_estimate():
     gap, _ = fredholm_module._hard_gap_route(partition, weights, 80.0)
     half = composite_rule(partition, 80.0, 32)
     with pytest.raises(NumericalError, match="not positive definite"):
-        fredholm_module._log_det(half, _kernel_matrix(half), weights, gap)
+        fredholm_module._log_det(half, weights, gap)
     res = fredholm_det(endpoints, weights, 80.0, 64)
     assert res.log_f == Discretization(endpoints, 80.0, 64).log_det(weights)
     assert res.error_estimate == math.inf
@@ -501,9 +501,9 @@ def test_indefinite_discretization_raises():
     d = np.sqrt(c)
     assert np.count_nonzero(np.linalg.eigvalsh(np.eye(len(c)) - d[:, None] * kernel * d) < 0.0) == 2
     with pytest.raises(NumericalError, match="not positive definite"):
-        fredholm_module._log_det(rule, kernel, weights, None)
+        fredholm_module._log_det(rule, weights, None)
     rule = composite_rule(partition, 200.0, 128)
-    log_f = fredholm_module._log_det(rule, _kernel_matrix(rule), weights, None)
+    log_f = fredholm_module._log_det(rule, weights, None)
     assert abs(log_f - -228.64370442447) < 1e-9
 
 
@@ -575,13 +575,21 @@ def test_kernel_fill_matches_extended_precision_entries():
             assert abs(got - want) <= tol, (endpoints, r, n, a, b, got - want)
 
 
-def test_assembly_is_identity_minus_scaled_kernel_bit_for_bit(monkeypatch):
+def test_factored_triangle_is_identity_minus_scaled_kernel_within_rounding(monkeypatch):
     # the factored matrix is I - S D K D, D = diag(sqrt|c|) and S the signs
-    # of c on the rows, handed over in Fortran order so that nothing is
-    # copied.  d_a d_b is formed before K, so for one-sign c the matrix is
-    # exactly symmetric; d_a K d_b, in either order, is not.
+    # of c on the rows, filled from the scaled sines and handed over in
+    # Fortran order so that nothing is copied.  Against the product with
+    # the kernel it moves in the last digits only: by the rounding of the
+    # scaled sines, d_a d_b eps / (pi |t_a - t_b|) a few times over, plus
+    # the |t_a| + |t_b| term of the kernel's own bound; the diagonal is
+    # the same product with 1/pi.  Cholesky reads the triangle of mat.T
+    # that holds the diagonal blocks and the blocks right of them.
+    eps = np.finfo(float).eps
     disc = Discretization((0.0, 0.5, 1.1, 1.7), 23.0, 16)
-    size, seen = len(disc.rule.nodes), []
+    t, size, seen = disc.rule.nodes, len(disc.rule.nodes), []
+    dist = np.abs(np.subtract.outer(t, t))
+    np.fill_diagonal(dist, 1.0)
+    reach = (1.0 + np.abs(t)[:, None] + np.abs(t)[None, :]) / (math.pi * dist)
 
     def recorded(name):
         factor = getattr(fredholm_module, name)
@@ -595,6 +603,7 @@ def test_assembly_is_identity_minus_scaled_kernel_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(fredholm_module, "cholesky_factor", recorded("cholesky_factor"))
     monkeypatch.setattr(fredholm_module, "lu_factor", recorded("lu_factor"))
+    upper = np.triu(np.ones((size, size), dtype=bool))
     for s, factor in (((0.3, 0.6, 0.9), "cholesky_factor"), ((2.0, 3.0, 1.0), "cholesky_factor"),
                       ((0.3, 2.5, 0.9), "lu_factor")):
         seen.clear()
@@ -603,14 +612,23 @@ def test_assembly_is_identity_minus_scaled_kernel_bit_for_bit(monkeypatch):
         d = np.sqrt(np.abs(c))
         [(name, mat)] = seen
         assert name == factor
-        assert np.array_equal(mat, np.eye(size) - np.outer(np.sign(c) * d, d) * disc.kernel)
+        read = upper if factor == "cholesky_factor" else np.ones_like(upper)
+        want = np.eye(size) - np.outer(np.sign(c) * d, d) * disc.kernel
+        bound = 4.0 * eps * np.outer(d, d) * reach
+        assert np.all(np.abs(mat - want)[read] <= bound[read]), s
+        assert np.array_equal(np.diagonal(mat), np.diagonal(want))
         if factor == "cholesky_factor":
-            assert np.array_equal(mat, mat.T)
-            assert np.array_equal(mat, np.eye(size) - np.sign(c[0]) * np.outer(d, d) * disc.kernel)
+            # the fill of every block is exactly symmetric, and its upper
+            # blocks are the ones factored
+            row = np.copysign(d, c)
+            full = fredholm_module._scaled_kernel(disc.rule, -row, d)
+            assert np.array_equal(full, full.T)
+            full.ravel()[:: size + 1] += 1.0
+            assert np.array_equal(mat[upper], full[upper])
 
 
 def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
-    calls = {"kernel": 0, "factor": 0, "lu": 0}
+    calls = {"fill": 0, "kernel": 0, "factor": 0, "lu": 0}
     sizes = []
 
     def counted(name, fn):
@@ -620,24 +638,26 @@ def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
 
         return wrapper
 
-    fill = fredholm_module._kernel_matrix
+    fill = fredholm_module._scaled_kernel
 
-    def sized_fill(rule):
-        kernel = fill(rule)
-        sizes.append(len(kernel))
-        return kernel
+    def sized_fill(rule, *args, **kwargs):
+        mat = fill(rule, *args, **kwargs)
+        sizes.append(len(mat))
+        return mat
 
-    # a kernel is one _kernel_matrix call, however many blocks it fills
-    monkeypatch.setattr(fredholm_module, "_kernel_matrix", counted("kernel", sized_fill))
+    # each order fills its scaled kernel once, however many blocks that
+    # takes, and builds no plain kernel
+    monkeypatch.setattr(fredholm_module, "_scaled_kernel", counted("fill", sized_fill))
+    monkeypatch.setattr(fredholm_module, "_kernel_matrix", counted("kernel", fredholm_module._kernel_matrix))
     monkeypatch.setattr(fredholm_module, "cholesky_factor", counted("factor", fredholm_module.cholesky_factor))
     monkeypatch.setattr(fredholm_module, "lu_factor", counted("lu", fredholm_module.lu_factor))
     fredholm_det((0.0, 0.5, 1.0), (0.3, 0.6), 5.0)
-    assert calls == {"kernel": 2, "factor": 2, "lu": 0}
+    assert calls == {"fill": 2, "kernel": 0, "factor": 2, "lu": 0}
     assert sizes == [128, 64]  # orders n = 64 and n // 2 on two intervals
     # weights on both sides of 1 take the LU at both orders
-    calls.update(kernel=0, factor=0, lu=0)
+    calls.update(fill=0, kernel=0, factor=0, lu=0)
     fredholm_det((0.0, 0.5, 1.0), (0.3, 2.5), 5.0)
-    assert calls == {"kernel": 2, "factor": 0, "lu": 2}
+    assert calls == {"fill": 2, "kernel": 0, "factor": 0, "lu": 2}
 
 
 def _slogdet_log_f(endpoints, weights, r, n):

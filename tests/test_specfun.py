@@ -257,6 +257,19 @@ def test_barnes_pair_against_derivative_quadrature():
         assert abs(barnes_pair(u) - oracle(u)) < 1e-10
 
 
+def test_barnes_pair_cache_keeps_the_checks_and_the_values():
+    # the cache sits behind the argument check: with 1.0 cached, True
+    # (which compares and hashes equal to 1.0) and "1" are still refused
+    for u in (1.0, -1.1, 0.8, 0.0, 2.5):
+        uncached = 0.0 if u == 0.0 else 2.0 * log_barnes_g(complex(1.0, u / TWO_PI)).real
+        assert barnes_pair(u) == uncached
+        assert barnes_pair(u) == uncached  # the cached value
+        assert barnes_pair(np.float64(u)) == uncached
+    for bad in (True, "1", 1 + 0j):
+        with pytest.raises(ValidationError):
+            barnes_pair(bad)
+
+
 def test_barnes_pair_rejects_bad_input():
     with pytest.raises(ValidationError):
         barnes_pair(complex(0.1, 0.2))

@@ -16,12 +16,13 @@ function here builds one `Discretization` per partition (the composite
 rule, and the sine kernel on its nodes where it is read), and raises
 NumericalError below its order floor ceil(r L / 2).  The gap
 probabilities call its `log_det` once per weight: one fill of the scaled
-Nystrom matrix and one factorization each, and no kernel.  The PMF factors nothing of size N: B = W^{1/2} K W^{1/2} has
-numerical rank rho of about r (x_m - x_0) / pi + O(log 1 / eps), so one
-diagonally pivoted Cholesky factor B ~ V V^T (N x rho, stopped once the
-residual trace is at most eps tr(B)) turns every torus value into a
-rho x rho determinant by Sylvester's identity.  The cumulants read the
-traces off its rule and kernel.
+Nystrom matrix and one factorization each, and no kernel.  The PMF
+factors nothing of size N: B = W^{1/2} K W^{1/2} has numerical rank rho
+of about r (x_m - x_0) / pi + O(log 1 / eps), so one diagonally pivoted
+Cholesky factor B ~ V V^T (N x rho, stopped once the residual trace is
+at most eps tr(B)) turns every torus value into a rho x rho determinant
+by Sylvester's identity.  The cumulants read the traces off its rule and
+kernel.
 """
 
 from __future__ import annotations
@@ -143,8 +144,7 @@ def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int 
     g = 2 * max(ks) + 2
     disc = Discretization(partition, r, n_quad)
     v = _pivoted_cholesky(disc)
-    n = disc.n
-    grams = [v[j * n : (j + 1) * n].T @ v[j * n : (j + 1) * n] for j in range(m)]
+    grams = [v[b].T @ v[b] for b in disc.rule.blocks]
     f_grid = _torus_values(grams, np.exp(2j * math.pi * np.arange(g) / g))
 
     mirror = f_grid[np.ix_(*[-np.arange(g) % g] * m)]  # F(conj s): index i_j -> -i_j mod g

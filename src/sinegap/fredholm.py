@@ -267,10 +267,10 @@ def _scaled_kernel(rule, a, b, upper: bool = False, gap: int | None = None) -> n
 
     Entry (i, j) is ((a_i sin t_i)(b_j cos t_j) - (a_i cos t_i)(b_j sin t_j))
     / (pi (t_i - t_j)), and a_i b_i / pi on the diagonal.  It is filled in
-    blocks of one interval's rows: against every node, or with `upper`
-    against the nodes of the row's own interval and those right of it
-    (the blocks below are left unset), or with `gap = k` against the nodes
-    of interval k only, an N x n block.  With a = b = 1 this is the
+    blocks of one interval's rows, `rule.blocks`: against every node, or
+    with `upper` against the nodes of the row's own block and those right
+    of it (the blocks below are left unset), or with `gap = k` against the
+    block of interval k only.  With a = b = 1 this is the
     kernel: exactly 1/pi on the diagonal, and off it within about
     3 eps / (pi |t_i - t_j|) of the kernel at the node doubles.  That
     error is large only where the node spacing, and so the quadrature
@@ -278,25 +278,24 @@ def _scaled_kernel(rule, a, b, upper: bool = False, gap: int | None = None) -> n
     Where a = b or a = -b the fill is exactly symmetric: swapping i and j
     negates the numerator and t_i - t_j exactly.
     """
-    n, t = rule.n_per_interval, rule.nodes
+    t = rule.nodes
     sin_t, cos_t = np.sin(t), np.cos(t)
     row_sin, row_cos, col_sin, col_cos = a * sin_t, a * cos_t, b * sin_t, b * cos_t
-    lo_col, hi_col = (0, len(t)) if gap is None else (gap * n, (gap + 1) * n)
-    out = np.empty((len(t), hi_col - lo_col))
-    for lo in range(0, len(t), n):
-        rows = slice(lo, lo + n)
-        first = lo if upper else lo_col
-        cols = slice(first, hi_col)
-        block = out[rows, first - lo_col :]
+    span = slice(0, len(t)) if gap is None else rule.blocks[gap]
+    out = np.empty((len(t), span.stop - span.start))
+    for rows in rule.blocks:
+        first = rows.start if upper else span.start
+        cols = slice(first, span.stop)
+        block = out[rows, first - span.start :]
         np.multiply.outer(row_sin[rows], col_cos[cols], out=block)
         scratch = np.multiply.outer(row_cos[rows], col_sin[cols])
         block -= scratch
         np.subtract.outer(t[rows], t[cols], out=scratch)
         scratch *= math.pi
-        if first <= lo < hi_col:  # the diagonal: 0 / 1, not 0 / 0
-            np.fill_diagonal(scratch[:, lo - first :], 1.0)
+        if first <= rows.start < span.stop:  # the diagonal: 0 / 1, not 0 / 0
+            np.fill_diagonal(scratch[:, rows.start - first :], 1.0)
         block /= scratch
-    np.fill_diagonal(out[lo_col:hi_col], (a * b)[lo_col:hi_col] * (1.0 / math.pi))
+    np.fill_diagonal(out[span], (a * b)[span] * (1.0 / math.pi))
     return out
 
 
@@ -304,10 +303,10 @@ def _kernel_matrix(rule) -> np.ndarray:
     """The sine kernel on the nodes of the composite rule `rule`, read-only:
     the upper blocks of `_scaled_kernel` with unit scales, each mirrored
     below the diagonal, which copies the bits the full fill would compute."""
-    n, ones = rule.n_per_interval, np.ones(len(rule.nodes))
+    ones = np.ones(len(rule.nodes))
     kernel = _scaled_kernel(rule, ones, ones, upper=True)
-    for lo in range(0, len(ones) - n, n):
-        kernel[lo + n :, lo : lo + n] = kernel[lo : lo + n, lo + n :].T
+    for b in rule.blocks[:-1]:
+        kernel[b.stop :, b] = kernel[b, b.stop :].T
     kernel.setflags(write=False)
     return kernel
 
@@ -330,11 +329,12 @@ class Discretization:
         self.partition = _as_partition(partition)
         self.r, self.n = _check_r(r), _check_order(n)
         e = self.partition.endpoints
-        need, a, b = max((math.ceil(self.r * (b - a) / 2.0), a, b) for a, b in zip(e, e[1:]))
+        # np.ceil, not math.ceil: r L may overflow to inf, which no int holds
+        need, a, b = max((np.ceil(self.r * (b - a) / 2.0), a, b) for a, b in zip(e, e[1:]))
         if self.n < need:
             raise NumericalError(
                 f"order n = {self.n} cannot resolve the interval ({a:g}, {b:g}) at r = {self.r:g}:"
-                f" it needs n >= ceil(r (x_j - x_(j-1)) / 2) = {need}"
+                f" it needs n >= ceil(r (x_j - x_(j-1)) / 2) = {need:.0f}"
             )
         self.rule = composite_rule(self.partition, self.r, self.n)
 
@@ -465,8 +465,8 @@ def _log_det(rule, weights: WeightConfiguration, gap) -> float:
                      [-S_R D_R E, A_RR - S_R D_R (E Q) L (E Q)^T D_R]],
 
     the Schur complement on G written with (I - B)^{-1} =
-    (I - B')^{-1} + Q L Q^T.  E Q needs K_RG only: the N x n column block
-    of G is filled from the same sines with unit scales.  The matrix
+    (I - B')^{-1} + Q L Q^T.  E Q needs K_RG only: the column block of
+    G is filled from the same sines with unit scales.  The matrix
     factored is as large as the plain one, symmetric where c has one sign
     (the low-rank term is applied to the filled blocks only), and G adds
     no more than 1 / HARD_GAP_TAU to its condition; R may hold other
@@ -481,8 +481,8 @@ def _log_det(rule, weights: WeightConfiguration, gap) -> float:
     mat.ravel()[:: len(c) + 1] += 1.0
     if gap is not None:
         k, modes = gap
-        n = rule.n_per_interval
-        g = slice(k * n, (k + 1) * n)
+        g = rule.blocks[k]
+        n = g.stop - g.start
         base = gauss_legendre(n)
         psi = modes.at_gauss_nodes(n)  # G's nodes are the base nodes mapped onto it
         lam = 1.0 - modes.gaps
@@ -493,9 +493,9 @@ def _log_det(rule, weights: WeightConfiguration, gap) -> float:
             eq = _scaled_kernel(rule, ones, ones, gap=k) @ (rule.weights[g][:, None] * psi) / math.sqrt(modes.c)
             eq[g] = 0.0  # E Q lives on R; zero rows keep G untouched
             left, right = row[:, None] * eq * (lam / modes.gaps), d[:, None] * eq
-            for lo in range(0, len(c), n):  # the blocks filled
-                first = lo if one_sign else 0
-                mat[lo : lo + n, first:] -= left[lo : lo + n] @ right[first:].T
+            for rows in rule.blocks:  # the blocks filled
+                first = rows.start if one_sign else 0
+                mat[rows, first:] -= left[rows] @ right[first:].T
     if not one_sign:
         log_f = _lu_log_det(mat.T)
     else:  # symmetric: mat.T is mat in Fortran order, factored with no copy

@@ -37,17 +37,17 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class CompositeRule:
-    """A base rule mapped affinely onto every interval of a scaled partition.
-
-    interval_index[a] tells which interval node a came from; weights are
-    the base weights times each interval's half-length, so they sum to the
-    interval length interval by interval.
+    """Gauss-Legendre rules mapped affinely onto the intervals of a scaled
+    partition: blocks[k] is the slice of nodes of interval k, in order, and
+    holds the gauss_legendre rule of its length.  interval_index[a] tells
+    which interval node a came from; weights are the base weights times the
+    half-length, so they sum to the interval length interval by interval.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     interval_index: np.ndarray
-    n_per_interval: int
+    blocks: tuple[slice, ...]
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -97,20 +97,20 @@ def _check_order(n: int) -> int:
     return _integer(n, "quadrature order n", 8, MAX_ORDER)
 
 
-def composite_rule(partition, r: float, n_per_interval: int) -> CompositeRule:
-    """Map the n-point base rule onto every interval (r x_{k-1}, r x_k).
+def composite_rule(partition, r: float, n: int) -> CompositeRule:
+    """Map the n-point base rule onto every interval (r x_{k-1}, r x_k),
+    as block k of the rule.
 
     `partition` is an IntervalPartition (anything exposing `endpoints`
-    works).  Requires r > 0 and n_per_interval >= 4.
+    works).  Requires r > 0 and n >= 4.
     """
     r = _check_r(r)
-    n_per_interval = _integer(n_per_interval, "n_per_interval", 4)
+    n = _integer(n, "composite rule order n", 4)
 
-    base = gauss_legendre(n_per_interval)
+    base = gauss_legendre(n)
     x = np.asarray(partition.endpoints, dtype=float)
     nodes = []
     weights = []
-    index = []
     for k in range(len(x) - 1):
         a = r * x[k]
         b = r * x[k + 1]
@@ -118,10 +118,9 @@ def composite_rule(partition, r: float, n_per_interval: int) -> CompositeRule:
         half = 0.5 * (b - a)
         nodes.append(mid + half * base.nodes)
         weights.append(half * base.weights)
-        index.append(np.full(n_per_interval, k, dtype=np.intp))
     return CompositeRule(
         nodes=np.concatenate(nodes),
         weights=np.concatenate(weights),
-        interval_index=np.concatenate(index),
-        n_per_interval=n_per_interval,
+        interval_index=np.repeat(np.arange(len(x) - 1, dtype=np.intp), n),
+        blocks=tuple(slice(k * n, (k + 1) * n) for k in range(len(x) - 1)),
     )

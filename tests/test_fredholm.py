@@ -15,6 +15,7 @@ import pytest
 
 import sinegap.fredholm as fredholm_module
 from sinegap import (
+    CompositeRule,
     DeterminantResult,
     Discretization,
     IntervalPartition,
@@ -349,6 +350,8 @@ def test_order_below_r_length_over_two_raises():
         (lambda: joint_pmf((0.0, 1.0), 60.0, 40, n_quad=22), 22, "(0, 1)", 30),
         # each interval needs 6, but log_det rebuilds on the merged gap
         (lambda: Discretization((0.0, 0.3, 0.6), 40.0, 10).log_det((0.0, 0.0)), 10, "(0, 0.6)", 12),
+        # r L overflows to inf: still the floor's NumericalError, not an OverflowError
+        (lambda: fredholm_det((0.0, 1e300), (0.5,), 1e10), 64, "(0, 1e+300)", "inf"),
     )
     for call, n, interval, need in rows:
         with pytest.raises(NumericalError, match=rf"cannot resolve the interval {re.escape(interval)} .* = {need}$") as info:
@@ -524,9 +527,9 @@ def test_kernel_fill_is_symmetric_and_within_its_rounding_bound():
                 full = composite_rule(partition, r, n)
                 full_kernel = _kernel_matrix(full)
                 half = composite_rule(partition, r, n // 2)
-                for rule, kernel in ((full, full_kernel), (half, _kernel_matrix(half))):
+                for rule, kernel, order in ((full, full_kernel, n), (half, _kernel_matrix(half), n // 2)):
                     t = rule.nodes
-                    assert kernel.shape == (len(t), len(t)) == (rule.n_per_interval * (len(endpoints) - 1),) * 2
+                    assert kernel.shape == (len(t), len(t)) == (order * (len(endpoints) - 1),) * 2
                     assert np.array_equal(kernel, kernel.T)
                     assert np.all(np.diagonal(kernel) == 1.0 / math.pi)
                     assert not kernel.flags.writeable
@@ -690,6 +693,56 @@ def test_log_det_matches_an_independent_slogdet():
                     assert sign == 1.0
                     tol = 1e-10 if 0.0 in weights else 1e-12 * abs(want)
                     assert abs(got - want) <= tol, (endpoints, weights, r, n, got - want)
+
+
+def _unequal_rule(endpoints, r, orders):
+    """A CompositeRule with orders[k] nodes on interval k, pieced together
+    from one-interval composite rules."""
+    pieces = [composite_rule(IntervalPartition(pair), r, n) for pair, n in zip(zip(endpoints, endpoints[1:]), orders)]
+    stops = np.cumsum(orders)
+    return CompositeRule(
+        nodes=np.concatenate([piece.nodes for piece in pieces]),
+        weights=np.concatenate([piece.weights for piece in pieces]),
+        interval_index=np.repeat(np.arange(len(orders)), orders),
+        blocks=tuple(slice(stop - n, stop) for stop, n in zip(stops, orders)),
+    )
+
+
+def test_unequal_orders_fill_factor_and_deflate_through_the_blocks():
+    # no entry point takes one order per interval yet, but every consumer
+    # of a rule slices through rule.blocks and none assumes a shared n
+    eps = np.finfo(float).eps
+    endpoints = FIG2_LEFT[0]
+    for r in (5.0, 23.0):
+        rule = _unequal_rule(endpoints, r, (24, 40, 32))
+        assert [b.stop - b.start for b in rule.blocks] == [24, 40, 32]
+        kernel, t = _kernel_matrix(rule), rule.nodes
+        assert np.array_equal(kernel, kernel.T)
+        for rows in rule.blocks:
+            for cols in rule.blocks:
+                diff = np.abs(kernel[rows, cols] - sine_kernel(t[rows, None], t[None, cols]))
+                dist = np.abs(np.subtract.outer(t[rows], t[cols]))
+                if rows == cols:
+                    assert np.all(np.diagonal(kernel[rows, cols]) == 1.0 / math.pi)
+                    np.fill_diagonal(dist, 1.0)  # diff is 0 there
+                size = 1.0 + np.abs(t[rows, None]) + np.abs(t[None, cols])
+                assert np.all(diff <= 4.0 * eps * size / (math.pi * dist)), (r, rows, cols)
+        # one sign below 1 and above 1 (Cholesky), and mixed (LU)
+        for weights in ((0.3, 0.7, 0.1), (1.5, 2.0, 3.0), (0.3, 2.5, 0.7)):
+            c = rule.weights * (1.0 - np.asarray(weights)[rule.interval_index])
+            sign, want = np.linalg.slogdet(np.eye(len(c)) - sine_kernel(t[:, None], t[None, :]) * c)
+            got = fredholm_module._log_det(rule, WeightConfiguration(weights), None)
+            assert sign == 1.0
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (r, weights, got - want)
+    # the deflated hard gap (interval 2 of fig2-left at r = 40) at orders
+    # on either side of the other blocks' orders
+    partition, weights = IntervalPartition(endpoints), FIG2_LEFT[1]
+    gap, _ = fredholm_module._hard_gap_route(partition, weights, 40.0)
+    assert gap is not None and gap[0] == 1
+    want = Discretization(partition, 40.0, 128).log_det(weights)
+    for orders in ((30, 44, 36), (36, 30, 50)):
+        got = fredholm_module._log_det(_unequal_rule(endpoints, 40.0, orders), weights, gap)
+        assert abs(got - want) <= 1e-9, (orders, got - want)
 
 
 def test_hard_gap_route_agrees_with_lu_where_lu_is_accurate(monkeypatch):

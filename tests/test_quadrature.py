@@ -89,6 +89,10 @@ def test_composite_rule_covers_scaled_intervals():
     assert isinstance(rule, CompositeRule)
     assert rule.nodes.shape == (16,)
     assert rule.interval_index.tolist() == [0] * 8 + [1] * 8
+    # one slice per interval, in order, covering the nodes of that interval
+    assert rule.blocks == (slice(0, 8), slice(8, 16))
+    for k, block in enumerate(rule.blocks):
+        assert np.array_equal(np.flatnonzero(rule.interval_index == k), np.arange(16)[block])
     # block k sits strictly inside (r x_k, r x_{k+1})
     assert np.all(rule.nodes[:8] > 0.0) and np.all(rule.nodes[:8] < 1.5)
     assert np.all(rule.nodes[8:] > 1.5) and np.all(rule.nodes[8:] < 3.6)

@@ -6,7 +6,7 @@ The central object is the generating function
 
 a Fredholm determinant of the sine kernel restricted to a union of
 scaled intervals.  The package evaluates F numerically (Nystrom
-discretization, `fredholm_det`; `Discretization` builds the kernel once
+discretization, `fredholm_det`; `Discretization` builds the rule once
 for many weights), evaluates its large-r expansions in
 closed form (`positive_weights_expansion` for all weights positive,
 `zero_weight_expansion` when one weight vanishes), and extracts count

@@ -49,6 +49,7 @@ from .fredholm import (
     IntervalPartition,
     WeightConfiguration,
     _checked_u,
+    _checked_weights,
     _matched_weights,
     fredholm_det,
     reduced_indices,
@@ -251,7 +252,8 @@ def _run_fredholm(job: JobSpec, partition: IntervalPartition):
     def one(r: float):
         res = fredholm_det(partition, weights, r, job.n)
         if math.isinf(res.error_estimate):  # the n // 2 pass raised: name the order it needs
-            need = max(job.n // 2 + 1, math.ceil(r * max(partition.lengths) / 2.0))
+            evaluated = _checked_weights(partition, weights)[0]  # adjacent zeros merged, as fredholm_det does
+            need = max(job.n // 2 + 1, math.ceil(r * max(evaluated.lengths) / 2.0))
             raise NumericalError(f"no error estimate at r = {r:g}: the n // 2 = {job.n // 2} pass does not"
                                  f" resolve the kernel; it needs an order of at least {need}, so --n >= {2 * need}")
         return [r, res.log_f, res.error_estimate]

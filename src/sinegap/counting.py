@@ -13,16 +13,15 @@ Process. Related Fields 16, 2010), and need no determinant at all.
 
 None of these needs the n/2 error estimate of `fredholm_det`.  So every
 function here builds one `Discretization` per partition (the composite
-rule, and the sine kernel on its nodes where it is read), and raises
-NumericalError below its order floor ceil(r L / 2).  The gap
+rule, and B = W^{1/2} K W^{1/2} on its nodes where it is read), and
+raises NumericalError below its order floor ceil(r L / 2).  The gap
 probabilities call its `log_det` once per weight: one fill of the scaled
-Nystrom matrix and one factorization each, and no kernel.  The PMF
-factors nothing of size N: B = W^{1/2} K W^{1/2} has numerical rank rho
-of about r (x_m - x_0) / pi + O(log 1 / eps), so one diagonally pivoted
+Nystrom matrix and one factorization each, and no B.  The PMF factors
+nothing of size N: B has numerical rank rho of about
+r (x_m - x_0) / pi + O(log 1 / eps), so one diagonally pivoted
 Cholesky factor B ~ V V^T (N x rho, stopped once the residual trace is
 at most eps tr(B)) turns every torus value into a rho x rho determinant
-by Sylvester's identity.  The cumulants read the traces off its rule and
-kernel.
+by Sylvester's identity.  The cumulants read the traces off B.
 """
 
 from __future__ import annotations
@@ -115,8 +114,8 @@ def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int 
     dimension; the trapezoid rule on the torus is a plain DFT, so the
     grid values are FFT'd.  The grid may have at most MAX_TORUS_CELLS =
     2^18 cells.  By normalization the full DFT sums to F(1) = 1 exactly,
-    and the mass not in the table is reported as residual_mass.  The
-    sine kernel is built once at order n_quad, and no n/2 error-estimate
+    and the mass not in the table is reported as residual_mass.  One
+    `Discretization` of order n_quad is built, and no n/2 error-estimate
     pass is made.
 
     The grid values come from one low-rank factor, not one LU each:
@@ -181,23 +180,22 @@ def _pivoted_cholesky(disc: Discretization) -> np.ndarray:
     of `disc`.
 
     Each step pivots on the largest diagonal entry of B - V V^T and reads
-    that one column of the kernel (Harbrecht, Peters & Schneider, Appl.
-    Numer. Math. 62, 2012).  It stops once the residual trace is at most
-    eps tr(B), or at a pivot that is not positive.  B is positive
-    semidefinite, so the residual trace bounds the error of every entry,
-    and rho is about r (x_m - x_0) / pi + O(log 1 / eps).
+    that one row of B, `disc.weighted_kernel` (Harbrecht, Peters &
+    Schneider, Appl. Numer. Math. 62, 2012).  It stops once the residual
+    trace is at most eps tr(B), or at a pivot that is not positive.  B is
+    positive semidefinite, so the residual trace bounds the error of every
+    entry, and rho is about r (x_m - x_0) / pi + O(log 1 / eps).
     """
-    w = disc.rule.weights
-    root_w = np.sqrt(w)
-    resid = np.diagonal(disc.kernel) * w
+    b = disc.weighted_kernel
+    resid = np.diagonal(b).copy()
     tol = EPS * float(resid.sum())
-    vt = np.empty((0, len(w)))  # V^T, one row per pivot
-    while len(vt) < len(w) and float(resid.sum()) > tol:
+    vt = np.empty((0, len(b)))  # V^T, one row per pivot
+    while len(vt) < len(b) and float(resid.sum()) > tol:
         p = int(np.argmax(resid))
         pivot = float(resid[p])
         if not pivot > 0.0:
             break
-        col = disc.kernel[p] * (root_w * root_w[p]) - vt[:, p] @ vt
+        col = b[p] - vt[:, p] @ vt
         row = col / math.sqrt(pivot)
         vt = np.vstack((vt, row))
         resid -= row * row
@@ -270,24 +268,24 @@ def numerical_cumulants(
         cov_jl  = tr(K P_min(j,l)) - tr(K P_j K P_l),
 
     the multi-interval form of Var N = int K - int int K^2.  The traces
-    are taken with the Nystrom rule of one `Discretization` of order n,
-    and no matrix is factored.  `order` = 1 computes means only
-    (variances and covariances are returned as NaN); `order` = 2 computes
-    all three.
+    are sums of diag(B) and of the entrywise B * B, with B of one
+    `Discretization` of order n, and no matrix is factored.  `order` = 1
+    computes means only (variances and covariances are returned as NaN);
+    `order` = 2 computes all three.
     """
     order = _integer(order, "order", 1, 2)
     disc = Discretization(partition, r, n)
     m = disc.partition.m
-    w, kernel = disc.rule.weights, disc.kernel
+    b = disc.weighted_kernel  # B = W^{1/2} K W^{1/2}
     # nested[a, j] is 1 where node a lies in intervals 1..j+1
     nested = (disc.rule.interval_index[:, None] <= np.arange(m)[None, :]).astype(float)
-    mu = (np.diagonal(kernel) * w) @ nested
+    mu = np.diagonal(b) @ nested
     labels = tuple(range(1, m + 1))
     if order == 1:
         return StatisticsTriple(mu=mu, cross=np.full((m, m), np.nan), labels=labels)
 
-    # tr(K W P_j K W P_l) = sum over a in P_l, b in P_j of K_ab^2 w_a w_b
-    pairs = nested.T @ (kernel * kernel * np.outer(w, w)) @ nested
+    # tr(K W P_j K W P_l) = sum over a in P_l, b in P_j of K_ab^2 w_a w_b = B_ab^2
+    pairs = nested.T @ (b * b) @ nested
     cross = mu[np.minimum.outer(np.arange(m), np.arange(m))] - pairs
     cross = 0.5 * (cross + cross.T)  # the matrix products need not round symmetrically
     return StatisticsTriple(mu=mu, cross=cross, labels=labels)

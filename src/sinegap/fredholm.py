@@ -12,11 +12,12 @@ for real weights s_k >= 0, where F > 0.
 Evaluation is Nystrom discretization on composite Gauss-Legendre nodes
 (Bornemann, Math. Comp. 79, 2010) followed by a log-determinant.  Every
 Nystrom matrix is the symmetric scaling I - S D K D of I - K diag(c)
-(D = diag(sqrt|c|), S = diag(sign c)), filled straight from the scaled
-sines and cosines of the nodes by `_scaled_kernel`, and factored in place
-by `_log_det`: by Cholesky where c = w (1 - s) has one sign, raising
-NumericalError where the matrix is not positive definite, and by a
-pivoted LU for weights on both sides of 1.  A `Discretization` holds the
+(D = diag(sqrt|c|), S = diag(sign c)).  `_scaled_kernel` fills its
+diagonal blocks and those right of them from the scaled sines and cosines
+of the nodes, and `_log_det` factors it in place: by Cholesky where
+c = w (1 - s) has one sign, raising NumericalError where the matrix is not
+positive definite, and for weights on both sides of 1 by a pivoted LU, once
+`_mirror` has signed the blocks below.  A `Discretization` holds the
 weight-independent part for (partition, r, n), so each weight costs one
 fill and one factorization.  A truncated series evaluation
 `series_det` provides an independent cross-check route for small
@@ -260,64 +261,55 @@ def _checked_weights(partition: IntervalPartition, weights):
     return IntervalPartition(endpoints), WeightConfiguration(merged)
 
 
-def _scaled_kernel(rule, a, b, upper: bool = False, gap: int | None = None) -> np.ndarray:
+def _scaled_kernel(rule, a, b) -> np.ndarray:
     """diag(a) K diag(b) on the nodes t of the composite rule `rule`, K the
     sine kernel, from the 2N scaled sines and cosines a sin t, a cos t,
-    b sin t and b cos t.
+    b sin t and b cos t: the diagonal blocks and the blocks right of them
+    (`rule.blocks`), with the blocks below left unset (see `_mirror`).
 
     Entry (i, j) is ((a_i sin t_i)(b_j cos t_j) - (a_i cos t_i)(b_j sin t_j))
-    / (pi (t_i - t_j)), and a_i b_i / pi on the diagonal.  It is filled in
-    blocks of one interval's rows, `rule.blocks`: against every node, or
-    with `upper` against the nodes of the row's own block and those right
-    of it (the blocks below are left unset), or with `gap = k` against the
-    block of interval k only.  With a = b = 1 this is the
-    kernel: exactly 1/pi on the diagonal, and off it within about
-    3 eps / (pi |t_i - t_j|) of the kernel at the node doubles.  That
+    / (pi (t_i - t_j)), and a_i b_i / pi on the diagonal.  With a = b = 1
+    this is the kernel: exactly 1/pi on the diagonal, and off it within
+    about 3 eps / (pi |t_i - t_j|) of the kernel at the node doubles.  That
     error is large only where the node spacing, and so the quadrature
     weight w_j, is as small, so each K_ij w_j is right to a few eps.
-    Where a = b or a = -b the fill is exactly symmetric: swapping i and j
-    negates the numerator and t_i - t_j exactly.
+    Where a = b or a = -b the diagonal blocks are exactly symmetric:
+    swapping i and j negates the numerator and t_i - t_j exactly.
     """
     t = rule.nodes
     sin_t, cos_t = np.sin(t), np.cos(t)
     row_sin, row_cos, col_sin, col_cos = a * sin_t, a * cos_t, b * sin_t, b * cos_t
-    span = slice(0, len(t)) if gap is None else rule.blocks[gap]
-    out = np.empty((len(t), span.stop - span.start))
+    out = np.empty((len(t), len(t)))
     for rows in rule.blocks:
-        first = rows.start if upper else span.start
-        cols = slice(first, span.stop)
-        block = out[rows, first - span.start :]
+        cols = slice(rows.start, len(t))
+        block = out[rows, cols]
         np.multiply.outer(row_sin[rows], col_cos[cols], out=block)
         scratch = np.multiply.outer(row_cos[rows], col_sin[cols])
         block -= scratch
         np.subtract.outer(t[rows], t[cols], out=scratch)
         scratch *= math.pi
-        if first <= rows.start < span.stop:  # the diagonal: 0 / 1, not 0 / 0
-            np.fill_diagonal(scratch[:, rows.start - first :], 1.0)
+        np.fill_diagonal(scratch, 1.0)  # the diagonal: 0 / 1, not 0 / 0
         block /= scratch
-    np.fill_diagonal(out[span], (a * b)[span] * (1.0 / math.pi))
+    np.fill_diagonal(out, a * b * (1.0 / math.pi))
     return out
 
 
-def _kernel_matrix(rule) -> np.ndarray:
-    """The sine kernel on the nodes of the composite rule `rule`, read-only:
-    the upper blocks of `_scaled_kernel` with unit scales, each mirrored
-    below the diagonal, which copies the bits the full fill would compute."""
-    ones = np.ones(len(rule.nodes))
-    kernel = _scaled_kernel(rule, ones, ones, upper=True)
+def _mirror(mat, rule, sign) -> np.ndarray:
+    """`mat` with each block below the diagonal blocks set to
+    sign_i sign_j mat[j, i] from the blocks `_scaled_kernel` filled: the
+    bits that it would compute there where a = -sign * b, or a = b and sign = 1."""
     for b in rule.blocks[:-1]:
-        kernel[b.stop :, b] = kernel[b, b.stop :].T
-    kernel.setflags(write=False)
-    return kernel
+        mat[b.stop :, b] = sign[b.stop :, None] * mat[b, b.stop :].T * sign[b]
+    return mat
 
 
 class Discretization:
     """The weight-independent part of log F at order n: the composite
     Gauss-Legendre rule with n nodes per interval of the scaled partition
-    (`rule`), and the sine kernel on its nodes (`kernel`, read-only, see
-    `_kernel_matrix`), built on first use.  An order n below
-    ceil(r L / 2) on an interval of length L cannot resolve the kernel
-    there and raises NumericalError before anything is filled.
+    (`rule`), and B = W^{1/2} K W^{1/2} on its nodes (`weighted_kernel`),
+    built on first use.  An order n below ceil(r L / 2) on an interval of
+    length L cannot resolve the kernel there and raises NumericalError
+    before anything is filled.
 
     Built once for (partition, r, n), it gives log F at any number of
     weights through `log_det`, each one a weight column, one fill of the
@@ -339,10 +331,17 @@ class Discretization:
         self.rule = composite_rule(self.partition, self.r, self.n)
 
     @cached_property
-    def kernel(self) -> np.ndarray:
-        """The sine kernel on the nodes of `rule`, read-only, built on first
-        use: `log_det` fills its matrix without it."""
-        return _kernel_matrix(self.rule)
+    def weighted_kernel(self) -> np.ndarray:
+        """B = W^{1/2} K W^{1/2} on the nodes of `rule`, read-only and
+        exactly symmetric, built on first use (`log_det` fills without it):
+        the unit-scale `_scaled_kernel`, mirrored, times sqrt(w_i w_j).
+        Scales sqrt(w) inside the fill would round before the difference
+        that cancels near the diagonal: at r = 0.5 that B was indefinite
+        by 1.5 eps tr(B), and the PMF factor overshot it by 1.2 eps tr(B)."""
+        ones, root_w = np.ones(len(self.rule.nodes)), np.sqrt(self.rule.weights)
+        b = _mirror(_scaled_kernel(self.rule, ones, ones), self.rule, ones) * np.outer(root_w, root_w)
+        b.setflags(write=False)
+        return b
 
     def log_det(self, weights) -> float:
         """log F at `weights` (one per interval), by the same route as
@@ -446,12 +445,12 @@ def _log_det(rule, weights: WeightConfiguration, gap) -> float:
     The matrix factored, A = I - S D K D with D = diag(sqrt|c|) and
     S = diag(sign c) on the rows, has the same determinant.  It is filled
     by `_scaled_kernel` with a = -S d and b = d, plus 1 on the diagonal;
-    no kernel is built.  Where c has one sign A is exactly symmetric, and
-    only the blocks that its Cholesky factor reads from A^T (the diagonal
-    blocks and those right of them) are filled; the factor raises
-    NumericalError unless A is positive definite.  Mixed signs fill every
-    block and take a pivoted LU, which raises where its sign comes out
-    negative.
+    no kernel is built.  A has S A S = A^T, so only the diagonal blocks
+    and those right of them are filled.  Where c has one sign A is
+    symmetric, and those blocks are what its Cholesky factor reads from
+    A^T; the factor raises NumericalError unless A is positive definite.
+    Mixed signs `_mirror` the blocks below with the signs of c and take a
+    pivoted LU, which raises where its sign comes out negative.
 
     With G the nodes of interval k (where c = w, so D_G = W^{1/2}) and R
     the rest, A = [[I - B, -E^T D_R], [-S_R D_R E, A_RR]], with
@@ -465,19 +464,17 @@ def _log_det(rule, weights: WeightConfiguration, gap) -> float:
                      [-S_R D_R E, A_RR - S_R D_R (E Q) L (E Q)^T D_R]],
 
     the Schur complement on G written with (I - B)^{-1} =
-    (I - B')^{-1} + Q L Q^T.  E Q needs K_RG only: the column block of
-    G is filled from the same sines with unit scales.  The matrix
-    factored is as large as the plain one, symmetric where c has one sign
-    (the low-rank term is applied to the filled blocks only), and G adds
-    no more than 1 / HARD_GAP_TAU to its condition; R may hold other
-    zeroed intervals.
+    (I - B')^{-1} + Q L Q^T.  D_R E is read off the blocks already
+    filled: -S_R A_RG for the rows above G, -A_GR^T for those right of
+    it.  The low-rank term is applied to the filled blocks only, so the
+    matrix factored is as large as the plain one and keeps S A S = A^T,
+    and G adds no more than 1 / HARD_GAP_TAU to its condition; R may hold
+    other zeroed intervals.
     """
     s = weights.as_array()
     c = rule.weights * (1.0 - s[rule.interval_index])
-    d = np.sqrt(np.abs(c))
-    row = np.copysign(d, c)  # S D: each row carries the sign of its c
-    one_sign = not (c.min() < 0.0 < c.max())
-    mat = _scaled_kernel(rule, -row, d, upper=one_sign)  # only what the factor reads
+    d, sign = np.sqrt(np.abs(c)), np.sign(c)
+    mat = _scaled_kernel(rule, -sign * d, d)  # S D on the rows
     mat.ravel()[:: len(c) + 1] += 1.0
     if gap is not None:
         k, modes = gap
@@ -487,17 +484,15 @@ def _log_det(rule, weights: WeightConfiguration, gap) -> float:
         psi = modes.at_gauss_nodes(n)  # G's nodes are the base nodes mapped onto it
         lam = 1.0 - modes.gaps
         q = np.sqrt(base.weights)[:, None] * psi  # W^{1/2} psi / sqrt(h), w = h * base weight
+        deq = np.zeros((len(c), modes.count))  # D_R E Q, and 0 on G, whose blocks it leaves as they are
+        deq[: g.start] = -sign[: g.start, None] * (mat[: g.start, g] @ q)
+        deq[g.stop :] = -(mat[g, g.stop :].T @ q)
         mat[g, g] += (q * lam) @ q.T  # G's block is I - B already
-        if len(c) > n:  # R is not empty
-            ones = np.ones(len(c))
-            eq = _scaled_kernel(rule, ones, ones, gap=k) @ (rule.weights[g][:, None] * psi) / math.sqrt(modes.c)
-            eq[g] = 0.0  # E Q lives on R; zero rows keep G untouched
-            left, right = row[:, None] * eq * (lam / modes.gaps), d[:, None] * eq
-            for rows in rule.blocks:  # the blocks filled
-                first = rows.start if one_sign else 0
-                mat[rows, first:] -= left[rows] @ right[first:].T
-    if not one_sign:
-        log_f = _lu_log_det(mat.T)
+        left = sign[:, None] * deq * (lam / modes.gaps)
+        for rows in rule.blocks:  # the blocks filled
+            mat[rows, rows.start :] -= left[rows] @ deq[rows.start :].T
+    if c.min() < 0.0 < c.max():
+        log_f = _lu_log_det(_mirror(mat, rule, sign).T)
     else:  # symmetric: mat.T is mat in Fortran order, factored with no copy
         factor, info = cholesky_factor(mat.T)
         if info > 0:

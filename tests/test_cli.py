@@ -86,7 +86,7 @@ FIGURE_FLAGS = (
 
 def test_converge_prints_fredholm_log_f_from_one_factorization_per_row(capsys, monkeypatch):
     # converge prints fredholm_det's log F, equal as a float, from one
-    # fill and factorization per row: no n // 2 pass and no plain kernel
+    # fill and factorization per row: no n // 2 pass and no B
     calls = {"kernel": 0, "factor": 0}
 
     def counted(name, fn):
@@ -97,7 +97,8 @@ def test_converge_prints_fredholm_log_f_from_one_factorization_per_row(capsys, m
         return wrapper
 
     fredholm_module = sinegap.fredholm
-    monkeypatch.setattr(fredholm_module, "_kernel_matrix", counted("kernel", fredholm_module._kernel_matrix))
+    disc = fredholm_module.Discretization
+    monkeypatch.setattr(disc, "weighted_kernel", property(counted("kernel", disc.weighted_kernel.func)))
     monkeypatch.setattr(fredholm_module, "cholesky_factor", counted("factor", fredholm_module.cholesky_factor))
     monkeypatch.setattr(fredholm_module, "lu_factor", counted("factor", fredholm_module.lu_factor))
     for flags in FIGURE_FLAGS:
@@ -501,6 +502,18 @@ def test_unresolved_coarse_pass_exits_3_and_names_the_order_it_needs(capsys):
     assert "Traceback" not in err and "non-finite" not in err
     code, out, _ = run_cli(capsys, *argv, "--n", "150")
     assert code == 0 and out.count("\n") == 2
+
+
+def test_unresolved_coarse_pass_names_the_order_of_the_merged_gap(capsys):
+    # fredholm_det merges adjacent zero weights into one zeroed interval
+    # before it builds a rule, so the hint must read the merged lengths:
+    # (0, 0.3, 0.6, 1) with s = (0, 0, 0.5) is the hard gap (0, 0.6), whose
+    # floor at r = 60 is ceil(60 * 0.6 / 2) = 18, whichever way it is written
+    for spelling in (("0,0.3,0.6,1", "0,0,0.5"), ("0,0.6,1", "0,0.5")):
+        code, out, err = run_cli(capsys, "fredholm", "--x", spelling[0], "--s", spelling[1], "--r", "60", "--n", "24")
+        assert (code, out) == (3, ""), spelling
+        assert "the n // 2 = 12 pass does not resolve" in err and "--n >= 36" in err, (spelling, err)
+        assert "Traceback" not in err
 
 
 def _readme_examples():

@@ -30,6 +30,7 @@ from sinegap import (
     fredholm_det,
     joint_pmf,
     numerical_cumulants,
+    sine_kernel,
     thinned_gap_probability,
     var_cov_expansion,
 )
@@ -56,11 +57,10 @@ def test_pmf_single_interval_against_determinant():
 
 def _poisson_binomial(endpoints, r, k, n_quad=64):
     # P(N = 0..k) from F(s) = prod_i (1 - (1 - s) lambda_i), lambda_i the
-    # eigenvalues of W^1/2 K W^1/2 on the same discretization
+    # eigenvalues of B = W^1/2 K W^1/2 on the same discretization
     disc = fredholm_module.Discretization(endpoints, r, n_quad)
-    root_w = np.sqrt(disc.rule.weights)
     coeffs = np.array([1.0])
-    for lam in np.linalg.eigvalsh(root_w[:, None] * disc.kernel * root_w[None, :]):
+    for lam in np.linalg.eigvalsh(disc.weighted_kernel):
         coeffs = np.convolve(coeffs, (1.0 - lam, lam))
     return coeffs[: k + 1]
 
@@ -283,11 +283,12 @@ def _pmf_by_lu(endpoints, r, k, n_quad=64):
     g = 2 * k + 2
     disc = fredholm_module.Discretization(endpoints, r, n_quad)
     rule, size = disc.rule, len(disc.rule.nodes)
+    kernel = sine_kernel(rule.nodes[:, None], rule.nodes[None, :])
     phases = np.exp(2j * math.pi * np.arange(g) / g)
     f_grid = np.empty((g,) * m, dtype=complex)
     for combo in product(range(g), repeat=m):
         c = rule.weights * (1.0 - phases[list(combo)][rule.interval_index])
-        sign, log_abs = np.linalg.slogdet(np.eye(size) - disc.kernel * c)
+        sign, log_abs = np.linalg.slogdet(np.eye(size) - kernel * c)
         f_grid[combo] = sign * np.exp(log_abs)
     table = (np.fft.fftn(f_grid) / g**m)[(slice(0, k + 1),) * m].real.copy()
     table[table < 0.0] = 0.0
@@ -355,7 +356,7 @@ def test_counting_fills_one_kernel_and_factors_once_per_weight(monkeypatch):
         return wrapper
 
     # a kernel is one _scaled_kernel fill, however many blocks it takes:
-    # the traces build disc.kernel, and each determinant fills its own
+    # the traces build disc.weighted_kernel, and each determinant fills its own
     # scaled kernel in _log_det
     monkeypatch.setattr(fredholm_module, "_scaled_kernel", counted("kernel", fredholm_module._scaled_kernel))
     monkeypatch.setattr(fredholm_module, "cholesky_factor", counted("factor", fredholm_module.cholesky_factor))
@@ -418,7 +419,7 @@ def test_pmf_factor_has_low_rank_and_meets_its_stopping_rule():
     for r in (0.5, 1.0, 1.5):
         disc = fredholm_module.Discretization((0.0, 0.5, 1.1, 1.7), r, 64)
         v = counting_module._pivoted_cholesky(disc)
-        b = np.sqrt(disc.rule.weights)[:, None] * disc.kernel * np.sqrt(disc.rule.weights)[None, :]
+        b = disc.weighted_kernel  # the matrix on which the factor stops
         eps_trace = np.finfo(float).eps * np.trace(b)
         assert v.shape[0] == 192 and v.shape[1] < 192
         assert np.trace(b - v @ v.T) <= eps_trace

@@ -32,7 +32,14 @@ from sinegap import (
     sine_kernel,
     thinned_gap_probability,
 )
-from sinegap.fredholm import _kernel_matrix
+
+
+def _unit_kernel(rule):
+    """The sine kernel on the nodes of `rule` as the Nystrom fill builds it:
+    the upper blocks of `_scaled_kernel` with unit scales, mirrored."""
+    ones = np.ones(len(rule.nodes))
+    return fredholm_module._mirror(fredholm_module._scaled_kernel(rule, ones, ones), rule, ones)
+
 
 # frozen from an independent prototype (numpy leggauss nodes + slogdet),
 # x = (0, 0.7, 1.2), s = (e^{-3.5}, e^{-2.4}), r = 20, n = 64
@@ -425,7 +432,8 @@ def test_discretization_log_det_is_fredholm_det_without_the_half_pass():
         disc = Discretization(endpoints, r, 64)
         log_f = disc.log_det(weights)
         assert type(log_f) is float and log_f == fredholm_det(endpoints, weights, r, 64).log_f
-    assert not disc.kernel.flags.writeable
+    b = disc.weighted_kernel  # B = W^1/2 K W^1/2, exactly symmetric
+    assert not b.flags.writeable and np.array_equal(b, b.T)
 
 
 def test_discretization_validation_and_sign_check(monkeypatch):
@@ -492,14 +500,14 @@ def test_unresolved_coarse_pass_reads_an_infinite_estimate():
 
 
 def test_indefinite_discretization_raises():
-    # fig1-left at r = 200, n = 64 (below the floor of 70, so the rule and
-    # kernel are built directly) has two negative eigenvalues.  The LU's
-    # sign parity cannot see an even count: it returned -219.10 against a
-    # true -228.64.  The Cholesky factor raises; n = 128 resolves.
+    # fig1-left at r = 200, n = 64 (below the floor of 70, so the rule is
+    # built directly) has two negative eigenvalues.  The LU's sign parity
+    # cannot see an even count: it returned -219.10 against a true
+    # -228.64.  The Cholesky factor raises; n = 128 resolves.
     partition = IntervalPartition((0.0, 0.7, 1.2))
     weights = WeightConfiguration.from_positive_u((-1.1, -2.4))
     rule = composite_rule(partition, 200.0, 64)
-    kernel = _kernel_matrix(rule)
+    kernel = sine_kernel(rule.nodes[:, None], rule.nodes[None, :])
     c = rule.weights * (1.0 - weights.as_array()[rule.interval_index])
     d = np.sqrt(c)
     assert np.count_nonzero(np.linalg.eigvalsh(np.eye(len(c)) - d[:, None] * kernel * d) < 0.0) == 2
@@ -525,14 +533,13 @@ def test_kernel_fill_is_symmetric_and_within_its_rounding_bound():
         for r in (1e-3, 1.0, 23.0, 200.0):
             for n in (9, 128):
                 full = composite_rule(partition, r, n)
-                full_kernel = _kernel_matrix(full)
+                full_kernel = _unit_kernel(full)
                 half = composite_rule(partition, r, n // 2)
-                for rule, kernel, order in ((full, full_kernel, n), (half, _kernel_matrix(half), n // 2)):
+                for rule, kernel, order in ((full, full_kernel, n), (half, _unit_kernel(half), n // 2)):
                     t = rule.nodes
                     assert kernel.shape == (len(t), len(t)) == (order * (len(endpoints) - 1),) * 2
                     assert np.array_equal(kernel, kernel.T)
                     assert np.all(np.diagonal(kernel) == 1.0 / math.pi)
-                    assert not kernel.flags.writeable
                 t, w = full.nodes, full.weights
                 diff = np.abs(full_kernel - sine_kernel(t[:, None], t[None, :]))
                 dist = np.abs(np.subtract.outer(t, t))
@@ -574,7 +581,8 @@ def test_kernel_fill_matches_extended_precision_entries():
         d = t_a - t_b
         want += (math.cos(d) - math.sin(d) / d) / (math.pi * d) * (moved_a - moved_b)
         tol = 3.0 * eps / (math.pi * abs(d)) + 2.0 * eps * abs(want)
-        for got in (disc.kernel[a, b], disc.kernel[b, a]):
+        kernel = _unit_kernel(disc.rule)
+        for got in (kernel[a, b], kernel[b, a]):
             assert abs(got - want) <= tol, (endpoints, r, n, a, b, got - want)
 
 
@@ -586,10 +594,12 @@ def test_factored_triangle_is_identity_minus_scaled_kernel_within_rounding(monke
     # scaled sines, d_a d_b eps / (pi |t_a - t_b|) a few times over, plus
     # the |t_a| + |t_b| term of the kernel's own bound; the diagonal is
     # the same product with 1/pi.  Cholesky reads the triangle of mat.T
-    # that holds the diagonal blocks and the blocks right of them.
+    # that holds the diagonal blocks and the blocks right of them, the
+    # only blocks filled; the LU reads the blocks below mirrored from them.
     eps = np.finfo(float).eps
     disc = Discretization((0.0, 0.5, 1.1, 1.7), 23.0, 16)
     t, size, seen = disc.rule.nodes, len(disc.rule.nodes), []
+    kernel = _unit_kernel(disc.rule)
     dist = np.abs(np.subtract.outer(t, t))
     np.fill_diagonal(dist, 1.0)
     reach = (1.0 + np.abs(t)[:, None] + np.abs(t)[None, :]) / (math.pi * dist)
@@ -616,18 +626,21 @@ def test_factored_triangle_is_identity_minus_scaled_kernel_within_rounding(monke
         [(name, mat)] = seen
         assert name == factor
         read = upper if factor == "cholesky_factor" else np.ones_like(upper)
-        want = np.eye(size) - np.outer(np.sign(c) * d, d) * disc.kernel
+        want = np.eye(size) - np.outer(np.sign(c) * d, d) * kernel
         bound = 4.0 * eps * np.outer(d, d) * reach
         assert np.all(np.abs(mat - want)[read] <= bound[read]), s
         assert np.array_equal(np.diagonal(mat), np.diagonal(want))
         if factor == "cholesky_factor":
-            # the fill of every block is exactly symmetric, and its upper
-            # blocks are the ones factored
-            row = np.copysign(d, c)
-            full = fredholm_module._scaled_kernel(disc.rule, -row, d)
-            assert np.array_equal(full, full.T)
-            full.ravel()[:: size + 1] += 1.0
-            assert np.array_equal(mat[upper], full[upper])
+            # the diagonal blocks of the fill are exactly symmetric, and the
+            # upper blocks are the ones factored
+            fill = fredholm_module._scaled_kernel(disc.rule, -np.copysign(d, c), d)
+            for b in disc.rule.blocks:
+                assert np.array_equal(fill[b, b], fill[b, b].T)
+            fill.ravel()[:: size + 1] += 1.0
+            assert np.array_equal(mat[upper], fill[upper])
+        else:
+            # the blocks below are mirrored with the signs of c: S A S = A^T exactly
+            assert np.array_equal(np.outer(np.sign(c), np.sign(c)) * mat, mat.T)
 
 
 def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
@@ -649,9 +662,9 @@ def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
         return mat
 
     # each order fills its scaled kernel once, however many blocks that
-    # takes, and builds no plain kernel
+    # takes, a deflated hard gap included, and builds no B
     monkeypatch.setattr(fredholm_module, "_scaled_kernel", counted("fill", sized_fill))
-    monkeypatch.setattr(fredholm_module, "_kernel_matrix", counted("kernel", fredholm_module._kernel_matrix))
+    monkeypatch.setattr(Discretization, "weighted_kernel", property(counted("kernel", Discretization.weighted_kernel.func)))
     monkeypatch.setattr(fredholm_module, "cholesky_factor", counted("factor", fredholm_module.cholesky_factor))
     monkeypatch.setattr(fredholm_module, "lu_factor", counted("lu", fredholm_module.lu_factor))
     fredholm_det((0.0, 0.5, 1.0), (0.3, 0.6), 5.0)
@@ -661,13 +674,20 @@ def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
     calls.update(fill=0, kernel=0, factor=0, lu=0)
     fredholm_det((0.0, 0.5, 1.0), (0.3, 2.5), 5.0)
     assert calls == {"fill": 2, "kernel": 0, "factor": 0, "lu": 2}
+    # the hard gap reads E Q off the matrix it filled: no second fill of K[:, G]
+    calls.update(fill=0, kernel=0, factor=0, lu=0)
+    sizes.clear()
+    fredholm_det(*FIG2_LEFT, 40.0)
+    assert calls == {"fill": 2, "kernel": 0, "factor": 2, "lu": 0}
+    assert sizes == [192, 96]
 
 
 def _slogdet_log_f(endpoints, weights, r, n):
     """log F from numpy's LU of the plain I - K diag(c), with its sign."""
     disc = Discretization(endpoints, r, n)
+    t = disc.rule.nodes
     c = disc.rule.weights * (1.0 - WeightConfiguration(weights).as_array()[disc.rule.interval_index])
-    return np.linalg.slogdet(np.eye(len(c)) - disc.kernel * c)
+    return np.linalg.slogdet(np.eye(len(c)) - sine_kernel(t[:, None], t[None, :]) * c)
 
 
 def test_log_det_matches_an_independent_slogdet():
@@ -716,7 +736,7 @@ def test_unequal_orders_fill_factor_and_deflate_through_the_blocks():
     for r in (5.0, 23.0):
         rule = _unequal_rule(endpoints, r, (24, 40, 32))
         assert [b.stop - b.start for b in rule.blocks] == [24, 40, 32]
-        kernel, t = _kernel_matrix(rule), rule.nodes
+        kernel, t = _unit_kernel(rule), rule.nodes
         assert np.array_equal(kernel, kernel.T)
         for rows in rule.blocks:
             for cols in rule.blocks:
@@ -748,8 +768,11 @@ def test_unequal_orders_fill_factor_and_deflate_through_the_blocks():
 def test_hard_gap_route_agrees_with_lu_where_lu_is_accurate(monkeypatch):
     # At r = 10 and 20 the smallest 1 - lambda_k is 2e-2 and 1e-4, so the
     # plain LU is accurate to about 1e-11.  HARD_GAP_TAU = 0 turns the
-    # route off; 0.5 makes it deflate several modes at both r.
-    for endpoints, weights in (FIG2_LEFT, FIG2_RIGHT):
+    # route off; 0.5 makes it deflate several modes at both r.  A zero
+    # beside a weight above 1 has c of both signs: the deflated update,
+    # then the signed mirror of the blocks below, then the LU.
+    beside_large = [((0.0, 0.5, 1.1, 1.7), WeightConfiguration(s)) for s in ((2.5, 0.0, 0.3), (0.3, 0.0, 2.5))]
+    for endpoints, weights in (FIG2_LEFT, FIG2_RIGHT, *beside_large):
         for r in (10.0, 20.0):
             monkeypatch.setattr(fredholm_module, "HARD_GAP_TAU", 0.0)
             assert fredholm_module._hard_gap_route(IntervalPartition(endpoints), weights, r) == (None, 0.0)

@@ -15,8 +15,8 @@ class ValidationError(ValueError):
 
 
 class NumericalError(ArithmeticError):
-    """A computation produced an unusable result (singular pivot, lost sign,
-    negative probability mass beyond tolerance, non-finite intermediate)."""
+    """A computation produced an unusable result (a factor that is not positive
+    definite, negative probability mass beyond tolerance, non-finite intermediate)."""
 
 
 def _real(value, what: str) -> float:

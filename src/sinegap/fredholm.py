@@ -14,10 +14,10 @@ Evaluation is Nystrom discretization on composite Gauss-Legendre nodes
 Nystrom matrix is the symmetric scaling I - S D K D of I - K diag(c)
 (D = diag(sqrt|c|), S = diag(sign c)).  `_scaled_kernel` fills its
 diagonal blocks and those right of them from the scaled sines and cosines
-of the nodes, and `_log_det` factors it in place: by Cholesky where
-c = w (1 - s) has one sign, raising NumericalError where the matrix is not
-positive definite, and for weights on both sides of 1 by a pivoted LU, once
-`_mirror` has signed the blocks below.  A `Discretization` holds the
+of the nodes, and `_log_det` factors it by Cholesky alone: in place where
+c = w (1 - s) has one sign, and for weights on both sides of 1 as the block
+where c < 0 and its Schur complement, raising NumericalError where a factor
+is not positive definite.  A `Discretization` holds the
 weight-independent part for (partition, r, n), so each weight costs one
 fill and one factorization.  A truncated series evaluation
 `series_det` provides an independent cross-check route for small
@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, _integer, _reals
 from .prolate import EPS, gap_modes
-from .quadrature import _check_order, _check_r, composite_rule, gauss_legendre
+from .quadrature import CompositeRule, _check_order, _check_r, composite_rule, gauss_legendre
 
 __all__ = [
     "IntervalPartition",
@@ -294,13 +294,21 @@ def _scaled_kernel(rule, a, b) -> np.ndarray:
     return out
 
 
-def _mirror(mat, rule, sign) -> np.ndarray:
-    """`mat` with each block below the diagonal blocks set to
-    sign_i sign_j mat[j, i] from the blocks `_scaled_kernel` filled: the
-    bits that it would compute there where a = -sign * b, or a = b and sign = 1."""
-    for b in rule.blocks[:-1]:
-        mat[b.stop :, b] = sign[b.stop :, None] * mat[b, b.stop :].T * sign[b]
+def _mirror(mat, rule) -> np.ndarray:
+    """`mat` with each block below the diagonal blocks set to mat[j, i]:
+    the bits that `_scaled_kernel` would compute there where a = b."""
+    for b in rule.blocks:  # in any order: the last one in storage has nothing below
+        mat[b.stop :, b] = mat[b, b.stop :].T
     return mat
+
+
+def _sign_ordered(rule, first) -> CompositeRule:
+    """`rule` with the nodes of the intervals k where first[k] holds moved
+    ahead of the rest, each group in order; blocks[k] is still interval k's."""
+    order = np.argsort(~first[rule.interval_index], kind="stable")
+    starts = np.argsort(order)[[b.start for b in rule.blocks]].tolist()
+    blocks = tuple(slice(a, a + b.stop - b.start) for a, b in zip(starts, rule.blocks))
+    return CompositeRule(rule.nodes[order], rule.weights[order], rule.interval_index[order], blocks)
 
 
 class Discretization:
@@ -339,7 +347,7 @@ class Discretization:
         that cancels near the diagonal: at r = 0.5 that B was indefinite
         by 1.5 eps tr(B), and the PMF factor overshot it by 1.2 eps tr(B)."""
         ones, root_w = np.ones(len(self.rule.nodes)), np.sqrt(self.rule.weights)
-        b = _mirror(_scaled_kernel(self.rule, ones, ones), self.rule, ones) * np.outer(root_w, root_w)
+        b = _mirror(_scaled_kernel(self.rule, ones, ones), self.rule) * np.outer(root_w, root_w)
         b.setflags(write=False)
         return b
 
@@ -355,47 +363,34 @@ class Discretization:
 
 
 def lu_factor(a):
-    """scipy.linalg.lu_factor overwriting `a`, imported on the first
-    call: commands that factor no matrix (the PMF, the expansions, the
-    cumulants) then never load scipy.linalg, which costs about 0.25 s
-    and 27 MB per process."""
+    """scipy.linalg.lu_factor overwriting `a`, called nowhere: bench/spans.py
+    wraps this name, and its fredholm.lu metrics would read "absent" without it."""
     from scipy.linalg import lu_factor as scipy_lu_factor
 
     return scipy_lu_factor(a, overwrite_a=True)
 
 
 def cholesky_factor(a):
-    """LAPACK dpotrf on the lower triangle of the Fortran-order `a`,
-    overwriting it, imported on the first call as `lu_factor` is."""
+    """(L, log det a) for the lower Cholesky factor L of `a` by LAPACK dpotrf,
+    over the lower triangle of `a` in Fortran order (of a copy otherwise);
+    raises NumericalError unless `a` is positive definite.  scipy.linalg is
+    imported on the first call: the PMF, expansions and cumulants never load it."""
     from scipy.linalg.lapack import dpotrf
 
-    return dpotrf(a, lower=1, clean=0, overwrite_a=1)
-
-
-def _lu_log_det(mat) -> float:
-    """log det(mat) by a pivoted LU that overwrites `mat`, which must be
-    in Fortran order.  F > 0, so a negative sign (the parity of negative
-    pivots plus row swaps) means a discretization lost its sign."""
-    lu, piv = lu_factor(mat)
-    diag = np.diagonal(lu)
-    if np.any(diag == 0.0):
-        raise NumericalError("zero pivot in LU: quadrature order too small or invalid input")
-    log_mag = float(np.sum(np.log(np.abs(diag))))
-    if not math.isfinite(log_mag):
-        raise NumericalError("non-finite log-determinant (pivot under/overflow)")
-    if (np.count_nonzero(diag < 0.0) + np.count_nonzero(piv != np.arange(len(piv)))) % 2:
-        raise NumericalError(f"lost determinant sign: the LU gives det = -exp({log_mag!r}), but F > 0")
-    return log_mag
+    factor, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
+        raise NumericalError("not positive definite: the discretization does not resolve")
+    return factor, 2.0 * float(np.sum(np.log(np.diagonal(factor))))
 
 
 def _hard_gap_route(partition, weights, r):
-    """(gap, lu_rounding) for `weights` on `partition` at scale r.
+    """(gap, rounding) for `weights` on `partition` at scale r.
 
     gap is (index of the deflated interval, its prolate modes with
     1 - lambda_k < HARD_GAP_TAU), or None for the plain matrix: of the zeroed
     intervals that have such modes, the one with the smallest
     1 - lambda_0 is deflated, the first one on a tie.  With more than one
-    zeroed interval, lu_rounding sums eps / (1 - lambda_0) over every
+    zeroed interval, rounding sums eps / (1 - lambda_0) over every
     zeroed interval with modes, the deflated one included: the
     factorization's rounding moves log F by up to N times that for a
     matrix of size N.
@@ -404,7 +399,7 @@ def _hard_gap_route(partition, weights, r):
     HARD_GAP_MAX_ROUNDING (from half-length 14.1 on), or where the
     deflated modes' rounding bound does."""
     zeros = weights.zero_indices()
-    found, lu_rounding = [], 0.0
+    found, rounding = [], 0.0
     for p in zeros:
         a, b = r * partition.endpoints[p - 1], r * partition.endpoints[p]
         c = 0.5 * (b - a)  # the half-length composite_rule maps onto
@@ -424,7 +419,7 @@ def _hard_gap_route(partition, weights, r):
                     f" 1 - lambda_0 = {modes.gaps[0]:.2e}, and the factorization's rounding bound"
                     f" eps / (1 - lambda_0) exceeds {HARD_GAP_MAX_ROUNDING:g}"
                 )
-            lu_rounding += bound
+            rounding += bound
         found.append((p - 1, modes))
     if not found:
         return None, 0.0
@@ -434,7 +429,7 @@ def _hard_gap_route(partition, weights, r):
             f"hard gap of half-length {modes.c:.6g}: prolate rounding bound {modes.rounding:.2e}"
             f" exceeds {HARD_GAP_MAX_ROUNDING:g}"
         )
-    return (k, modes), lu_rounding
+    return (k, modes), rounding
 
 
 def _log_det(rule, weights: WeightConfiguration, gap) -> float:
@@ -446,11 +441,13 @@ def _log_det(rule, weights: WeightConfiguration, gap) -> float:
     S = diag(sign c) on the rows, has the same determinant.  It is filled
     by `_scaled_kernel` with a = -S d and b = d, plus 1 on the diagonal;
     no kernel is built.  A has S A S = A^T, so only the diagonal blocks
-    and those right of them are filled.  Where c has one sign A is
-    symmetric, and those blocks are what its Cholesky factor reads from
-    A^T; the factor raises NumericalError unless A is positive definite.
-    Mixed signs `_mirror` the blocks below with the signs of c and take a
-    pivoted LU, which raises where its sign comes out negative.
+    and those right of them are filled, and each Cholesky factor reads them
+    from A^T: A itself where c has one sign.  Where c has both, the
+    intervals M with c < 0 go ahead of the rest, P (`_sign_ordered`), and
+    A_PM = -A_MP^T gives det A = det A_MM det(A_PP + X^T X), X = L_M^-1 A_MP
+    with L_M the factor of A_MM = I + D_M K_MM D_M, positive definite.  Each
+    factor raises NumericalError where its matrix is not, as an unresolved
+    Schur complement can be, with an even count of negative eigenvalues too.
 
     With G the nodes of interval k (where c = w, so D_G = W^{1/2}) and R
     the rest, A = [[I - B, -E^T D_R], [-S_R D_R E, A_RR]], with
@@ -469,9 +466,11 @@ def _log_det(rule, weights: WeightConfiguration, gap) -> float:
     it.  The low-rank term is applied to the filled blocks only, so the
     matrix factored is as large as the plain one and keeps S A S = A^T,
     and G adds no more than 1 / HARD_GAP_TAU to its condition; R may hold
-    other zeroed intervals.
+    other zeroed intervals.  G lies in P (c = w > 0).
     """
     s = weights.as_array()
+    mixed = s.min() < 1.0 < s.max()
+    rule = _sign_ordered(rule, s > 1.0) if mixed else rule
     c = rule.weights * (1.0 - s[rule.interval_index])
     d, sign = np.sqrt(np.abs(c)), np.sign(c)
     mat = _scaled_kernel(rule, -sign * d, d)  # S D on the rows
@@ -491,13 +490,14 @@ def _log_det(rule, weights: WeightConfiguration, gap) -> float:
         left = sign[:, None] * deq * (lam / modes.gaps)
         for rows in rule.blocks:  # the blocks filled
             mat[rows, rows.start :] -= left[rows] @ deq[rows.start :].T
-    if c.min() < 0.0 < c.max():
-        log_f = _lu_log_det(_mirror(mat, rule, sign).T)
-    else:  # symmetric: mat.T is mat in Fortran order, factored with no copy
-        factor, info = cholesky_factor(mat.T)
-        if info > 0:
-            raise NumericalError("not positive definite: the discretization does not resolve")
-        log_f = 2.0 * float(np.sum(np.log(np.diagonal(factor))))
+    at, log_m = mat.T, 0.0  # mat in Fortran order: its lower triangle holds the blocks filled
+    if mixed:  # factor A_MM, and leave its Schur complement A_PP + X^T X in `at`
+        from scipy.linalg.blas import dsyrk, dtrsm
+        nm = np.count_nonzero(c < 0.0)
+        l_m, log_m = cholesky_factor(at[:nm, :nm])
+        xt = dtrsm(1.0, l_m, at[nm:, :nm], side=1, lower=1, trans_a=1)  # X^T = A_MP^T L_M^-T
+        at = dsyrk(1.0, xt, 1.0, at[nm:, nm:], lower=1)
+    log_f = log_m + cholesky_factor(at)[1]  # one sign: A itself, in place with no copy
     return log_f if gap is None else float(np.sum(np.log(modes.gaps))) + log_f
 
 
@@ -545,7 +545,7 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     """
     partition, weights = _checked_weights(_as_partition(partition), weights)
     full = Discretization(partition, r, n)
-    gap, lu_rounding = _hard_gap_route(partition, weights, full.r)
+    gap, rounding = _hard_gap_route(partition, weights, full.r)
     log_full = _log_det(full.rule, weights, gap)
     half = composite_rule(partition, full.r, full.n // 2)
     try:
@@ -556,7 +556,7 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     # added as its bound: the prolate 1 - lambda_k are shared by both
     # passes, and the factorization's rounding on a zeroed interval is no
     # smaller at the coarse order
-    err = abs(log_full - log_half) + len(full.rule.nodes) * lu_rounding
+    err = abs(log_full - log_half) + len(full.rule.nodes) * rounding
     if gap is not None:
         modes = gap[1]
         err += 2.0 * modes.count * modes.rounding

@@ -38,11 +38,11 @@ class QuadratureRule:
 @dataclass(frozen=True)
 class CompositeRule:
     """Gauss-Legendre rules mapped affinely onto the intervals of a scaled
-    partition: blocks[k] is the slice of nodes of interval k, in order, and
-    holds the gauss_legendre rule of its length.  interval_index[a] tells
-    which interval node a came from; weights are the base weights times the
-    half-length, so they sum to the interval length interval by interval.
-    """
+    partition: blocks[k] is the slice of the nodes of interval k, in order,
+    and holds the gauss_legendre rule of its length; the blocks may be out
+    of spatial order.  interval_index[a] tells which interval node a came
+    from; weights are the base weights times the half-length, so they sum
+    to the interval length interval by interval."""
 
     nodes: np.ndarray
     weights: np.ndarray

@@ -1,7 +1,7 @@
 """Determinant layer: kernel, partitions, weights, factorization and series
 routes.
 
-The two evaluation routes (Cholesky or pivoted LU vs truncated series) are
+The two evaluation routes (Cholesky factors vs truncated series) are
 kept independent in the implementation and are cross-checked here; the exact
 symmetries of the determinant (translation, reflection, scaling) provide
 oracle-free invariance checks.
@@ -38,7 +38,7 @@ def _unit_kernel(rule):
     """The sine kernel on the nodes of `rule` as the Nystrom fill builds it:
     the upper blocks of `_scaled_kernel` with unit scales, mirrored."""
     ones = np.ones(len(rule.nodes))
-    return fredholm_module._mirror(fredholm_module._scaled_kernel(rule, ones, ones), rule, ones)
+    return fredholm_module._mirror(fredholm_module._scaled_kernel(rule, ones, ones), rule)
 
 
 # frozen from an independent prototype (numpy leggauss nodes + slogdet),
@@ -448,39 +448,26 @@ def test_discretization_validation_and_sign_check(monkeypatch):
         disc.log_det((0.5, 0.5))  # m mismatch
     with pytest.raises(ValidationError, match="real"):
         disc.log_det((1j,))
-    # only weights on both sides of 1 reach the LU and its sign parity:
-    # a pivot flipped there raises, and one-sign weights never factor by LU
-    lu_factor = fredholm_module.lu_factor
+    # weights on both sides of 1 take two factors, and a Schur complement
+    # that is not positive definite raises (made so here by flipping the
+    # sign of its first diagonal entry); one-sign weights take one factor
+    cholesky_factor, sizes = fredholm_module.cholesky_factor, []
 
-    def negative_pivot(a):
-        lu, piv = lu_factor(a)
-        lu[0, 0] = -lu[0, 0]
-        return lu, piv
+    def factored(a):
+        sizes.append(len(a))
+        if sizes == [16, 16]:  # the Schur complement of the mixed weights
+            a[0, 0] = -a[0, 0]
+        return cholesky_factor(a)
 
-    monkeypatch.setattr(fredholm_module, "lu_factor", negative_pivot)
+    monkeypatch.setattr(fredholm_module, "cholesky_factor", factored)
     disc = Discretization((0.0, 0.5, 1.0), 2.0, 16)
-    with pytest.raises(NumericalError, match="lost determinant sign"):
+    with pytest.raises(NumericalError, match="not positive definite"):
         disc.log_det((0.3, 2.5))
+    assert sizes == [16, 16]
     for weights in ((0.3, 0.6), (2.0, 3.0)):
+        sizes.clear()
         assert disc.log_det(weights) == fredholm_det((0.0, 0.5, 1.0), weights, 2.0, 16).log_f
-
-
-def test_lu_sign_is_the_parity_of_negative_pivots_and_row_swaps():
-    # a row-permuted diagonal matrix factors with its diagonal entries as
-    # the pivots and one row swap per step of each cycle: 37 swaps for a
-    # 38-cycle on 40 rows.  The sign is an exact count: 21 + 37 half-turns
-    # give log det, 20 + 37 a negative determinant, which F > 0 forbids.
-    d = np.linspace(0.5, 2.0, 40)
-    rows = np.r_[np.roll(np.arange(38), 1), 38, 39]
-    for negatives in (21, 20):
-        diag = d.copy()
-        diag[:negatives] *= -1.0
-        mat = np.asfortranarray(np.diag(diag)[rows])
-        if negatives % 2:
-            assert fredholm_module._lu_log_det(mat) == float(np.sum(np.log(d)))
-        else:
-            with pytest.raises(NumericalError, match="lost determinant sign"):
-                fredholm_module._lu_log_det(mat)
+        assert sizes == [32, 32, 16]  # log_det, then fredholm_det's two orders
 
 
 def test_unresolved_coarse_pass_reads_an_infinite_estimate():
@@ -516,6 +503,29 @@ def test_indefinite_discretization_raises():
     rule = composite_rule(partition, 200.0, 128)
     log_f = fredholm_module._log_det(rule, weights, None)
     assert abs(log_f - -228.64370442447) < 1e-9
+
+
+def test_indefinite_mixed_sign_discretization_raises():
+    # weights on both sides of 1 at r = 150, n = 48 (below the floor of 53,
+    # so the rule is built directly): the block where s > 1 is positive
+    # definite, but its Schur complement has two negative eigenvalues.  A
+    # pivoted LU's sign parity cannot see an even count: it returned
+    # -63.749 against a true -69.456.  The second factor raises; n = 128
+    # and 256 resolve.
+    partition, weights = IntervalPartition((0.0, 0.7, 1.2)), WeightConfiguration((0.05, 3.0))
+    rule = composite_rule(partition, 150.0, 48)
+    t = rule.nodes
+    c = rule.weights * (1.0 - weights.as_array()[rule.interval_index])
+    d, m = np.sqrt(np.abs(c)), c < 0.0
+    mat = np.eye(len(c)) - np.sign(c)[:, None] * d[:, None] * sine_kernel(t[:, None], t[None, :]) * d
+    a_mm, a_mp, a_pm, a_pp = (mat[np.ix_(rows, cols)] for rows in (m, ~m) for cols in (m, ~m))
+    assert np.all(np.linalg.eigvalsh(a_mm) > 0.0)
+    assert np.count_nonzero(np.linalg.eigvalsh(a_pp - a_pm @ np.linalg.solve(a_mm, a_mp)) < 0.0) == 2
+    with pytest.raises(NumericalError, match="not positive definite"):
+        fredholm_module._log_det(rule, weights, None)
+    for n in (128, 256):
+        log_f = fredholm_module._log_det(composite_rule(partition, 150.0, n), weights, None)
+        assert abs(log_f - -69.4561901199) < 1e-9, (n, log_f)
 
 
 def test_kernel_fill_is_symmetric_and_within_its_rounding_bound():
@@ -588,14 +598,16 @@ def test_kernel_fill_matches_extended_precision_entries():
 
 def test_factored_triangle_is_identity_minus_scaled_kernel_within_rounding(monkeypatch):
     # the factored matrix is I - S D K D, D = diag(sqrt|c|) and S the signs
-    # of c on the rows, filled from the scaled sines and handed over in
-    # Fortran order so that nothing is copied.  Against the product with
-    # the kernel it moves in the last digits only: by the rounding of the
-    # scaled sines, d_a d_b eps / (pi |t_a - t_b|) a few times over, plus
-    # the |t_a| + |t_b| term of the kernel's own bound; the diagonal is
-    # the same product with 1/pi.  Cholesky reads the triangle of mat.T
-    # that holds the diagonal blocks and the blocks right of them, the
-    # only blocks filled; the LU reads the blocks below mirrored from them.
+    # of c on the rows, filled from the scaled sines.  Against the product
+    # with the kernel it moves in the last digits only: by the rounding of
+    # the scaled sines, d_a d_b eps / (pi |t_a - t_b|) a few times over,
+    # plus the |t_a| + |t_b| term of the kernel's own bound; the diagonal
+    # is the same product with 1/pi.  Each factor reads the triangle of
+    # mat.T that holds the diagonal blocks and the blocks right of them,
+    # the only blocks filled.  One-sign weights hand all of it over in
+    # Fortran order, so that nothing is copied.  Mixed ones order the
+    # nodes with c < 0 (interval 2 here) first and hand over the block of
+    # those nodes, then the Schur complement A_PP + A_MP^T A_MM^-1 A_MP.
     eps = np.finfo(float).eps
     disc = Discretization((0.0, 0.5, 1.1, 1.7), 23.0, 16)
     t, size, seen = disc.rule.nodes, len(disc.rule.nodes), []
@@ -603,44 +615,47 @@ def test_factored_triangle_is_identity_minus_scaled_kernel_within_rounding(monke
     dist = np.abs(np.subtract.outer(t, t))
     np.fill_diagonal(dist, 1.0)
     reach = (1.0 + np.abs(t)[:, None] + np.abs(t)[None, :]) / (math.pi * dist)
+    factor = fredholm_module.cholesky_factor
 
-    def recorded(name):
-        factor = getattr(fredholm_module, name)
+    def recorded(a):
+        assert a.dtype == np.float64
+        seen.append((a.flags.f_contiguous, a.T.copy()))
+        return factor(a)
 
-        def wrapper(a):
-            assert a.flags.f_contiguous and a.dtype == np.float64
-            seen.append((name, a.T.copy()))
-            return factor(a)
-
-        return wrapper
-
-    monkeypatch.setattr(fredholm_module, "cholesky_factor", recorded("cholesky_factor"))
-    monkeypatch.setattr(fredholm_module, "lu_factor", recorded("lu_factor"))
-    upper = np.triu(np.ones((size, size), dtype=bool))
-    for s, factor in (((0.3, 0.6, 0.9), "cholesky_factor"), ((2.0, 3.0, 1.0), "cholesky_factor"),
-                      ((0.3, 2.5, 0.9), "lu_factor")):
+    monkeypatch.setattr(fredholm_module, "cholesky_factor", recorded)
+    for s, order in (((0.3, 0.6, 0.9), (0, 1, 2)), ((2.0, 3.0, 1.0), (0, 1, 2)), ((0.3, 2.5, 0.9), (1, 0, 2))):
         seen.clear()
         disc.log_det(s)
-        c = disc.rule.weights * (1.0 - np.asarray(s)[disc.rule.interval_index])
+        perm = np.concatenate([np.arange(16 * k, 16 * (k + 1)) for k in order])
+        rule = fredholm_module._sign_ordered(disc.rule, np.asarray(s) > 1.0) if order[0] else disc.rule
+        assert np.array_equal(rule.nodes, t[perm])
+        assert np.array_equal(_unit_kernel(rule), kernel[np.ix_(perm, perm)])
+        assert [(b.start, b.stop) for b in rule.blocks] == [(16 * order.index(k), 16 * order.index(k) + 16) for k in range(3)]
+        c = rule.weights * (1.0 - np.asarray(s)[rule.interval_index])
         d = np.sqrt(np.abs(c))
-        [(name, mat)] = seen
-        assert name == factor
-        read = upper if factor == "cholesky_factor" else np.ones_like(upper)
-        want = np.eye(size) - np.outer(np.sign(c) * d, d) * kernel
-        bound = 4.0 * eps * np.outer(d, d) * reach
-        assert np.all(np.abs(mat - want)[read] <= bound[read]), s
-        assert np.array_equal(np.diagonal(mat), np.diagonal(want))
-        if factor == "cholesky_factor":
-            # the diagonal blocks of the fill are exactly symmetric, and the
-            # upper blocks are the ones factored
-            fill = fredholm_module._scaled_kernel(disc.rule, -np.copysign(d, c), d)
-            for b in disc.rule.blocks:
-                assert np.array_equal(fill[b, b], fill[b, b].T)
-            fill.ravel()[:: size + 1] += 1.0
-            assert np.array_equal(mat[upper], fill[upper])
+        want = np.eye(size) - np.outer(np.sign(c) * d, d) * kernel[np.ix_(perm, perm)]
+        bound = 4.0 * eps * np.outer(d, d) * reach[np.ix_(perm, perm)]
+        fill = fredholm_module._scaled_kernel(rule, -np.copysign(d, c), d)
+        for b in rule.blocks:  # the diagonal blocks of the fill are exactly symmetric
+            assert np.array_equal(fill[b, b], fill[b, b].T)
+        fill.ravel()[:: size + 1] += 1.0
+        nm = 16 * (order[0] == 1)
+        if not nm:
+            [(in_place, mat)] = seen
+            assert in_place
         else:
-            # the blocks below are mirrored with the signs of c: S A S = A^T exactly
-            assert np.array_equal(np.outer(np.sign(c), np.sign(c)) * mat, mat.T)
+            [(_, mat), (_, schur)] = seen
+            a_mm, a_mp, a_pp = want[:nm, :nm], want[:nm, nm:], want[nm:, nm:]
+            assert np.array_equal(want[nm:, :nm], -a_mp.T)
+            upper = np.triu(np.ones(schur.shape, dtype=bool))
+            dense = a_pp + a_mp.T @ np.linalg.solve(a_mm, a_mp)
+            assert np.max(np.abs(schur - dense)[upper]) <= 8.0 * eps, s
+            want, bound, fill = want[:nm, :nm], bound[:nm, :nm], fill[:nm, :nm]
+        # the upper blocks of the fill are the ones factored
+        upper = np.triu(np.ones(mat.shape, dtype=bool))
+        assert np.all(np.abs(mat - want)[upper] <= bound[upper]), s
+        assert np.array_equal(np.diagonal(mat), np.diagonal(want))
+        assert np.array_equal(mat[upper], fill[upper])
 
 
 def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
@@ -670,10 +685,10 @@ def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
     fredholm_det((0.0, 0.5, 1.0), (0.3, 0.6), 5.0)
     assert calls == {"fill": 2, "kernel": 0, "factor": 2, "lu": 0}
     assert sizes == [128, 64]  # orders n = 64 and n // 2 on two intervals
-    # weights on both sides of 1 take the LU at both orders
+    # weights on both sides of 1 take two factors at each order, and no LU
     calls.update(fill=0, kernel=0, factor=0, lu=0)
     fredholm_det((0.0, 0.5, 1.0), (0.3, 2.5), 5.0)
-    assert calls == {"fill": 2, "kernel": 0, "factor": 0, "lu": 2}
+    assert calls == {"fill": 2, "kernel": 0, "factor": 4, "lu": 0}
     # the hard gap reads E Q off the matrix it filled: no second fill of K[:, G]
     calls.update(fill=0, kernel=0, factor=0, lu=0)
     sizes.clear()
@@ -691,7 +706,7 @@ def _slogdet_log_f(endpoints, weights, r, n):
 
 
 def test_log_det_matches_an_independent_slogdet():
-    # one-sign weights take the Cholesky factor, mixed ones the LU; both
+    # one-sign weights take one Cholesky factor, mixed ones two; both
     # must give numpy's log-determinant of the unscaled matrix.  Hard gaps
     # are compared at r <= 20, where the plain matrix is still accurate
     # (see test_hard_gap_route_agrees_with_lu_where_lu_is_accurate).
@@ -747,7 +762,7 @@ def test_unequal_orders_fill_factor_and_deflate_through_the_blocks():
                     np.fill_diagonal(dist, 1.0)  # diff is 0 there
                 size = 1.0 + np.abs(t[rows, None]) + np.abs(t[None, cols])
                 assert np.all(diff <= 4.0 * eps * size / (math.pi * dist)), (r, rows, cols)
-        # one sign below 1 and above 1 (Cholesky), and mixed (LU)
+        # one sign below 1 and above 1 (one factor), and mixed (two)
         for weights in ((0.3, 0.7, 0.1), (1.5, 2.0, 3.0), (0.3, 2.5, 0.7)):
             c = rule.weights * (1.0 - np.asarray(weights)[rule.interval_index])
             sign, want = np.linalg.slogdet(np.eye(len(c)) - sine_kernel(t[:, None], t[None, :]) * c)
@@ -755,22 +770,25 @@ def test_unequal_orders_fill_factor_and_deflate_through_the_blocks():
             assert sign == 1.0
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (r, weights, got - want)
     # the deflated hard gap (interval 2 of fig2-left at r = 40) at orders
-    # on either side of the other blocks' orders
-    partition, weights = IntervalPartition(endpoints), FIG2_LEFT[1]
-    gap, _ = fredholm_module._hard_gap_route(partition, weights, 40.0)
-    assert gap is not None and gap[0] == 1
-    want = Discretization(partition, 40.0, 128).log_det(weights)
-    for orders in ((30, 44, 36), (36, 30, 50)):
-        got = fredholm_module._log_det(_unequal_rule(endpoints, 40.0, orders), weights, gap)
-        assert abs(got - want) <= 1e-9, (orders, got - want)
+    # on either side of the other blocks' orders, and beside a weight above
+    # 1 on either side, whose interval the sign order moves ahead of it
+    partition = IntervalPartition(endpoints)
+    for weights in (FIG2_LEFT[1], WeightConfiguration((0.3, 0.0, 2.5)), WeightConfiguration((2.5, 0.0, 0.3))):
+        gap, _ = fredholm_module._hard_gap_route(partition, weights, 40.0)
+        assert gap is not None and gap[0] == 1
+        want = Discretization(partition, 40.0, 128).log_det(weights)
+        for orders in ((30, 44, 36), (36, 30, 50)):
+            got = fredholm_module._log_det(_unequal_rule(endpoints, 40.0, orders), weights, gap)
+            assert abs(got - want) <= 1e-9, (weights, orders, got - want)
 
 
 def test_hard_gap_route_agrees_with_lu_where_lu_is_accurate(monkeypatch):
     # At r = 10 and 20 the smallest 1 - lambda_k is 2e-2 and 1e-4, so the
-    # plain LU is accurate to about 1e-11.  HARD_GAP_TAU = 0 turns the
+    # plain matrix's factors are accurate to about 1e-11, as a pivoted LU
+    # of it was.  HARD_GAP_TAU = 0 turns the
     # route off; 0.5 makes it deflate several modes at both r.  A zero
-    # beside a weight above 1 has c of both signs: the deflated update,
-    # then the signed mirror of the blocks below, then the LU.
+    # beside a weight above 1 has c of both signs: the sign order, the
+    # deflated update on its fill, then the two factors.
     beside_large = [((0.0, 0.5, 1.1, 1.7), WeightConfiguration(s)) for s in ((2.5, 0.0, 0.3), (0.3, 0.0, 2.5))]
     for endpoints, weights in (FIG2_LEFT, FIG2_RIGHT, *beside_large):
         for r in (10.0, 20.0):
@@ -832,10 +850,10 @@ def test_separated_zeros_deflate_the_smallest_gap_and_match_references():
     # of its two equal gaps in the factored matrix and is covered by its
     # estimate only.
     for (endpoints, s), want in SEPARATED_REFERENCES:
-        (k, modes), lu_rounding = fredholm_module._hard_gap_route(
+        (k, modes), rounding = fredholm_module._hard_gap_route(
             IntervalPartition(endpoints), WeightConfiguration(s), 40.0
         )
-        assert k == 0 and modes.count >= 1 and lu_rounding > 0.0
+        assert k == 0 and modes.count >= 1 and rounding > 0.0
         for n in (64, 128):
             res = fredholm_det(endpoints, s, 40.0, n)
             assert abs(res.log_f.real - want) <= res.error_estimate, (endpoints, n)

@@ -49,7 +49,6 @@ from .fredholm import (
     IntervalPartition,
     WeightConfiguration,
     _checked_u,
-    _checked_weights,
     _matched_weights,
     fredholm_det,
     reduced_indices,
@@ -251,11 +250,6 @@ def _run_fredholm(job: JobSpec, partition: IntervalPartition):
 
     def one(r: float):
         res = fredholm_det(partition, weights, r, job.n)
-        if math.isinf(res.error_estimate):  # the n // 2 pass raised: name the order it needs
-            evaluated = _checked_weights(partition, weights)[0]  # adjacent zeros merged, as fredholm_det does
-            need = max(job.n // 2 + 1, math.ceil(r * max(evaluated.lengths) / 2.0))
-            raise NumericalError(f"no error estimate at r = {r:g}: the n // 2 = {job.n // 2} pass does not"
-                                 f" resolve the kernel; it needs an order of at least {need}, so --n >= {2 * need}")
         return [r, res.log_f, res.error_estimate]
 
     return ["r", "log_f", "error_estimate"], [one(r) for r in job.r_values()]

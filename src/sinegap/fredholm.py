@@ -215,8 +215,8 @@ class WeightConfiguration:
 class DeterminantResult:
     """log F (a float, F > 0) at the requested order, with
     |log F(n) - log F(n/2)| plus the rounding bounds that difference
-    cannot show (see `fredholm_det`) as the error estimate, which is inf
-    where the n/2 pass does not resolve the kernel."""
+    cannot show (see `fredholm_det`) as the error estimate, always finite:
+    `fredholm_det` raises where the n/2 pass does not resolve the kernel."""
 
     log_f: float
     order_used: int
@@ -315,9 +315,9 @@ class Discretization:
     """The weight-independent part of log F at order n: the composite
     Gauss-Legendre rule with n nodes per interval of the scaled partition
     (`rule`), and B = W^{1/2} K W^{1/2} on its nodes (`weighted_kernel`),
-    built on first use.  An order n below ceil(r L / 2) on an interval of
-    length L cannot resolve the kernel there and raises NumericalError
-    before anything is filled.
+    built on first use.  An order n below `floor`, the largest ceil(r L / 2)
+    over the intervals of length L, cannot resolve the kernel and raises
+    NumericalError before anything is filled.
 
     Built once for (partition, r, n), it gives log F at any number of
     weights through `log_det`, each one a weight column, one fill of the
@@ -336,6 +336,7 @@ class Discretization:
                 f"order n = {self.n} cannot resolve the interval ({a:g}, {b:g}) at r = {self.r:g}:"
                 f" it needs n >= ceil(r (x_j - x_(j-1)) / 2) = {need:.0f}"
             )
+        self.floor = int(need)
         self.rule = composite_rule(self.partition, self.r, self.n)
 
     @cached_property
@@ -506,17 +507,17 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
 
     `n` is the Gauss-Legendre order per interval (8 to 2048); the result is
     computed at orders n and n//2, and the modulus of the difference is
-    reported as `error_estimate`.  Below ceil(r L / 2) nodes on an
-    interval of length L (after adjacent zero weights are merged) neither
-    pass resolves the kernel, and the two can still agree; `Discretization`
-    raises NumericalError there before anything is filled.  Each pass is
+    reported as `error_estimate`, always finite.  Below ceil(r L / 2) nodes
+    on an interval of length L (after adjacent zero weights are merged) a
+    pass does not resolve the kernel, yet two such passes can agree:
+    NumericalError is raised before anything is filled where n//2 is below
+    that floor (`Discretization.floor`), so n >= 2 * floor.  Each pass is
     one fill of its scaled Nystrom matrix and one factorization
-    (`_log_det`); neither builds the plain kernel.  Where only the n//2
-    pass does not resolve (its factorization raises), `error_estimate` is
-    inf, never a small number.  Callers that do not need the estimate
-    (`sinegap converge`, the gap probabilities) should call
-    `Discretization(partition, r, n).log_det` instead: it returns the same
-    `log_f`, bit for bit, and skips the n//2 pass.
+    (`_log_det`), which raises NumericalError where the matrix is not
+    positive definite; neither builds the plain kernel.  Callers that do
+    not need the estimate (`sinegap converge`, the gap probabilities)
+    should call `Discretization(partition, r, n).log_det` instead: it
+    returns the same `log_f`, bit for bit, and skips the n//2 pass.
 
     Real weights whose zeroed interval has half-length
     c = r (x_p - x_{p-1}) / 2 large enough that some 1 - lambda_k of the
@@ -546,12 +547,15 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     partition, weights = _checked_weights(_as_partition(partition), weights)
     full = Discretization(partition, r, n)
     gap, rounding = _hard_gap_route(partition, weights, full.r)
+    half = full.n // 2
+    no_estimate = f"no error estimate at r = {full.r:g}: the n // 2 = {half} pass"
+    if half < full.floor:
+        raise NumericalError(f"{no_estimate} is below the order floor {full.floor}, so n >= {2 * full.floor}")
     log_full = _log_det(full.rule, weights, gap)
-    half = composite_rule(partition, full.r, full.n // 2)
     try:
-        log_half = _log_det(half, weights, gap)
-    except NumericalError:  # an unresolved n // 2 pass gives no estimate, never a small one
-        log_half = math.inf
+        log_half = _log_det(composite_rule(partition, full.r, half), weights, gap)
+    except NumericalError:
+        raise NumericalError(f"{no_estimate} is not positive definite") from None
     # rounding that the difference of the two orders need not show is
     # added as its bound: the prolate 1 - lambda_k are shared by both
     # passes, and the factorization's rounding on a zeroed interval is no

@@ -493,12 +493,12 @@ def test_hard_gap_whose_edge_value_rounds_to_zero_exits_3(capsys):
 
 def test_unresolved_coarse_pass_exits_3_and_names_the_order_it_needs(capsys):
     # at n = 128 the fine pass resolves fig1-left at r = 200, but the
-    # n // 2 = 64 pass, below the floor of 70, is not positive definite:
-    # the estimate would be inf, so no row is written
+    # n // 2 = 64 pass is below the floor of 70: there is no estimate, so
+    # no row is written
     argv = ("fredholm", "--x", "0,0.7,1.2", "--u=-1.1,-2.4", "--r", "200")
     code, out, err = run_cli(capsys, *argv, "--n", "128")
     assert (code, out) == (3, "")
-    assert "the n // 2 = 64 pass does not resolve" in err and "--n >= 140" in err
+    assert "the n // 2 = 64 pass is below the order floor 70, so n >= 140" in err
     assert "Traceback" not in err and "non-finite" not in err
     code, out, _ = run_cli(capsys, *argv, "--n", "150")
     assert code == 0 and out.count("\n") == 2
@@ -506,13 +506,13 @@ def test_unresolved_coarse_pass_exits_3_and_names_the_order_it_needs(capsys):
 
 def test_unresolved_coarse_pass_names_the_order_of_the_merged_gap(capsys):
     # fredholm_det merges adjacent zero weights into one zeroed interval
-    # before it builds a rule, so the hint must read the merged lengths:
+    # before it builds a rule, so the floor named is the merged interval's:
     # (0, 0.3, 0.6, 1) with s = (0, 0, 0.5) is the hard gap (0, 0.6), whose
     # floor at r = 60 is ceil(60 * 0.6 / 2) = 18, whichever way it is written
     for spelling in (("0,0.3,0.6,1", "0,0,0.5"), ("0,0.6,1", "0,0.5")):
         code, out, err = run_cli(capsys, "fredholm", "--x", spelling[0], "--s", spelling[1], "--r", "60", "--n", "24")
         assert (code, out) == (3, ""), spelling
-        assert "the n // 2 = 12 pass does not resolve" in err and "--n >= 36" in err, (spelling, err)
+        assert "the n // 2 = 12 pass is below the order floor 18, so n >= 36" in err, (spelling, err)
         assert "Traceback" not in err
 
 

@@ -337,7 +337,12 @@ def test_order_below_r_length_over_two_raises():
     part, weights = (0.0, 0.7, 1.2), WeightConfiguration.from_positive_u((-1.1, -2.4))
     with pytest.raises(NumericalError, match=r"\(0, 0\.7\)"):
         fredholm_det(part, weights, 200.0, 64)
-    res = fredholm_det(part, weights, 200.0, 128)
+    # at n = 128 the fine pass clears that floor, but its n // 2 = 64 pass
+    # does not and gives no estimate; n = 150 gives one (2.3e-3 against an
+    # error of about 3e-13)
+    with pytest.raises(NumericalError, match=r"n // 2 = 64 .* floor 70, so n >= 140"):
+        fredholm_det(part, weights, 200.0, 128)
+    res = fredholm_det(part, weights, 200.0, 150)
     assert abs(res.log_f - fredholm_det(part, weights, 200.0, 256).log_f) <= res.error_estimate
     # adjacent zeros are merged first: (0, 0.3, 0.6) with s = (0, 0) is one
     # gap of 0.6, which needs n >= 12 at r = 40
@@ -470,20 +475,33 @@ def test_discretization_validation_and_sign_check(monkeypatch):
         assert sizes == [32, 32, 16]  # log_det, then fredholm_det's two orders
 
 
-def test_unresolved_coarse_pass_reads_an_infinite_estimate():
+def test_unresolved_coarse_pass_raises():
     # fig2-right at r = 80, n = 64: the n // 2 = 32 pass sits exactly at
     # the order floor ceil(80 * 0.8 / 2) = 32 and is not positive
-    # definite there.  The fine value is kept, and the estimate is inf,
-    # never a small number.
+    # definite there.  The fine pass resolves, but with no estimate the
+    # call raises, naming the pass and no order: clearing the floor is
+    # not enough here.
     endpoints, weights = FIG2_RIGHT
     partition = IntervalPartition(endpoints)
     gap, _ = fredholm_module._hard_gap_route(partition, weights, 80.0)
     half = composite_rule(partition, 80.0, 32)
     with pytest.raises(NumericalError, match="not positive definite"):
         fredholm_module._log_det(half, weights, gap)
-    res = fredholm_det(endpoints, weights, 80.0, 64)
-    assert res.log_f == Discretization(endpoints, 80.0, 64).log_det(weights)
-    assert res.error_estimate == math.inf
+    assert math.isfinite(Discretization(endpoints, 80.0, 64).log_det(weights))
+    with pytest.raises(NumericalError, match=r"r = 80: the n // 2 = 32 pass is not positive definite") as info:
+        fredholm_det(endpoints, weights, 80.0, 64)
+    assert "n >=" not in str(info.value) and "floor" not in str(info.value)
+
+
+def test_coarse_pass_below_the_order_floor_raises():
+    # at the default n = 64 and r = 100 the fine pass clears the floor
+    # ceil(100 / 2) = 50 on (0, 1), but the n // 2 = 32 pass does not: the
+    # estimate it gave was 65.02, where n = 128 agrees with n = 64 to 2.3e-11
+    with pytest.raises(NumericalError, match=r"r = 100: the n // 2 = 32 pass is below the order floor 50, so n >= 100"):
+        fredholm_det((0.0, 1.0), (0.5,), 100.0)
+    res = fredholm_det((0.0, 1.0), (0.5,), 100.0, 128)
+    assert abs(res.log_f - Discretization((0.0, 1.0), 100.0, 64).log_det((0.5,))) < 1e-10
+    assert res.error_estimate < 1e-10
 
 
 def test_indefinite_discretization_raises():
@@ -814,8 +832,9 @@ def test_hard_gap_route_keeps_lu_bytes_without_small_gaps(monkeypatch):
 def test_hard_gap_route_converges_past_r_60():
     for endpoints, weights in (FIG2_LEFT, FIG2_RIGHT):
         for r, tol in ((60.0, 1e-8), (80.0, 1e-6)):
-            fine = fredholm_det(endpoints, weights, r, 128).log_f
-            coarse = fredholm_det(endpoints, weights, r, 64).log_f
+            # Discretization: fig2-right's r = 80, n = 64 has no estimate
+            fine = Discretization(endpoints, r, 128).log_det(weights)
+            coarse = Discretization(endpoints, r, 64).log_det(weights)
             assert math.isfinite(fine)
             assert abs(fine - coarse) < tol, (endpoints, r, abs(fine - coarse))
 

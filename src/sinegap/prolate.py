@@ -131,20 +131,22 @@ def _parity_modes(c: float, parity: int, count: int):
     (degrees j, coefficients on Pbar_j one mode per column, psi(1), lambda)."""
     # imported here so that callers which deflate no hard gap never load
     # scipy.linalg (about 0.25 s and 27 MB per process)
-    from scipy.linalg import LinAlgError, eigh_tridiagonal
+    from scipy.linalg.lapack import dstebz, dstein
 
     size = (int(2.0 * c) + DEGREE_MARGIN) // 2 + 1
     j, jj, diag_u2, off_u2, scale, at_zero = _legendre_tables(parity, size)
     c2 = c * c
     diag, off = jj + c2 * diag_u2, c2 * off_u2
     # bisection and inverse iteration: their eigenvectors give psi(1) two
-    # digits better than MRRR's (dstemr) at c = 12
-    try:
-        chi, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1), lapack_driver="stebz")
-    except LinAlgError as exc:
-        raise NumericalError(f"prolate eigensolver failed at c = {c!r}: {exc}") from None
-    if len(chi) != count:
-        raise NumericalError(f"prolate eigensolver failed at c = {c!r}: {len(chi)} of {count} modes")
+    # digits better than MRRR's (dstemr) at c = 12.  LAPACK is called
+    # directly, with the arguments scipy.linalg.eigh_tridiagonal passes
+    # for select="i" and lapack_driver="stebz" (the same bits), because
+    # that wrapper's input checks cost more than the bisection here.
+    found, chi, block, split, info = dstebz(diag, off, 2, 0.0, 0.0, 1, count, 0.0, "B")
+    if info == 0 and found == count:
+        vecs, info = dstein(diag, off, chi[:count], block, split)
+    if info != 0 or found != count:
+        raise NumericalError(f"prolate eigensolver failed at c = {c!r}: {found} of {count} modes, info {info}")
     # lambda = (c / 2 pi) mu^2, with mu the eigenvalue of
     # f -> int_{-1}^{1} e^{i c u v} f(v) dv read off at u = 0:
     # mu psi(0) = sqrt(2) beta_0 for even modes and

@@ -3,8 +3,11 @@
 import math
 
 import numpy as np
+import pytest
+import scipy.linalg.lapack
+from scipy.linalg import eigh_tridiagonal
 
-from sinegap import gauss_legendre, sine_kernel
+from sinegap import NumericalError, gauss_legendre, prolate, sine_kernel
 from sinegap.prolate import gap_modes
 
 # 1 - lambda_k(c = 12), k = 0..6, from a 60-digit (mpmath) eigen-
@@ -64,3 +67,32 @@ def test_edge_value_rounded_to_zero_gives_an_infinite_rounding_bound():
     modes = gap_modes(39.05, 1e-4)
     assert modes.rounding == math.inf
     assert np.all(np.isfinite(modes.gaps))
+
+
+def test_parity_modes_are_the_bits_of_scipys_tridiagonal_solver():
+    # _parity_modes calls LAPACK's bisection and inverse iteration itself;
+    # the wrapper with the same driver gives the same bits
+    def wrapped(c, parity, count):
+        size = (int(2.0 * c) + prolate.DEGREE_MARGIN) // 2 + 1
+        j, jj, diag_u2, off_u2, scale, at_zero = prolate._legendre_tables(parity, size)
+        diag, off = jj + c * c * diag_u2, c * c * off_u2
+        _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1), lapack_driver="stebz")
+        mu = (c * math.sqrt(2.0 / 3.0) if parity else math.sqrt(2.0)) * vecs[0] / (at_zero @ vecs)
+        return j, vecs, scale @ vecs, (c / (2.0 * math.pi)) * mu * mu
+
+    for c in (0.5, 6.0, 12.0, 17.3, 24.0, 31.0, 39.8):
+        count = int(c / math.pi) + 3  # as many as gap_modes asks for
+        for parity in (0, 1):
+            got, want = prolate._parity_modes(c, parity, count), wrapped(c, parity, count)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (c, parity)
+
+
+def test_parity_modes_raise_where_the_bisection_fails(monkeypatch):
+    dstebz = scipy.linalg.lapack.dstebz
+    for broken in (
+        lambda *args: dstebz(*args)[:4] + (1,),  # info != 0
+        lambda *args: (dstebz(*args)[0] - 1,) + dstebz(*args)[1:],  # a mode short
+    ):
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", broken)
+        with pytest.raises(NumericalError, match=r"prolate eigensolver failed at c = 12\.5"):
+            prolate._parity_modes(12.5, 0, 5)

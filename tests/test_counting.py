@@ -414,9 +414,9 @@ def test_pmf_conjugate_symmetry_check_catches_a_skewed_determinant(monkeypatch):
 
 
 def test_pmf_factor_has_low_rank_and_meets_its_stopping_rule():
-    # the count_inversion bench partition at r = 0.3 to 1.5: rho of 6 to 8
+    # the count_inversion bench partition at r = 0.3 to 1.5: rho of 5 to 8
     # columns out of N = 192, residual trace at most eps tr(B).  r = 0.3
-    # and 0.7 have the least room: max |B - V V^T| reads 0.91 and 0.96 of
+    # and 0.7 have the least room: max |B - V V^T| reads 0.96 and 0.93 of
     # eps tr(B) there
     for r in (0.3, 0.5, 0.7, 1.0, 1.5):
         disc = fredholm_module.Discretization((0.0, 0.5, 1.1, 1.7), r, 64)

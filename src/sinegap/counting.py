@@ -53,14 +53,22 @@ __all__ = [
 
 NEGATIVE_TOL = 1e-9
 IMAG_TOL = 1e-8
-# The torus grid of `joint_pmf` has g^m cells, g = 2 max(K_j) + 2, and
-# `_torus_values` holds g^(m-1) complex rho x rho matrices at once, so
-# time and memory grow with the cell count (and with rho^2).  The bound
-# admits m = 4 at K <= 10 and m = 6 at K <= 3; with six intervals of
-# 0.5 at K = 3 one process took 0.6 s and a peak RSS of 101 MB at r = 1
-# (rho = 8), and 2.8 s and 326 MB at r = 6 (rho = 17).  Fewer intervals
-# admit larger K: K <= 31 at m = 3, K <= 255 at m = 2.
+# The torus grid of `joint_pmf` has g^m cells, g = 2 max(K_j) + 2, each a
+# complex rho x rho determinant, so time grows with the cell count (and
+# with rho^3).  The bound admits m = 4 at K <= 10 and m = 6 at K <= 3;
+# with six intervals of 0.5 at K = 3 one process took about 0.6 s at
+# r = 1 (rho = 8) and 2 s at r = 6 (rho = 17), both at a peak RSS of
+# 49 MB.  Fewer intervals admit larger K: K <= 31 at m = 3, K <= 255 at
+# m = 2.
 MAX_TORUS_CELLS = 2**18
+# `_torus_values` holds at most this many complex entries per matrix
+# stack (4 MiB), so its memory does not grow with the cell count or rho.
+# Holding all g^(m-1) matrices at once took 119 MB peak RSS at r = 1 and
+# 327 MB at r = 6 in the case above (tracemalloc 176 to 296 MiB at
+# r = 2, 3 and 6); 2^20 entries leave a tracemalloc peak of 38 MiB and
+# 2^18 one of 17 MiB, the size of the torus arrays themselves at the cell
+# bound, at the same speed.
+TORUS_CHUNK = 2**18
 
 
 @dataclass(frozen=True)
@@ -118,7 +126,7 @@ def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int 
     `Discretization` of order n_quad is built, and no n/2 error-estimate
     pass is made.
 
-    The grid values come from one low-rank factor, not one LU each:
+    The grid values come from one low-rank factor:
     B = W^{1/2} K W^{1/2} ~ V V^T by the diagonally pivoted Cholesky of
     `_pivoted_cholesky`, which stops once the trace of B - V V^T is at
     most eps tr(B) (tr(B) is the total mean count), or at a pivot that
@@ -204,19 +212,26 @@ def _pivoted_cholesky(disc: Discretization) -> np.ndarray:
 
 def _torus_values(grams, phases) -> np.ndarray:
     """F(s) = det(I - sum_j (1 - s_j) G_j) at s_j = phases[i_j] for every
-    index tuple (i_1, ..., i_m), as an array of shape (g,) * m.  One
-    `slogdet` call takes the g^(m-1) matrices with i_1 fixed."""
+    index tuple (i_1, ..., i_m), as an array of shape (g,) * m.
+
+    The g^(m-1) matrices with i_1 = 0, I - sum_{j >= 2} (1 - s_j) G_j, are
+    built in chunks of their flattened index (i_2, ..., i_m), at most
+    TORUS_CHUNK entries at a time; one `slogdet` call then takes a chunk
+    minus (1 - s_1) G_1 for each i_1."""
     m, g, rho = len(grams), len(phases), grams[0].shape[0]
     one_minus = 1.0 - phases
-    rest = np.eye(rho, dtype=complex)
-    for j in range(1, m):  # the terms of intervals 2..m, each along its own grid axis
-        shape = [1] * (m + 1)
-        shape[j - 1] = g
-        rest = rest - one_minus.reshape(shape) * grams[j]
     f_grid = np.empty((g,) * m, dtype=complex)
-    for i in range(g):
-        sign, log_abs = np.linalg.slogdet(rest - one_minus[i] * grams[0])
-        f_grid[i] = sign * np.exp(log_abs)
+    rows = f_grid.reshape(g, -1)  # i_1, then the flattened (i_2, ..., i_m)
+    step = max(1, TORUS_CHUNK // (rho * rho))
+    for start in range(0, rows.shape[1], step):
+        flat = np.arange(start, min(start + step, rows.shape[1]))
+        rest = np.empty((len(flat), rho, rho), dtype=complex)
+        rest[:] = np.eye(rho)
+        for j in range(1, m):  # the term of interval j + 1, whose index is digit j of `flat`
+            rest -= one_minus[flat // g ** (m - 1 - j) % g, None, None] * grams[j]
+        for i in range(g):
+            sign, log_abs = np.linalg.slogdet(rest - one_minus[i] * grams[0])
+            rows[i, flat] = sign * np.exp(log_abs)
     return f_grid
 
 

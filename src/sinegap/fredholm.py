@@ -31,11 +31,11 @@ exp(-r (x_p - x_{p-1})) of 1, and rounding the assembled matrix by eps
 moves log F by about eps / (1 - lambda_0), 1e-7 to 3e-6 at r = 40 for a
 gap of 0.6.  Every weight configuration takes one route
 (`_hard_gap_route`): of its zeroed intervals with modes
-1 - lambda_k < HARD_GAP_TAU, the one with the smallest 1 - lambda_0 is
-deflated.  1 - lambda_k and the eigenfunctions come from prolate
-spheroidal wave functions (`prolate.gap_modes`) to relative accuracy,
-and the matrix factored has the same size and a condition on that
-interval of about 1 / HARD_GAP_TAU (`_log_det`).  Inputs without such
+1 - lambda_k < `prolate.HARD_GAP_TAU` = 1e-4, the one with the smallest
+1 - lambda_0 is deflated.  1 - lambda_k and the eigenfunctions come from
+prolate spheroidal wave functions (`prolate.gap_modes`) to relative
+accuracy, and the matrix factored has the same size and a condition on
+that interval of about 1e4 (`_log_det`).  Inputs without such
 a mode keep the plain matrix and its exact output.  A run of adjacent zero
 weights is one hard gap and is merged into one interval first.  Where
 the prolate values themselves lose their digits, the route raises
@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, _integer, _reals
 from .prolate import EPS, gap_modes
-from .quadrature import CompositeRule, _check_order, _check_r, composite_rule, gauss_legendre
+from .quadrature import CompositeRule, _check_order, _check_r, composite_rule
 
 __all__ = [
     "IntervalPartition",
@@ -70,14 +70,6 @@ __all__ = [
     "reduced_indices",
 ]
 
-# Hard-gap route (a zero weight s_p): prolate modes of the zeroed
-# interval with 1 - lambda_k below HARD_GAP_TAU are taken out of the matrix
-# and put back analytically.  The factored matrix then has condition
-# about 1 / HARD_GAP_TAU, so its rounding moves log F by about
-# eps / HARD_GAP_TAU: between n = 64 and 128 the figure-2 points at
-# r <= 40 differ by up to 4.9e-10 at tau = 1e-6, 5.8e-11 at 1e-5 and
-# 2.3e-11 at 1e-4; larger tau gains nothing more.
-HARD_GAP_TAU = 1e-4
 # The route raises NumericalError when the relative rounding error of
 # some deflated psi_k(1), and so about twice that of its 1 - lambda_k,
 # may exceed this: from half-length 26.7 on (r = 89 for a gap of 0.6;
@@ -399,11 +391,11 @@ def _hard_gap_route(partition, weights, r):
     """(gap, rounding) for `weights` on `partition` at scale r.
 
     gap is (index of the deflated interval, its prolate modes with
-    1 - lambda_k < HARD_GAP_TAU), or None for the plain matrix: of the zeroed
-    intervals that have such modes, the one with the smallest
-    1 - lambda_0 is deflated, the first one on a tie.  With more than one
-    zeroed interval, rounding sums eps / (1 - lambda_0) over every
-    zeroed interval with modes, the deflated one included: the
+    1 - lambda_k < prolate.HARD_GAP_TAU), or None for the plain matrix:
+    of the zeroed intervals that have such modes, the one with the
+    smallest 1 - lambda_0 is deflated, the first one on a tie.  With more
+    than one zeroed interval, rounding sums eps / (1 - lambda_0) over
+    every zeroed interval with modes, the deflated one included: the
     factorization's rounding moves log F by up to N times that for a
     matrix of size N.
     Raises NumericalError where a half-length exceeds
@@ -420,7 +412,7 @@ def _hard_gap_route(partition, weights, r):
                 f"hard gap of half-length r (x_p - x_(p-1)) / 2 = {c:.6g} > {HARD_GAP_MAX_HALF_LENGTH:g}:"
                 " 1 - lambda_0 ~ exp(-2c) is below what double precision resolves"
             )
-        modes = gap_modes(c, HARD_GAP_TAU)
+        modes = gap_modes(c)
         if not modes.count:
             continue
         if len(zeros) > 1:
@@ -477,8 +469,8 @@ def _log_det(rule, weights: WeightConfiguration, gap) -> float:
     filled: -S_R A_RG for the rows above G, -A_GR^T for those right of
     it.  The low-rank term is applied to the filled blocks only, so the
     matrix factored is as large as the plain one and keeps S A S = A^T,
-    and G adds no more than 1 / HARD_GAP_TAU to its condition; R may hold
-    other zeroed intervals.  G lies in P (c = w > 0).
+    and G adds no more than 1 / prolate.HARD_GAP_TAU to its condition;
+    R may hold other zeroed intervals.  G lies in P (c = w > 0).
     """
     s = weights.as_array()
     mixed = s.min() < 1.0 < s.max()
@@ -490,11 +482,10 @@ def _log_det(rule, weights: WeightConfiguration, gap) -> float:
     if gap is not None:
         k, modes = gap
         g = rule.blocks[k]
-        n = g.stop - g.start
-        base = gauss_legendre(n)
-        psi = modes.at_gauss_nodes(n)  # G's nodes are the base nodes mapped onto it
+        # W^{1/2} psi / sqrt(h): G's nodes are the base nodes mapped onto
+        # it, with weights h times the base weights
+        q = modes.at_gauss_nodes(g.stop - g.start)
         lam = 1.0 - modes.gaps
-        q = np.sqrt(base.weights)[:, None] * psi  # W^{1/2} psi / sqrt(h), w = h * base weight
         deq = np.zeros((len(c), modes.count))  # D_R E Q, and 0 on G, whose blocks it leaves as they are
         deq[: g.start] = -sign[: g.start, None] * (mat[: g.start, g] @ q)
         deq[g.stop :] = -(mat[g, g.stop :].T @ q)
@@ -532,10 +523,10 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
 
     Real weights whose zeroed interval has half-length
     c = r (x_p - x_{p-1}) / 2 large enough that some 1 - lambda_k of the
-    sine kernel on it falls below HARD_GAP_TAU = 1e-4 (c >= 6, r >= 20 for
-    a gap of 0.6) go through the prolate deflation route described in the
-    module docstring, which deflates the zeroed interval with the
-    smallest 1 - lambda_0 (the first one on a tie).  The prolate modes are
+    sine kernel on it falls below `prolate.HARD_GAP_TAU` = 1e-4 (c >= 6,
+    r >= 20 for a gap of 0.6) go through the prolate deflation route
+    described in the module docstring, which deflates the zeroed interval
+    with the smallest 1 - lambda_0 (the first one on a tie).  The prolate modes are
     computed once and serve both orders, so `error_estimate` adds their
     rounding bound, 2 * (number of deflated modes) * `GapModes.rounding`,
     which the difference of the two orders cannot show.  That route raises
@@ -550,7 +541,7 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     deflated and the others in the matrix, whose rounding moves log F by up
     to N eps / (1 - lambda_0) per zeroed interval for a matrix of size N;
     `error_estimate` adds that bound, summed over every zeroed interval
-    with 1 - lambda_0 < HARD_GAP_TAU, the deflated one included.  They
+    with 1 - lambda_0 < 1e-4, the deflated one included.  They
     raise NumericalError where eps / (1 - lambda_0) of some zeroed
     interval exceeds HARD_GAP_MAX_ROUNDING (from c = 14.1 on, r = 47 for
     a gap of 0.6).

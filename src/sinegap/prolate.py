@@ -20,6 +20,10 @@ any discretized K.  Two classical facts give them to relative accuracy:
       1 - lambda_k(c) = int_c^inf (2 / c') lambda_k(c') psi_k(c', 1)^2 dc',
   an integral of positive terms, evaluated here by Gauss-Laguerre in
   c' - c with weight e^{-2 (c' - c)}.
+
+`gap_modes(c)` returns the modes with 1 - lambda_k < HARD_GAP_TAU = 1e-4,
+those that the hard-gap route of `sinegap.fredholm` deflates, and takes
+every one of their gaps from that integral.
 """
 
 from __future__ import annotations
@@ -49,12 +53,18 @@ LAGUERRE_ORDER = 8
 # gaps at c = 12 to 1e-11.
 DEGREE_MARGIN = 40
 
-# Gaps 1 - lambda_k at least this large are read off lambda_k directly,
-# losing at most three digits to cancellation; smaller ones come from the
-# Slepian integral, whose Laguerre rule is accurate to 4e-11 relative
-# only while lambda_k(c') stays in its exponential tail, i.e. for small
-# gaps (checked against 60-digit values for c = 6..24).
-DIRECT_GAP = 1e-3
+# The modes returned are those with 1 - lambda_k below HARD_GAP_TAU, which
+# the hard-gap route of `sinegap.fredholm` deflates.  The matrix it factors
+# then has condition about 1 / HARD_GAP_TAU, so its rounding moves log F by
+# about eps / HARD_GAP_TAU: between n = 64 and 128 the figure-2 points at
+# r <= 40 differ by up to 4.9e-10 at tau = 1e-6, 5.8e-11 at 1e-5 and
+# 2.3e-11 at 1e-4; larger tau gains nothing more.  It must stay well below
+# 1e-3: every gap comes from the Slepian integral, whose Laguerre rule is
+# accurate to 4e-11 relative only while lambda_k(c') stays in its
+# exponential tail, i.e. for small gaps (checked against 60-digit values
+# for c = 6..24; at c = 12 it is off by 2.7e-12 for 1 - lambda_4 = 1.4e-3,
+# 1.5e-10 for 1.6e-2 and 6.8e-9 for 0.12).
+HARD_GAP_TAU = 1e-4
 
 EPS = float(np.finfo(float).eps)
 
@@ -66,8 +76,8 @@ class GapModes:
     `coefficients[:, k]` holds psi_k in the orthonormal Legendre basis
     (degrees 0..degree); `gaps[k]` = 1 - lambda_k to relative accuracy;
     `rounding` is the largest relative rounding bound of the values
-    psi_k(1) that the gaps below DIRECT_GAP are built from (0 if none,
-    inf if one of them rounds to 0.0).
+    psi_k(1), k < count, that the gaps are built from (0 if there are no
+    modes, inf if one of them rounds to 0.0).
     """
 
     c: float
@@ -80,8 +90,11 @@ class GapModes:
         return self.gaps.size
 
     def at_gauss_nodes(self, n: int) -> np.ndarray:
-        """psi_k at the n-point Gauss-Legendre nodes, shape (n, count)."""
-        return _legendre_at_gauss_nodes(n, self.coefficients.shape[0] - 1) @ self.coefficients
+        """q = W^{1/2} psi_k on the n-point Gauss-Legendre rule of (-1, 1),
+        shape (n, count): eigenvectors of W^{1/2} K W^{1/2} on its nodes,
+        orthonormal up to the rule's error."""
+        psi = _legendre_at_gauss_nodes(n, self.coefficients.shape[0] - 1) @ self.coefficients
+        return np.sqrt(gauss_legendre(n).weights)[:, None] * psi
 
 
 @lru_cache(maxsize=32)
@@ -156,8 +169,8 @@ def _parity_modes(c: float, parity: int, count: int):
     return j, vecs, scale @ vecs, (c / (2.0 * math.pi)) * mu * mu
 
 
-def gap_modes(c: float, tau: float) -> GapModes:
-    """The prolate modes with 1 - lambda_k < tau at half-length c
+def gap_modes(c: float) -> GapModes:
+    """The prolate modes with 1 - lambda_k < HARD_GAP_TAU at half-length c
     (possibly none), their gaps 1 - lambda_k and their rounding bound."""
     # about 2c/pi eigenvalues sit near 1; a few more per parity are checked
     per_parity = int(c / math.pi) + 3
@@ -168,32 +181,25 @@ def gap_modes(c: float, tau: float) -> GapModes:
         return j, vecs[:, k // 2], edge[k // 2], lam[k // 2]
 
     count = 0
-    while count < 2 * per_parity and 1.0 - mode(count)[3] < tau:
+    while count < 2 * per_parity and 1.0 - mode(count)[3] < HARD_GAP_TAU:
         count += 1
-    gaps = np.array([1.0 - mode(k)[3] for k in range(count)])
     coefficients = np.zeros((int(parts[1][0][-1]) + 1, count))
-    for k in range(count):
-        j, beta, _, _ = mode(k)
-        coefficients[j, k] = beta
-
-    # Gaps below DIRECT_GAP come from the Slepian integral; psi_k(1) =
-    # sum_j beta_j sqrt(j + 1/2) is small by cancellation there.
-    small = int(np.count_nonzero(gaps < DIRECT_GAP))
     rounding = 0.0
-    for k in range(small):
+    for k in range(count):
         j, beta, edge, _ = mode(k)
-        if edge == 0.0:  # psi_k(1) rounded away entirely: no digit is left
-            rounding = math.inf
-            break
-        rounding = max(rounding, EPS * float(np.sqrt(j + 0.5) @ np.abs(beta)) / abs(float(edge)))
-    if small:
-        gaps[:small] = 0.0
-        counts = ((small + 1) // 2, small // 2)
-        for xi, wi in zip(*_laguerre_rule()):
-            cc = c + 0.5 * xi
-            for parity in (0, 1):
-                if counts[parity]:
-                    _, _, edge, lam = _parity_modes(cc, parity, counts[parity])
-                    # (1/2) (2/c') lambda psi(c', 1)^2 against the weight e^{-x}
-                    gaps[parity:small:2] += (wi * math.exp(xi) / cc) * lam * edge * edge
+        coefficients[j, k] = beta
+        # psi_k(1) = sum_j beta_j sqrt(j + 1/2) is small by cancellation;
+        # where it rounds to 0.0 no digit of it is left
+        bound = math.inf if edge == 0.0 else EPS * float(np.sqrt(j + 0.5) @ np.abs(beta)) / abs(float(edge))
+        rounding = max(rounding, bound)
+
+    gaps = np.zeros(count)  # the Slepian integral
+    counts = ((count + 1) // 2, count // 2)
+    for xi, wi in zip(*_laguerre_rule()):
+        cc = c + 0.5 * xi
+        for parity in (0, 1):
+            if counts[parity]:
+                _, _, edge, lam = _parity_modes(cc, parity, counts[parity])
+                # (1/2) (2/c') lambda psi(c', 1)^2 against the weight e^{-x}
+                gaps[parity::2] += (wi * math.exp(xi) / cc) * lam * edge * edge
     return GapModes(c=c, coefficients=coefficients, gaps=gaps, rounding=rounding)

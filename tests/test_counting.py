@@ -11,6 +11,7 @@ the same interval.
 """
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -146,6 +147,37 @@ def test_pmf_aliased_grid_raises_and_validation():
     assert counting_module._checked_counts(3, 6) == (3,) * 6
     with pytest.raises(ValidationError, match="cells"):
         counting_module._checked_counts((0, 0, 0, 0, 0, 4), 6)
+    # an order at the floor ceil(r L / 2) = 30 resolves the kernel too
+    # coarsely for the tail of the table: it comes out below -1e-9
+    # (-6.2e-4 at n = 30, -3.5e-7 at 32, and 33 passes)
+    with pytest.raises(NumericalError, match="negative probability -6.197e-04"):
+        joint_pmf((0.0, 1.0), 60.0, 40, n_quad=30)
+
+
+def test_pmf_torus_chunks_keep_the_bits(monkeypatch):
+    # one matrix per chunk, or seven of rho = 8 (the m = 2 and 3 cases),
+    # which leaves a last chunk of one: the same tables, bit for bit, as
+    # the default chunk, which holds every matrix here; m = 1 has one
+    # matrix per i_1 whatever the chunk
+    cases = (((0.0, 0.5), 1.0, 4), ((0.0, 0.5, 1.1), 2.0, 3), ((0.0, 0.4, 0.8, 1.2), 1.0, 2))
+    want = [joint_pmf(*case).table for case in cases]
+    for chunk in (1, 7 * 8 * 8):
+        monkeypatch.setattr(counting_module, "TORUS_CHUNK", chunk)
+        for case, table in zip(cases, want):
+            assert np.array_equal(joint_pmf(*case).table, table), (chunk, case)
+
+
+def test_pmf_memory_does_not_grow_with_the_torus():
+    # six intervals at K = 3 (8^6 cells, at the bound) and rho = 13: the
+    # g^5 matrices held at once peaked at 176 MiB; in chunks the peak is
+    # that of the 4 MiB torus arrays, 17 MiB
+    tracemalloc.start()
+    try:
+        joint_pmf(tuple(0.5 * i for i in range(7)), 3.0, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak / 2**20
 
 
 def test_pmf_table_read_only():

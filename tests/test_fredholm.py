@@ -27,6 +27,7 @@ from sinegap import (
     fredholm_det,
     joint_pmf,
     numerical_cumulants,
+    prolate,
     reduced_indices,
     series_det,
     sine_kernel,
@@ -801,24 +802,26 @@ def test_unequal_orders_fill_factor_and_deflate_through_the_blocks():
             assert abs(got - want) <= 1e-9, (weights, orders, got - want)
 
 
-def test_hard_gap_route_agrees_with_lu_where_lu_is_accurate(monkeypatch):
-    # At r = 10 and 20 the smallest 1 - lambda_k is 2e-2 and 1e-4, so the
-    # plain matrix's factors are accurate to about 1e-11, as a pivoted LU
-    # of it was.  HARD_GAP_TAU = 0 turns the
-    # route off; 0.5 makes it deflate several modes at both r.  A zero
-    # beside a weight above 1 has c of both signs: the sign order, the
-    # deflated update on its fill, then the two factors.
-    beside_large = [((0.0, 0.5, 1.1, 1.7), WeightConfiguration(s)) for s in ((2.5, 0.0, 0.3), (0.3, 0.0, 2.5))]
-    for endpoints, weights in (FIG2_LEFT, FIG2_RIGHT, *beside_large):
-        for r in (10.0, 20.0):
-            monkeypatch.setattr(fredholm_module, "HARD_GAP_TAU", 0.0)
-            assert fredholm_module._hard_gap_route(IntervalPartition(endpoints), weights, r) == (None, 0.0)
-            plain = fredholm_det(endpoints, weights, r, 64).log_f
-            monkeypatch.setattr(fredholm_module, "HARD_GAP_TAU", 0.5)
-            (_, modes), _ = fredholm_module._hard_gap_route(IntervalPartition(endpoints), weights, r)
-            assert modes.count >= 2
-            deflated = fredholm_det(endpoints, weights, r, 64).log_f
-            assert abs(plain - deflated) < 1e-10, (endpoints, r, abs(plain - deflated))
+# a zero beside a weight above 1, on either side of it, at r = 40: c has
+# both signs, so the sign order, the deflated update on its fill and the
+# two Cholesky factors all run.  40-digit references as above
+# (`tools/hard_gap_references.py logf D 40` and `E`; N = 40 and 52 agree
+# to 22 digits).
+BESIDE_LARGE_REFERENCES = (
+    (((0.0, 0.5, 1.1, 1.7), WeightConfiguration((2.5, 0.0, 0.3))), -76.92150604527815448639),
+    (((0.0, 0.5, 1.1, 1.7), WeightConfiguration((0.3, 0.0, 2.5))), -74.04124803539354533637),
+)
+
+
+def test_hard_gap_beside_a_large_weight_matches_extended_precision_references():
+    for (endpoints, weights), want in BESIDE_LARGE_REFERENCES:
+        (k, modes), _ = fredholm_module._hard_gap_route(IntervalPartition(endpoints), weights, 40.0)
+        assert k == 1 and modes.count == 4  # half-length 12: four modes below 1e-4
+        for n in (64, 128):
+            res = fredholm_det(endpoints, weights, 40.0, n)
+            err = abs(res.log_f - want)
+            assert err < 1e-9, (weights, n, err)
+            assert err <= res.error_estimate, (weights, n, err, res.error_estimate)
 
 
 def test_hard_gap_route_keeps_lu_bytes_without_small_gaps(monkeypatch):
@@ -826,7 +829,7 @@ def test_hard_gap_route_keeps_lu_bytes_without_small_gaps(monkeypatch):
     # result is the plain matrix's, bit for bit
     endpoints, weights = FIG2_LEFT
     default = fredholm_det(endpoints, weights, 10.0, 64)
-    monkeypatch.setattr(fredholm_module, "HARD_GAP_TAU", 0.0)
+    monkeypatch.setattr(prolate, "HARD_GAP_TAU", 0.0)
     assert fredholm_det(endpoints, weights, 10.0, 64) == default
 
 

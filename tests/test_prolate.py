@@ -10,42 +10,42 @@ from scipy.linalg import eigh_tridiagonal
 from sinegap import NumericalError, gauss_legendre, prolate, sine_kernel
 from sinegap.prolate import gap_modes
 
-# 1 - lambda_k(c = 12), k = 0..6, from a 60-digit (mpmath) eigen-
+# 1 - lambda_k(c = 12), k = 0..3, from a 60-digit (mpmath) eigen-
 # decomposition of the prolate matrices, lambda_k read off psi_k(0) or
-# psi_k'(0) (`tools/hard_gap_references.py gaps 12`); k = 0..3 agree with
+# psi_k'(0) (`tools/hard_gap_references.py gaps 12`); they agree with
 # independent 40-digit values to all 15 digits given here.
 GAPS_C12 = (
     8.92009265193761e-10,
     7.97498460382857e-08,
     3.3025116768898866e-06,
     8.3369811104123e-05,
-    1.412684800864139e-03,
-    1.6335702399555573e-02,
-    1.1824337495787152e-01,
 )
 
 
 def test_gaps_to_relative_accuracy():
-    # k = 0..3 come from the Slepian integral, k = 4..6 from lambda_k
-    modes = gap_modes(12.0, 0.2)
-    assert modes.count == 7
+    # every gap comes from the Slepian integral
+    modes = gap_modes(12.0)
+    assert modes.count == 4
     rel = np.abs(modes.gaps / np.array(GAPS_C12) - 1.0)
     assert np.all(rel < 1e-10), rel
 
 
-def test_mode_count_follows_tau():
-    assert gap_modes(12.0, 1e-4).count == 4  # 1 - lambda_3 = 8.3e-5 < 1e-4 < 1 - lambda_4
-    assert gap_modes(12.0, 1e-9).count == 1
-    assert gap_modes(4.0, 1e-4).count == 0  # 1 - lambda_0(4) is about 5e-3
-    assert gap_modes(12.0, 0.0).count == 0
+def test_mode_count_follows_tau(monkeypatch):
+    assert prolate.HARD_GAP_TAU == 1e-4
+    assert gap_modes(12.0).count == 4  # 1 - lambda_3 = 8.3e-5 < 1e-4 < 1 - lambda_4
+    assert gap_modes(4.0).count == 0  # 1 - lambda_0(4) is about 5e-3
+    # gap_modes reads the threshold at call time
+    monkeypatch.setattr(prolate, "HARD_GAP_TAU", 1e-9)
+    assert gap_modes(12.0).count == 1
+    monkeypatch.setattr(prolate, "HARD_GAP_TAU", 0.0)
+    assert gap_modes(12.0).count == 0
 
 
 def test_modes_are_orthonormal_eigenfunctions_of_the_sine_kernel():
     c, n = 12.0, 96
     rule = gauss_legendre(n)
-    modes = gap_modes(c, 1e-4)
-    psi = modes.at_gauss_nodes(n)
-    q = np.sqrt(rule.weights)[:, None] * psi
+    modes = gap_modes(c)
+    q = modes.at_gauss_nodes(n)
     assert np.max(np.abs(q.T @ q - np.eye(modes.count))) < 1e-13
     # sin(c (u - v)) / (pi (u - v)) on (-1, 1) is c K(c u, c v)
     t = c * rule.nodes
@@ -55,16 +55,16 @@ def test_modes_are_orthonormal_eigenfunctions_of_the_sine_kernel():
 
 
 def test_rounding_bound_grows_with_the_gap():
-    assert gap_modes(12.0, 1e-4).rounding < 1e-10
-    assert 1e-9 < gap_modes(24.0, 1e-4).rounding < 1e-5
-    assert gap_modes(36.0, 1e-4).rounding > 1e-3
-    assert math.isfinite(gap_modes(36.0, 1e-4).gaps[0])
+    assert gap_modes(12.0).rounding < 1e-10
+    assert 1e-9 < gap_modes(24.0).rounding < 1e-5
+    assert gap_modes(36.0).rounding > 1e-3
+    assert math.isfinite(gap_modes(36.0).gaps[0])
 
 
 def test_edge_value_rounded_to_zero_gives_an_infinite_rounding_bound():
     # psi_0(1) rounds to exactly 0.0 at some half-lengths between 39 and
     # 40; no digit of it is left, so the bound is inf, not a division by 0
-    modes = gap_modes(39.05, 1e-4)
+    modes = gap_modes(39.05)
     assert modes.rounding == math.inf
     assert np.all(np.isfinite(modes.gaps))
 

@@ -1,18 +1,21 @@
 """Extended-precision references for the hard-gap tests (needs mpmath).
 
     python3 tools/hard_gap_references.py logf gap 40      # one log F value
+    python3 tools/hard_gap_references.py logf fig2-right 40 24   # at r = 24
     python3 tools/hard_gap_references.py gaps 12          # 1 - lambda_k(c)
 
-`logf NAME N` prints log F at r = 40 for NAME in {gap, fig2-left,
-fig2-right} (one zero weight, the others from log-ratios) or in
-{A, B, C} (zeros on separated intervals, the weights given directly):
+`logf NAME N [R]` prints log F at r = R (default 40) for NAME in {gap,
+fig2-left, fig2-right} (one zero weight, the others from log-ratios) or
+in {A, B, C, D, E} (the weights given directly: zeros on separated
+intervals in A, B and C, a zero beside a weight above 1 in D and E):
 Nystrom discretization with N Gauss-Legendre nodes per interval, nodes,
 kernel matrix and determinant all in 40-digit arithmetic.  Intervals of
 weight 1 add nothing to the operator and are left out exactly.
 Endpoints, weights and log-ratios are read as decimals, which moves
 log F by at most 3e-14 against their double values.  N = 40 takes about
-a minute for fig2-right and 3-16 s for A, B and C (one CPU core,
-mpmath 1.3); N = 40 and N = 52 agree to all printed digits.
+a minute for fig2-right, 3-16 s for A, B and C and 5-6 s for D and E,
+and N = 52 takes 12-14 s for D and E (one CPU core, mpmath 1.3);
+N = 40 and N = 52 agree to all printed digits.
 
 `gaps C` prints 1 - lambda_k for the prolate modes at half-length C, from
 a 60-digit eigendecomposition of the prolate matrices in the orthonormal
@@ -33,11 +36,14 @@ ZERO_U_CASES = {
     "fig2-left": (("0", "0.5", "1.1", "1.7"), ("0.8", "-1.32"), 2),
     "fig2-right": (("0", "0.5", "1.1", "1.7", "2.5"), ("0.8", "1.8", "-1.87"), 3),
 }
-# (endpoints, weights s): zeros on separated intervals
+# (endpoints, weights s): zeros on separated intervals (A, B, C), and a
+# zero beside a weight above 1 on either side of it (D, E)
 WEIGHT_CASES = {
     "A": (("0", "0.6", "0.8", "1"), ("0", "1", "0")),
     "B": (("0", "0.6", "0.8", "1.1"), ("0", "0.5", "0")),
     "C": (("0", "0.6", "0.8", "1.4"), ("0", "1", "0")),
+    "D": (("0", "0.5", "1.1", "1.7"), ("2.5", "0", "0.3")),
+    "E": (("0", "0.5", "1.1", "1.7"), ("0.3", "0", "2.5")),
 }
 
 
@@ -79,8 +85,9 @@ def zero_weights(u, p, m):
     return s
 
 
-def log_f(name, n, r=40):
+def log_f(name, n, r="40"):
     mp.mp.dps = 40
+    r = mp.mpf(r)
     if name in WEIGHT_CASES:
         endpoints, weights = WEIGHT_CASES[name]
         s = [mp.mpf(v) for v in weights]
@@ -136,8 +143,8 @@ def prolate_gaps(c, count):
 
 
 def main(argv):
-    if len(argv) == 3 and argv[0] == "logf":
-        print(mp.nstr(log_f(argv[1], int(argv[2])), 22))
+    if len(argv) in (3, 4) and argv[0] == "logf":
+        print(mp.nstr(log_f(argv[1], int(argv[2]), *argv[3:]), 22))
     elif len(argv) == 2 and argv[0] == "gaps":
         c = float(argv[1])
         for k, gap in enumerate(prolate_gaps(c, int(2 * c / mp.pi) + 4)):

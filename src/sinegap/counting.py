@@ -13,15 +13,15 @@ Process. Related Fields 16, 2010), and need no determinant at all.
 
 None of these needs the n/2 error estimate of `fredholm_det`.  So every
 function here builds one `Discretization` per partition (the composite
-rule, and B = W^{1/2} K W^{1/2} on its nodes where it is read), and
-raises NumericalError below its order floor ceil(r L / 2).  The gap
-probabilities call its `log_det` once per weight: one fill of the scaled
-Nystrom matrix and one factorization each, and no B.  The PMF factors
-nothing of size N: B has numerical rank rho of about
-r (x_m - x_0) / pi + O(log 1 / eps), so one diagonally pivoted
-Cholesky factor B ~ V V^T (N x rho, stopped once the residual trace is
-at most eps tr(B)) turns every torus value into a rho x rho determinant
-by Sylvester's identity.  The cumulants read the traces off B.
+rule), raises NumericalError below its order floor ceil(r L / 2), and
+never forms the N x N matrix B = W^{1/2} K W^{1/2}.  The gap
+probabilities call `log_det` once per weight: one fill of the scaled
+Nystrom matrix and one factorization each.  B has numerical rank rho of
+about r (x_m - x_0) / pi + O(log 1 / eps), so the PMF's diagonally
+pivoted Cholesky factor B ~ V V^T (N x rho, from diag(B) and rho rows of
+B read pointwise) turns every torus value into a rho x rho determinant
+by Sylvester's identity.  The cumulants sum diag(B) and the squares of
+one fill of B's upper blocks.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ import numpy as np
 
 from .asymptotics import StatisticsTriple
 from .errors import NumericalError, ValidationError, _integer
-from .fredholm import Discretization, WeightConfiguration, _as_partition, _matched_weights
+from .fredholm import Discretization, WeightConfiguration, _as_partition, _matched_weights, _scaled_kernel, sine_kernel
 from .prolate import EPS
 
-# Not called here since the kernel is shared, but kept importable as
+# Not called here (nothing here needs its n // 2 pass), but kept importable as
 # `sinegap.counting.fredholm_det`: bench/spans.py wraps that name, and a
 # missing name would turn its fredholm.det metrics into "absent" for
 # every workload, not just this module's.
@@ -128,9 +128,11 @@ def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int 
 
     The grid values come from one low-rank factor:
     B = W^{1/2} K W^{1/2} ~ V V^T by the diagonally pivoted Cholesky of
-    `_pivoted_cholesky`, which stops once the trace of B - V V^T is at
-    most eps tr(B) (tr(B) is the total mean count), or at a pivot that
-    is not positive.  By Sylvester's identity every grid value is then
+    `_pivoted_cholesky`, which computes the diagonal of B and each pivot
+    row of it pointwise from the sine kernel, never B itself.  It stops
+    once the trace of B - V V^T is at most eps tr(B) (tr(B) is the total
+    mean count), or at a pivot that is not positive.  By Sylvester's
+    identity every grid value is then
     F(s) = det(I - sum_j (1 - s_j) V_j^T V_j), a determinant of the size
     rho of the factor, with V_j the rows of V on interval j.
 
@@ -185,29 +187,36 @@ def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int 
 
 def _pivoted_cholesky(disc: Discretization) -> np.ndarray:
     """V of shape (N, rho) with B = W^{1/2} K W^{1/2} ~ V V^T on the nodes
-    of `disc`.
+    t of `disc`, without B itself.
 
-    Each step pivots on the largest diagonal entry of B - V V^T and reads
-    that one row of B, `disc.weighted_kernel` (Harbrecht, Peters &
-    Schneider, Appl. Numer. Math. 62, 2012).  It stops once the residual
-    trace is at most eps tr(B), or at a pivot that is not positive.  B is
-    positive semidefinite, so the residual trace bounds the error of every
-    entry, and rho is about r (x_m - x_0) / pi + O(log 1 / eps).
+    Each step pivots on the largest diagonal entry of B - V V^T and
+    computes that one row of B, sqrt(w_p) sqrt(w) K(t_p, t), from the
+    pointwise `sine_kernel` (Harbrecht, Peters & Schneider, Appl. Numer.
+    Math. 62, 2012): the separable fill of `_scaled_kernel` rounds by
+    about eps tr(B) near the diagonal, all that the stopping rule allows.
+    It stops once the residual trace is at most eps tr(B), or at a pivot
+    that is not positive.  B is positive semidefinite, so the residual
+    trace bounds the error of every entry, and rho is about
+    r (x_m - x_0) / pi + O(log 1 / eps).
     """
-    b = disc.weighted_kernel
-    resid = np.diagonal(b).copy()
+    t, root_w, size = disc.rule.nodes, np.sqrt(disc.rule.weights), len(disc.rule.nodes)
+    resid = root_w * root_w * (1.0 / math.pi)  # diag(B)
     tol = EPS * float(resid.sum())
-    vt = np.empty((0, len(b)))  # V^T, one row per pivot
-    while len(vt) < len(b) and float(resid.sum()) > tol:
+    vt = np.empty((min(size, 16), size))  # V^T, one row per pivot, doubled when full
+    k = 0
+    while k < size and float(resid.sum()) > tol:
         p = int(np.argmax(resid))
         pivot = float(resid[p])
         if not pivot > 0.0:
             break
-        col = b[p] - vt[:, p] @ vt
-        row = col / math.sqrt(pivot)
-        vt = np.vstack((vt, row))
+        if k == len(vt):
+            vt = np.concatenate((vt, np.empty((min(k, size - k), size))))
+        row = (root_w[p] * root_w) * sine_kernel(t[p], t) - vt[:k, p] @ vt[:k]
+        row /= math.sqrt(pivot)
+        vt[k] = row
         resid -= row * row
-    return vt.T
+        k += 1
+    return vt[:k].T
 
 
 def _torus_values(grams, phases) -> np.ndarray:
@@ -282,25 +291,34 @@ def numerical_cumulants(
         mean_j  = tr(K P_j),
         cov_jl  = tr(K P_min(j,l)) - tr(K P_j K P_l),
 
-    the multi-interval form of Var N = int K - int int K^2.  The traces
-    are sums of diag(B) and of the entrywise B * B, with B of one
-    `Discretization` of order n, and no matrix is factored.  `order` = 1
-    computes means only (variances and covariances are returned as NaN);
-    `order` = 2 computes all three.
+    the multi-interval form of Var N = int K - int int K^2.  With B =
+    W^{1/2} K W^{1/2} on the nodes of one `Discretization` of order n,
+    the means sum diag(B), and tr(K P_j K P_l) the per-block sums of B_ab^2
+    over one `_scaled_kernel` fill with scales sqrt(w) of B's diagonal
+    blocks and those right of them; nothing is factored.  The scales
+    inside the fill round each entry relative to its own size, not to
+    tr(B) as the PMF factor needs, and a sum of squares keeps that.
+    `order` = 1 computes means only and fills nothing (variances and
+    covariances are returned as NaN); `order` = 2 computes all three.
     """
     order = _integer(order, "order", 1, 2)
     disc = Discretization(partition, r, n)
-    m = disc.partition.m
-    b = disc.weighted_kernel  # B = W^{1/2} K W^{1/2}
+    m, rule = disc.partition.m, disc.rule
+    root_w = np.sqrt(rule.weights)
     # nested[a, j] is 1 where node a lies in intervals 1..j+1
-    nested = (disc.rule.interval_index[:, None] <= np.arange(m)[None, :]).astype(float)
-    mu = np.diagonal(b) @ nested
+    nested = (rule.interval_index[:, None] <= np.arange(m)[None, :]).astype(float)
+    mu = (root_w * root_w * (1.0 / math.pi)) @ nested  # diag(B) @ nested
     labels = tuple(range(1, m + 1))
     if order == 1:
         return StatisticsTriple(mu=mu, cross=np.full((m, m), np.nan), labels=labels)
 
-    # tr(K W P_j K W P_l) = sum over a in P_l, b in P_j of K_ab^2 w_a w_b = B_ab^2
-    pairs = nested.T @ (b * b) @ nested
+    fill = _scaled_kernel(rule, root_w, root_w)  # B on the diagonal blocks and right of them
+    sq = np.empty((m, m))  # sq[i, j]: the sum of B_ab^2 over a in interval i, b in interval j
+    for i, rows in enumerate(rule.blocks):  # in storage order: blocks[i:] lie right of blocks[i]
+        part = fill[rows, rows.start :]
+        by_column = np.einsum("ab,ab->b", part, part)  # sums of n terms, then of n: no long running sum
+        sq[i, i:] = sq[i:, i] = np.add.reduceat(by_column, [b.start - rows.start for b in rule.blocks[i:]])
+    pairs = sq.cumsum(axis=0).cumsum(axis=1)  # tr(K P_j K P_l): intervals 1..j+1 by 1..l+1
     cross = mu[np.minimum.outer(np.arange(m), np.arange(m))] - pairs
-    cross = 0.5 * (cross + cross.T)  # the matrix products need not round symmetrically
+    cross = 0.5 * (cross + cross.T)  # the cumulative sums need not round symmetrically
     return StatisticsTriple(mu=mu, cross=cross, labels=labels)

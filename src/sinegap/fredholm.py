@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -259,7 +258,9 @@ def _scaled_kernel(rule, a, b) -> np.ndarray:
     """diag(a) K diag(b) on the nodes t of the composite rule `rule`, K the
     sine kernel, from the 2N scaled sines and cosines a sin t, a cos t,
     b sin t and b cos t: the diagonal blocks and the blocks right of them
-    (`rule.blocks`), with the blocks below left unset (see `_mirror`).
+    (`rule.blocks`), with the blocks below left unset: `_log_det` factors
+    from these blocks alone, and `counting.numerical_cumulants` sums their
+    squares.  No caller builds the whole matrix.
 
     Entry (i, j) is ((a_i sin t_i)(b_j cos t_j) - (a_i cos t_i)(b_j sin t_j))
     / (pi (t_i - t_j)), and a_i b_i / pi on the diagonal.  With a = b = 1
@@ -297,14 +298,6 @@ def _scaled_kernel(rule, a, b) -> np.ndarray:
     return out
 
 
-def _mirror(mat, rule) -> np.ndarray:
-    """`mat` with each block below the diagonal blocks set to mat[j, i]:
-    the bits that `_scaled_kernel` would compute there where a = b."""
-    for b in rule.blocks:  # in any order: the last one in storage has nothing below
-        mat[b.stop :, b] = mat[b, b.stop :].T
-    return mat
-
-
 def _sign_ordered(rule, first) -> CompositeRule:
     """`rule` with the nodes of the intervals k where first[k] holds moved
     ahead of the rest, each group in order; blocks[k] is still interval k's."""
@@ -317,10 +310,9 @@ def _sign_ordered(rule, first) -> CompositeRule:
 class Discretization:
     """The weight-independent part of log F at order n: the composite
     Gauss-Legendre rule with n nodes per interval of the scaled partition
-    (`rule`), and B = W^{1/2} K W^{1/2} on its nodes (`weighted_kernel`),
-    built on first use.  An order n below `floor`, the largest ceil(r L / 2)
-    over the intervals of length L, cannot resolve the kernel and raises
-    NumericalError before anything is filled.
+    (`rule`); no kernel is held.  An order n below `floor`, the largest
+    ceil(r L / 2) over the intervals of length L, cannot resolve the
+    kernel and raises NumericalError before anything is filled.
 
     Built once for (partition, r, n), it gives log F at any number of
     weights through `log_det`, each one a weight column, one fill of the
@@ -341,19 +333,6 @@ class Discretization:
             )
         self.floor = int(need)
         self.rule = composite_rule(self.partition, self.r, self.n)
-
-    @cached_property
-    def weighted_kernel(self) -> np.ndarray:
-        """B = W^{1/2} K W^{1/2} on the nodes of `rule`, read-only and
-        exactly symmetric, built on first use (`log_det` fills without it):
-        the unit-scale `_scaled_kernel`, mirrored, times sqrt(w_i w_j).
-        Scales sqrt(w) inside the fill would round before the difference
-        that cancels near the diagonal: at r = 0.5 that B was indefinite
-        by 1.5 eps tr(B), and the PMF factor overshot it by 1.2 eps tr(B)."""
-        ones, root_w = np.ones(len(self.rule.nodes)), np.sqrt(self.rule.weights)
-        b = _mirror(_scaled_kernel(self.rule, ones, ones), self.rule) * np.outer(root_w, root_w)
-        b.setflags(write=False)
-        return b
 
     def log_det(self, weights) -> float:
         """log F at `weights` (one per interval), by the same route as

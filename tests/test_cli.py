@@ -86,8 +86,8 @@ FIGURE_FLAGS = (
 
 def test_converge_prints_fredholm_log_f_from_one_factorization_per_row(capsys, monkeypatch):
     # converge prints fredholm_det's log F, equal as a float, from one
-    # fill and factorization per row: no n // 2 pass and no B
-    calls = {"kernel": 0, "factor": 0}
+    # fill and factorization per row: no n // 2 pass
+    calls = {"fill": 0, "factor": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -97,18 +97,17 @@ def test_converge_prints_fredholm_log_f_from_one_factorization_per_row(capsys, m
         return wrapper
 
     fredholm_module = sinegap.fredholm
-    disc = fredholm_module.Discretization
-    monkeypatch.setattr(disc, "weighted_kernel", property(counted("kernel", disc.weighted_kernel.func)))
+    monkeypatch.setattr(fredholm_module, "_scaled_kernel", counted("fill", fredholm_module._scaled_kernel))
     monkeypatch.setattr(fredholm_module, "cholesky_factor", counted("factor", fredholm_module.cholesky_factor))
     monkeypatch.setattr(fredholm_module, "lu_factor", counted("factor", fredholm_module.lu_factor))
     for flags in FIGURE_FLAGS:
         for n in ("64", "128"):
-            calls.update(kernel=0, factor=0)
+            calls.update(fill=0, factor=0)
             code, out, err = run_cli(capsys, "converge", *flags, "--r-range", "5:40:4", "--n", n)
             assert code == 0, err
             rows = [line.split(",") for line in out.strip().split("\n")[1:]]
             assert np.allclose([float(row[0]) for row in rows], (5.0, 10.0, 20.0, 40.0), rtol=1e-15, atol=0.0)
-            assert calls == {"kernel": 0, "factor": 4}, (flags, n)
+            assert calls == {"fill": 4, "factor": 4}, (flags, n)
             ns = cli.build_parser().parse_args(["converge", *flags, "--r-range", "5:40:4"])
             job, _ = cli.validate_args(ns)
             weights = cli._weights(None, job.u, job.p, job.m)

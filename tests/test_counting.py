@@ -56,12 +56,18 @@ def test_pmf_single_interval_against_determinant():
     assert pmf.probability((0,)) == pmf.table[0]
 
 
+def _weighted_kernel(disc):
+    # B = W^1/2 K W^1/2 on the nodes of `disc`, from the pointwise kernel
+    t, root_w = disc.rule.nodes, np.sqrt(disc.rule.weights)
+    return np.outer(root_w, root_w) * sine_kernel(t[:, None], t[None, :])
+
+
 def _poisson_binomial(endpoints, r, k, n_quad=64):
     # P(N = 0..k) from F(s) = prod_i (1 - (1 - s) lambda_i), lambda_i the
     # eigenvalues of B = W^1/2 K W^1/2 on the same discretization
     disc = fredholm_module.Discretization(endpoints, r, n_quad)
     coeffs = np.array([1.0])
-    for lam in np.linalg.eigvalsh(disc.weighted_kernel):
+    for lam in np.linalg.eigvalsh(_weighted_kernel(disc)):
         coeffs = np.convolve(coeffs, (1.0 - lam, lam))
     return coeffs[: k + 1]
 
@@ -388,9 +394,11 @@ def test_counting_fills_one_kernel_and_factors_once_per_weight(monkeypatch):
         return wrapper
 
     # a kernel is one _scaled_kernel fill, however many blocks it takes:
-    # the traces build disc.weighted_kernel, and each determinant fills its own
-    # scaled kernel in _log_det
-    monkeypatch.setattr(fredholm_module, "_scaled_kernel", counted("kernel", fredholm_module._scaled_kernel))
+    # the covariances sum the squares of one, and each determinant fills
+    # its own scaled kernel in _log_det
+    fill = counted("kernel", fredholm_module._scaled_kernel)
+    for module in (fredholm_module, counting_module):
+        monkeypatch.setattr(module, "_scaled_kernel", fill)
     monkeypatch.setattr(fredholm_module, "cholesky_factor", counted("factor", fredholm_module.cholesky_factor))
     monkeypatch.setattr(fredholm_module, "lu_factor", counted("lu", fredholm_module.lu_factor))
 
@@ -400,14 +408,16 @@ def test_counting_fills_one_kernel_and_factors_once_per_weight(monkeypatch):
         return dict(calls)
 
     # the torus values are determinants of the low-rank factor's size,
-    # none a factorization of the Nystrom matrix; at K = 0 (g = 2) r is
-    # small enough that two counts in one interval do not fold onto zero
-    assert run(joint_pmf, (0.0, 0.5, 1.0), 2.0, 2) == {"kernel": 1, "factor": 0, "lu": 0}
-    assert run(joint_pmf, (0.0, 0.4, 0.8, 1.2), 1.0, 1) == {"kernel": 1, "factor": 0, "lu": 0}
-    assert run(joint_pmf, (0.0, 0.5, 1.0), 0.01, 0) == {"kernel": 1, "factor": 0, "lu": 0}
-    # the cumulants are traces: no factorization
+    # none a factorization of the Nystrom matrix, and the factor reads its
+    # pivot rows pointwise: no fill; at K = 0 (g = 2) r is small enough
+    # that two counts in one interval do not fold onto zero
+    assert run(joint_pmf, (0.0, 0.5, 1.0), 2.0, 2) == {"kernel": 0, "factor": 0, "lu": 0}
+    assert run(joint_pmf, (0.0, 0.4, 0.8, 1.2), 1.0, 1) == {"kernel": 0, "factor": 0, "lu": 0}
+    assert run(joint_pmf, (0.0, 0.5, 1.0), 0.01, 0) == {"kernel": 0, "factor": 0, "lu": 0}
+    # the cumulants are traces: no factorization, and the means need the
+    # diagonal only
     assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0) == {"kernel": 1, "factor": 0, "lu": 0}
-    assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0, order=1) == {"kernel": 1, "factor": 0, "lu": 0}
+    assert run(numerical_cumulants, (0.0, 0.5, 1.2), 5.0, order=1) == {"kernel": 0, "factor": 0, "lu": 0}
     # the gap probabilities take weights in [0, 1]: one Cholesky factor each
     assert run(thinned_gap_probability, (0.0, 0.6, 1.3), (0.3, 0.7), 6.0) == {"kernel": 1, "factor": 1, "lu": 0}
     # the merged gap (numerator) and the thinned partition (denominator)
@@ -446,18 +456,29 @@ def test_pmf_conjugate_symmetry_check_catches_a_skewed_determinant(monkeypatch):
 
 
 def test_pmf_factor_has_low_rank_and_meets_its_stopping_rule():
-    # the count_inversion bench partition at r = 0.3 to 1.5: rho of 5 to 8
-    # columns out of N = 192, residual trace at most eps tr(B).  r = 0.3
-    # and 0.7 have the least room: max |B - V V^T| reads 0.96 and 0.93 of
-    # eps tr(B) there
-    for r in (0.3, 0.5, 0.7, 1.0, 1.5):
-        disc = fredholm_module.Discretization((0.0, 0.5, 1.1, 1.7), r, 64)
-        v = counting_module._pivoted_cholesky(disc)
-        b = disc.weighted_kernel  # the matrix on which the factor stops
-        eps_trace = np.finfo(float).eps * np.trace(b)
-        assert v.shape[0] == 192 and v.shape[1] < 192
-        assert np.trace(b - v @ v.T) <= eps_trace
-        assert np.max(np.abs(b - v @ v.T)) <= eps_trace
+    # the 3- and 4-interval bench partitions at r = 0.3 to 20: rho of 6 to
+    # 30 columns out of N = 192 and 256, residual trace at most eps tr(B).
+    # The factor reads B pointwise, and against that B every entry of
+    # B - V V^T is within 0.03 to 0.058 of eps tr(B) (the separable fill
+    # with scales 1 read 0.96 at r = 0.3).  No N x N array is built: the
+    # factor peaks at 0.1 to 0.35 of one.
+    for endpoints in ((0.0, 0.5, 1.1, 1.7), (0.0, 0.5, 1.1, 1.7, 2.5)):
+        for r in (0.3, 0.5, 0.7, 1.0, 1.5, 3.0, 10.0, 20.0):
+            disc = fredholm_module.Discretization(endpoints, r, 64)
+            size = len(disc.rule.nodes)
+            tracemalloc.start()
+            try:
+                v = counting_module._pivoted_cholesky(disc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            b = _weighted_kernel(disc)
+            eps_trace = np.finfo(float).eps * np.trace(b)
+            assert v.shape[0] == size == 64 * (len(endpoints) - 1) and v.shape[1] < 32
+            assert np.trace(b - v @ v.T) <= eps_trace, (endpoints, r)
+            assert np.max(np.abs(b - v @ v.T)) <= eps_trace, (endpoints, r)
+            assert np.max(np.abs(b - v @ v.T)) <= 0.25 * eps_trace, (endpoints, r)
+            assert peak < 0.5 * b.nbytes, (endpoints, r, peak / b.nbytes)
 
 
 def test_counting_keeps_order_and_sign_checks():

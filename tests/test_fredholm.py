@@ -7,8 +7,10 @@ symmetries of the determinant (translation, reflection, scaling) provide
 oracle-free invariance checks.
 """
 
+import importlib.util
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,9 +39,13 @@ from sinegap import (
 
 def _unit_kernel(rule):
     """The sine kernel on the nodes of `rule` as the Nystrom fill builds it:
-    the upper blocks of `_scaled_kernel` with unit scales, mirrored."""
+    the upper blocks of `_scaled_kernel` with unit scales, and below them
+    the transposes of the blocks above."""
     ones = np.ones(len(rule.nodes))
-    return fredholm_module._mirror(fredholm_module._scaled_kernel(rule, ones, ones), rule)
+    mat = fredholm_module._scaled_kernel(rule, ones, ones)
+    for b in rule.blocks:  # in any order: the last one in storage has nothing below
+        mat[b.stop :, b] = mat[b, b.stop :].T
+    return mat
 
 
 # frozen from an independent prototype (numpy leggauss nodes + slogdet),
@@ -438,8 +444,6 @@ def test_discretization_log_det_is_fredholm_det_without_the_half_pass():
         disc = Discretization(endpoints, r, 64)
         log_f = disc.log_det(weights)
         assert type(log_f) is float and log_f == fredholm_det(endpoints, weights, r, 64).log_f
-    b = disc.weighted_kernel  # B = W^1/2 K W^1/2, exactly symmetric
-    assert not b.flags.writeable and np.array_equal(b, b.T)
 
 
 def test_discretization_validation_and_sign_check(monkeypatch):
@@ -679,7 +683,7 @@ def test_factored_triangle_is_identity_minus_scaled_kernel_within_rounding(monke
 
 
 def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
-    calls = {"fill": 0, "kernel": 0, "factor": 0, "lu": 0}
+    calls = {"fill": 0, "factor": 0, "lu": 0}
     sizes = []
 
     def counted(name, fn):
@@ -697,23 +701,22 @@ def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
         return mat
 
     # each order fills its scaled kernel once, however many blocks that
-    # takes, a deflated hard gap included, and builds no B
+    # takes, a deflated hard gap included
     monkeypatch.setattr(fredholm_module, "_scaled_kernel", counted("fill", sized_fill))
-    monkeypatch.setattr(Discretization, "weighted_kernel", property(counted("kernel", Discretization.weighted_kernel.func)))
     monkeypatch.setattr(fredholm_module, "cholesky_factor", counted("factor", fredholm_module.cholesky_factor))
     monkeypatch.setattr(fredholm_module, "lu_factor", counted("lu", fredholm_module.lu_factor))
     fredholm_det((0.0, 0.5, 1.0), (0.3, 0.6), 5.0)
-    assert calls == {"fill": 2, "kernel": 0, "factor": 2, "lu": 0}
+    assert calls == {"fill": 2, "factor": 2, "lu": 0}
     assert sizes == [128, 64]  # orders n = 64 and n // 2 on two intervals
     # weights on both sides of 1 take two factors at each order, and no LU
-    calls.update(fill=0, kernel=0, factor=0, lu=0)
+    calls.update(fill=0, factor=0, lu=0)
     fredholm_det((0.0, 0.5, 1.0), (0.3, 2.5), 5.0)
-    assert calls == {"fill": 2, "kernel": 0, "factor": 4, "lu": 0}
+    assert calls == {"fill": 2, "factor": 4, "lu": 0}
     # the hard gap reads E Q off the matrix it filled: no second fill of K[:, G]
-    calls.update(fill=0, kernel=0, factor=0, lu=0)
+    calls.update(fill=0, factor=0, lu=0)
     sizes.clear()
     fredholm_det(*FIG2_LEFT, 40.0)
-    assert calls == {"fill": 2, "kernel": 0, "factor": 2, "lu": 0}
+    assert calls == {"fill": 2, "factor": 2, "lu": 0}
     assert sizes == [192, 96]
 
 
@@ -825,12 +828,25 @@ def test_hard_gap_beside_a_large_weight_matches_extended_precision_references():
 
 
 def test_hard_gap_route_keeps_lu_bytes_without_small_gaps(monkeypatch):
-    # r (x_p - x_{p-1}) / 2 = 3 leaves every 1 - lambda_k above tau: the
-    # result is the plain matrix's, bit for bit
+    # fig2-left's zeroed interval (0.5, 1.1) on both sides of
+    # prolate.HARD_GAP_TAU = 1e-4.  At r = 58/3 (half-length 5.8,
+    # 1 - lambda_0 = 1.43e-4) no mode is deflated: the result is the plain
+    # matrix's, bit for bit, whatever the threshold.  At r = 20
+    # (half-length 6, 1 - lambda_0 = 9.81e-5) one mode is: the value moves
+    # (-1.8e-11 at one BLAS thread, -1.9e-11 at two) within the plain
+    # factorization's rounding bound N eps / (1 - lambda_0), 4.3e-10
     endpoints, weights = FIG2_LEFT
-    default = fredholm_det(endpoints, weights, 10.0, 64)
+    partition = IntervalPartition(endpoints)
+    assert fredholm_module._hard_gap_route(partition, weights, 58.0 / 3.0) == (None, 0.0)
+    (k, modes), rounding = fredholm_module._hard_gap_route(partition, weights, 20.0)
+    assert k == 1 and modes.count == 1 and rounding == 0.0
+    below = fredholm_det(endpoints, weights, 58.0 / 3.0, 64)
+    deflated = fredholm_det(endpoints, weights, 20.0, 64)
     monkeypatch.setattr(prolate, "HARD_GAP_TAU", 0.0)
-    assert fredholm_det(endpoints, weights, 10.0, 64) == default
+    assert fredholm_det(endpoints, weights, 58.0 / 3.0, 64) == below
+    plain = fredholm_det(endpoints, weights, 20.0, 64)
+    assert plain.log_f != deflated.log_f
+    assert abs(plain.log_f - deflated.log_f) <= 192 * np.finfo(float).eps / modes.gaps[0]
 
 
 def test_hard_gap_route_converges_past_r_60():
@@ -888,6 +904,50 @@ def test_separated_zeros_deflate_the_smallest_gap_and_match_references():
         IntervalPartition((0.0, 0.4, 0.8, 1.4)), WeightConfiguration((0.0, 1.0, 0.0)), 40.0
     )
     assert k == 2
+
+
+# fig2-right at r = 24, from tools/hard_gap_references.py (`logf
+# fig2-right N 24` at N = 40 and 52 per interval agree to all 22 digits)
+FIG2_RIGHT_R24_REFERENCE = -60.73629270752476069386
+
+
+def test_fig2_right_at_r_24_matches_its_reference():
+    # both orders are 3.8e-12 to 5.0e-12 off, at one and two BLAS threads.
+    # The error estimate under-reports there: at n = 128 it reads 1.7e-13
+    # at one thread and 9.3e-13 at two (ROADMAP item 1).
+    endpoints, weights = FIG2_RIGHT
+    for n in (64, 128):
+        res = fredholm_det(endpoints, weights, 24.0, n)
+        assert abs(res.log_f - FIG2_RIGHT_R24_REFERENCE) < 1e-10, (n, res.log_f - FIG2_RIGHT_R24_REFERENCE)
+
+
+def test_reference_tool_agrees_with_the_library_on_the_plain_route():
+    # tools/hard_gap_references.py discretizes in 40-digit arithmetic; at
+    # r = 5 and 12 nodes per interval (no mode to deflate) its log F for a
+    # zero between positive weights, zeros on separated intervals and a
+    # zero beside a weight above 1 is the library's to rounding (at most
+    # 4.4e-15 measured)
+    import mpmath  # a test dependency, as the tool's
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "hard_gap_references.py"
+    spec = importlib.util.spec_from_file_location("hard_gap_references", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    cases = (
+        ("fig2-left", FIG2_LEFT),
+        ("A", SEPARATED_A),
+        ("D", ((0.0, 0.5, 1.1, 1.7), (2.5, 0.0, 0.3))),
+    )
+    dps = mpmath.mp.dps
+    try:
+        for name, (endpoints, weights) in cases:
+            partition = IntervalPartition(endpoints)
+            route = fredholm_module._hard_gap_route(partition, fredholm_module._matched_weights(partition, weights), 5.0)
+            assert route == (None, 0.0), name
+            want = float(tool.log_f(name, 12, "5"))
+            assert abs(Discretization(endpoints, 5.0, 12).log_det(weights) - want) < 1e-13, name
+    finally:
+        mpmath.mp.dps = dps  # the tool sets the working precision globally
 
 
 def test_separated_zeros_error_estimate_covers_the_next_order():

@@ -181,7 +181,7 @@ def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int 
         raise NumericalError(f"negative probability {low:.3e} below -{NEGATIVE_TOL:g}")
     table[table < 0.0] = 0.0
 
-    residual = 1.0 - float(table.sum())
+    residual = max(0.0, 1.0 - float(table.sum()))  # a probability, not a rounding below 0
     return JointPMF(table=table, residual_mass=residual, max_counts=ks)
 
 
@@ -265,11 +265,16 @@ def thinned_gap_probability(partition, s, r: float, n: int = 64) -> float:
 def conditional_zero_probability(partition, s, r: float, n: int = 64) -> float:
     """P(no points of the original process | the thinned process is empty)
     = F((x_0, x_m), s = 0) / F(x, s), a ratio of two determinants in
-    (0, 1].  At s = 0 thinning removes nothing and the ratio is 1."""
+    (0, 1].  At s = 0 thinning removes nothing and the ratio is 1.
+
+    Both come from one `Discretization` of the partition: `log_det` merges
+    the all-zero weights into the one interval (x_0, x_m), and raises
+    NumericalError where n is below that interval's order floor."""
     partition = _as_partition(partition)
     weights = _validate_unit_weights(partition, s)
-    num = Discretization(partition.merged(), r, n).log_det(WeightConfiguration((0.0,)))
-    den = Discretization(partition, r, n).log_det(weights)
+    disc = Discretization(partition, r, n)
+    num = disc.log_det((0.0,) * partition.m)
+    den = disc.log_det(weights)
     return min(1.0, math.exp(num - den))
 
 

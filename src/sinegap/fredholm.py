@@ -119,10 +119,6 @@ class IntervalPartition:
     def scaled(self, r: float) -> "IntervalPartition":
         return IntervalPartition(tuple(r * v for v in self.endpoints))
 
-    def merged(self) -> "IntervalPartition":
-        """The single interval (x_0, x_m)."""
-        return IntervalPartition((self.endpoints[0], self.endpoints[-1]))
-
 
 def reduced_indices(m: int, p: int) -> tuple[int, ...]:
     """Index set {0, ..., m} minus {p-1, p}: the weight-ratio indices that
@@ -146,7 +142,10 @@ class WeightConfiguration:
 
     Entries are Python or numpy real numbers, finite and >= 0, stored as
     floats; a bool, a string or a complex value is rejected, even one
-    whose imaginary part is zero.
+    whose imaginary part is zero.  `from_positive_u` and `from_zero_u`
+    build log s from log-ratios u by cumulative sums, with log s_p = -inf
+    at a zero, and take one exp of it, which raises ValidationError where
+    a weight overflows.
     """
 
     values: tuple[float, ...]
@@ -164,31 +163,28 @@ class WeightConfiguration:
         """Weights from log-ratios u_j = log(s_j / s_{j+1}), all s_j > 0:
         s_j = exp(u_j + u_{j+1} + ... + u_m)."""
         u = _checked_u(u)
-        try:
-            with np.errstate(over="raise"):
-                s = np.exp(np.cumsum(u[::-1])[::-1])
-        except FloatingPointError:
-            raise ValidationError(f"weights must be finite, but u = {u.tolist()} overflows exp") from None
-        return cls(s)
+        return cls._from_log(np.cumsum(u[::-1])[::-1], u)
 
     @classmethod
     def from_zero_u(cls, u: Sequence[float], p: int, m: int) -> "WeightConfiguration":
         """Weights with s_p = 0 from the m - 1 finite log-ratios u_j,
-        j in {0..m} minus {p-1, p}, listed in increasing j."""
-        idx = reduced_indices(m, p)
+        j in {0..m} minus {p-1, p}, listed in increasing j: s_k =
+        exp(-(u_0 + ... + u_{k-1})) left of the gap and
+        s_j = exp(u_j + ... + u_m) right of it."""
+        reduced_indices(m, p)  # checks p, before u
         u = _checked_u(u, m - 1)
-        by_index = dict(zip(idx, u))
-        s = np.zeros(m)
+        left, right = u[: p - 1], u[p - 1 :]  # u_0, ..., u_{p-2} and u_{p+1}, ..., u_m
+        log_s = np.concatenate((-np.cumsum(left), [-np.inf], np.cumsum(right[::-1])[::-1]))
+        return cls._from_log(log_s, u)
+
+    @classmethod
+    def _from_log(cls, log_s: np.ndarray, u: np.ndarray) -> "WeightConfiguration":
+        """Weights exp(log_s), with exp(-inf) = 0; raises ValidationError
+        where one of them overflows."""
         try:
-            acc = 0.0
-            for k in range(1, p):  # left of the gap: s_k = exp(-(u_0 + ... + u_{k-1}))
-                acc += by_index[k - 1]
-                s[k - 1] = math.exp(-acc)
-            acc = 0.0
-            for j in range(m, p, -1):  # right of the gap: s_j = exp(u_j + ... + u_m)
-                acc += by_index[j]
-                s[j - 1] = math.exp(acc)
-        except OverflowError:
+            with np.errstate(over="raise"):
+                s = np.exp(log_s)
+        except FloatingPointError:
             raise ValidationError(f"weights must be finite, but u = {u.tolist()} overflows exp") from None
         return cls(s)
 
@@ -553,9 +549,11 @@ def series_det(partition, weights, r: float) -> float:
     cross-check.
 
     F = sum_{k=0}^{3} (-1)^k / k! int...int det[Khat(t_i, t_j)] dt,
-    Khat(x, y) = K(x, y) (1 - s(y)), each k-fold integral evaluated as a
-    tensorized Gauss-Legendre sum written out term by term (Leibniz for
-    the 2x2 and 3x3 determinants).  Only valid for small instances: the
+    Khat(x, y) = K(x, y) (1 - s(y)), each k-fold integral a tensorized
+    Gauss-Legendre sum.  With A = Khat(t_a, t_b) w_b on the nodes, the sums
+    are those of the traces p_k = tr A^k grouped by Newton's identities
+    (the Plemelj-Smithies form): 1 - p1 + (p1^2 - p2) / 2
+    - (p1^3 - 3 p1 p2 + 2 p3) / 6.  Only valid for small instances: the
     total weighted trace sum_k |1 - s_k| r (x_k - x_{k-1}) / pi must stay
     below 0.5.
     """
@@ -572,23 +570,8 @@ def series_det(partition, weights, r: float) -> float:
 
     rule = composite_rule(partition, r, 24)
     t = rule.nodes
-    w = rule.weights
-    s = weights.as_array()
-    mat = sine_kernel(t[:, None], t[None, :]) * (1.0 - s[rule.interval_index])[None, :]
-
-    total = 1.0
-    total -= np.einsum("a,aa->", w, mat)
-    total += 0.5 * (
-        np.einsum("a,b,aa,bb->", w, w, mat, mat)
-        - np.einsum("a,b,ab,ba->", w, w, mat, mat)
-    )
-    det3 = (
-        np.einsum("a,b,c,aa,bb,cc->", w, w, w, mat, mat, mat)
-        - np.einsum("a,b,c,aa,bc,cb->", w, w, w, mat, mat, mat)
-        - np.einsum("a,b,c,ab,ba,cc->", w, w, w, mat, mat, mat)
-        + np.einsum("a,b,c,ab,bc,ca->", w, w, w, mat, mat, mat)
-        + np.einsum("a,b,c,ac,ba,cb->", w, w, w, mat, mat, mat)
-        - np.einsum("a,b,c,ac,bb,ca->", w, w, w, mat, mat, mat)
-    )
-    total -= det3 / 6.0
-    return float(total)
+    c = rule.weights * (1.0 - weights.as_array()[rule.interval_index])
+    a = sine_kernel(t[:, None], t[None, :]) * c[None, :]
+    a2 = a @ a
+    p1, p2, p3 = np.trace(a), np.trace(a2), np.einsum("ij,ji->", a2, a)
+    return float(1.0 - p1 + (p1 * p1 - p2) / 2.0 - (p1**3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0)

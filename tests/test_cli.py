@@ -86,7 +86,8 @@ FIGURE_FLAGS = (
 
 def test_converge_prints_fredholm_log_f_from_one_factorization_per_row(capsys, monkeypatch):
     # converge prints fredholm_det's log F, equal as a float, from one
-    # fill and factorization per row: no n // 2 pass
+    # fill and factorization per row: no n // 2 pass.  The last flags give
+    # weights on both sides of 1 (s ~ 0.74, 2.46, 0.30), two factors a row
     calls = {"fill": 0, "factor": 0}
 
     def counted(name, fn):
@@ -100,14 +101,15 @@ def test_converge_prints_fredholm_log_f_from_one_factorization_per_row(capsys, m
     monkeypatch.setattr(fredholm_module, "_scaled_kernel", counted("fill", fredholm_module._scaled_kernel))
     monkeypatch.setattr(fredholm_module, "cholesky_factor", counted("factor", fredholm_module.cholesky_factor))
     monkeypatch.setattr(fredholm_module, "lu_factor", counted("factor", fredholm_module.lu_factor))
-    for flags in FIGURE_FLAGS:
+    mixed = ("--x", "0,0.5,1.1,1.7", "--u=-1.2,2.1,-1.2")
+    for flags in (*FIGURE_FLAGS, mixed):
         for n in ("64", "128"):
             calls.update(fill=0, factor=0)
             code, out, err = run_cli(capsys, "converge", *flags, "--r-range", "5:40:4", "--n", n)
             assert code == 0, err
             rows = [line.split(",") for line in out.strip().split("\n")[1:]]
             assert np.allclose([float(row[0]) for row in rows], (5.0, 10.0, 20.0, 40.0), rtol=1e-15, atol=0.0)
-            assert calls == {"fill": 4, "factor": 4}, (flags, n)
+            assert calls == {"fill": 4, "factor": 8 if flags is mixed else 4}, (flags, n)
             ns = cli.build_parser().parse_args(["converge", *flags, "--r-range", "5:40:4"])
             job, _ = cli.validate_args(ns)
             weights = cli._weights(None, job.u, job.p, job.m)
@@ -190,6 +192,16 @@ def test_pmf_table_and_residual_row(capsys):
     lines = out.strip().split("\n")
     assert code == 0 and lines[0] == "k_1,k_2,k_3,k_4,probability" and len(lines) == 83
     assert lines[-1].startswith(",,,,")
+
+
+def test_pmf_residual_row_is_a_probability(capsys):
+    # both tables sum to 1 + 2.2e-16: the mass left outside them is 0, not
+    # a rounding below it
+    code, out, _ = run_cli(capsys, "pmf", "--x", "0,0.5", "--r", "1", "--k", "6")
+    assert code == 0 and out.splitlines()[-1] == ",0.0"
+    code, out, _ = run_cli(capsys, "pmf", "--x", "0,0.5", "--r", "3", "--k", "8", "--format", "json")
+    last = json.loads(out)["rows"][-1]
+    assert code == 0 and last["k_1"] is None and last["probability"] >= 0.0
 
 
 def test_stats_long_format(capsys):
@@ -540,19 +552,27 @@ def test_numerical_failure_maps_to_exit_3(capsys, monkeypatch):
     assert "numerical failure" in err
     monkeypatch.undo()
     # closed-form terms past double precision: one message, no traceback,
-    # and no numpy warning (the suite turns warnings into errors); and an
-    # order below r (x_j - x_(j-1)) / 2, here 64 < 70 at r = 200
-    for argv in (
-        ("converge", "--x", "0,0.7,1.2", "--u=-1.1,-2.4", "--r-range", "5:200:10", "--n", "64"),
-        ("asym2", "--x", "0,1e200", "--p", "1", "--r", "1"),
-        ("asym1", "--x", "0,1e308", "--u=1", "--r", "10"),
-        ("stats", "--x", "0,1e308", "--r", "10"),
-        ("asym1", "--x", "0,1", "--u=1e300", "--r", "1e10"),
-        ("stats", "--x", "0,1e-300,1,2", "--p", "1", "--r", "1"),  # a - b rounds to 0
+    # and no numpy warning (the suite turns warnings into errors); an order
+    # below r (x_j - x_(j-1)) / 2, here 64 < 70 at r = 200, or 22 < 30 for
+    # pmf at r = 60; an n // 2 = 32 pass below the floor of 50 at r = 100;
+    # and a floor r L / 2 that overflows to inf in each command taking an order
+    for argv, needle in (
+        (("converge", "--x", "0,0.7,1.2", "--u=-1.1,-2.4", "--r-range", "5:200:10", "--n", "64"), "= 70"),
+        (("asym2", "--x", "0,1e200", "--p", "1", "--r", "1"), ""),
+        (("asym1", "--x", "0,1e308", "--u=1", "--r", "10"), ""),
+        (("stats", "--x", "0,1e308", "--r", "10"), ""),
+        (("asym1", "--x", "0,1", "--u=1e300", "--r", "1e10"), ""),
+        (("stats", "--x", "0,1e-300,1,2", "--p", "1", "--r", "1"), ""),  # a - b rounds to 0
+        (("fredholm", "--x", "0,1", "--s", "0.5", "--r", "100"), "order floor 50"),
+        (("pmf", "--x", "0,1", "--r", "60", "--k", "40", "--n", "22"), "cannot resolve"),
+        (("fredholm", "--s", "0.5", "--r", "1e10", "--x", "0,1e300"), ""),
+        (("converge", "--u=-0.7", "--r-range", "1e10:2e10:2", "--x", "0,1e300"), ""),
+        (("pmf", "--r", "1e10", "--k", "2", "--x", "0,1e300"), ""),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, ""), (argv, err)
         assert err.startswith("numerical failure: ") and err.count("\n") == 1, (argv, err)
+        assert needle in err, (argv, err)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

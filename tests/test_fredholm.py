@@ -105,7 +105,6 @@ def test_partition_basic_properties():
     assert part.m == 2
     assert part.lengths == (0.5, 0.7)
     assert part.as_array().tolist() == [0.0, 0.5, 1.2]
-    assert part.merged().endpoints == (0.0, 1.2)
 
 
 def test_partition_transforms():
@@ -217,14 +216,19 @@ def test_reference_configuration_regression():
 
 def test_series_route_matches_lu_route():
     # configurations small enough that the k <= 3 truncation is far below
-    # the comparison tolerance (elementary symmetric bound tr^4 / 24)
+    # the comparison tolerance (elementary symmetric bound tr^4 / 24), with
+    # weights in [0, 2]: a zero, and on two or more intervals one above 1
     rng = np.random.default_rng(17)
-    for _ in range(10):
-        m = int(rng.integers(1, 4))
+    for _ in range(20):
+        m = int(rng.integers(1, 5))
         gaps = rng.uniform(0.1, 0.5, m)
         x0 = rng.uniform(-1.0, 1.0)
         part = IntervalPartition(tuple(np.concatenate(([x0], x0 + np.cumsum(gaps)))))
-        s = rng.uniform(0.5, 1.0, m)
+        s = rng.uniform(0.0, 2.0, m)
+        zero, above = rng.permutation(m)[:2] if m > 1 else (0, None)
+        s[zero] = 0.0
+        if above is not None:
+            s[above] = rng.uniform(1.0, 2.0)
         r = rng.uniform(0.02, 0.1)
         f_series = series_det(part, s, r)
         f_lu = math.exp(fredholm_det(part, s, r, 24).log_f.real)
@@ -365,6 +369,8 @@ def test_order_below_r_length_over_two_raises():
         (lambda: thinned_gap_probability((0.0, 1.0), (0.5,), 2000.0), 64, "(0, 1)", 1000),
         # each interval needs 10, the merged numerator (0, 1) needs 20
         (lambda: conditional_zero_probability((0.0, 0.5, 1.0), (0.3, 0.7), 40.0, n=16), 16, "(0, 1)", 20),
+        # each interval needs at most 24, the merged numerator (0, 1.7) needs 68
+        (lambda: conditional_zero_probability((0.0, 0.5, 1.1, 1.7), (0.3, 0.7, 0.5), 80.0), 64, "(0, 1.7)", 68),
         # unresolved, the table has a cell of -1.27: the floor is the reason to give
         (lambda: joint_pmf((0.0, 1.0), 60.0, 40, n_quad=22), 22, "(0, 1)", 30),
         # each interval needs 6, but log_det rebuilds on the merged gap

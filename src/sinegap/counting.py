@@ -267,14 +267,15 @@ def conditional_zero_probability(partition, s, r: float, n: int = 64) -> float:
     = F((x_0, x_m), s = 0) / F(x, s), a ratio of two determinants in
     (0, 1].  At s = 0 thinning removes nothing and the ratio is 1.
 
-    Both come from one `Discretization` of the partition: `log_det` merges
-    the all-zero weights into the one interval (x_0, x_m), and raises
-    NumericalError where n is below that interval's order floor."""
+    The numerator's `Discretization`, of the one interval (x_0, x_m), is
+    built first: its order floor is the largest, so where n is below some
+    floor the NumericalError names that interval and the order that
+    resolves both determinants."""
     partition = _as_partition(partition)
     weights = _validate_unit_weights(partition, s)
-    disc = Discretization(partition, r, n)
-    num = disc.log_det((0.0,) * partition.m)
-    den = disc.log_det(weights)
+    e = partition.endpoints
+    num = Discretization((e[0], e[-1]), r, n).log_det((0.0,))
+    den = Discretization(partition, r, n).log_det(weights)
     return min(1.0, math.exp(num - den))
 
 

@@ -352,9 +352,11 @@ def lu_factor(a):
 def cholesky_factor(a):
     """(L, log det a) for the lower Cholesky factor L of `a` by LAPACK dpotrf,
     over the lower triangle of `a` in Fortran order (of a copy otherwise);
-    raises NumericalError unless `a` is positive definite.  scipy.linalg is
-    imported on the first call: the PMF, expansions and cumulants never load it."""
-    from scipy.linalg.lapack import dpotrf
+    raises NumericalError unless `a` is positive definite.  The first call
+    loads scipy's compiled LAPACK/BLAS modules (`sinegap._lapack`, about
+    5 ms), not the scipy.linalg package: the PMF, expansions and cumulants
+    load neither."""
+    from ._lapack import dpotrf
 
     factor, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
     if info > 0:
@@ -470,7 +472,7 @@ def _log_det(rule, weights: WeightConfiguration, gap) -> float:
             mat[rows, rows.start :] -= left[rows] @ deq[rows.start :].T
     at, log_m = mat.T, 0.0  # mat in Fortran order: its lower triangle holds the blocks filled
     if mixed:  # factor A_MM, and leave its Schur complement A_PP + X^T X in `at`
-        from scipy.linalg.blas import dsyrk, dtrsm
+        from ._lapack import dsyrk, dtrsm
         nm = np.count_nonzero(c < 0.0)
         l_m, log_m = cholesky_factor(at[:nm, :nm])
         xt = dtrsm(1.0, l_m, at[nm:, :nm], side=1, lower=1, trans_a=1)  # X^T = A_MP^T L_M^-T

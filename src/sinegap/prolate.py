@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 
 from .errors import NumericalError
 from .quadrature import gauss_legendre
@@ -136,6 +135,10 @@ def _legendre_tables(parity: int, size: int):
 
 @lru_cache(maxsize=1)
 def _laguerre_rule():
+    # imported here: only hard gaps need it, and it adds about 3 ms to
+    # `import sinegap`
+    from numpy.polynomial.laguerre import laggauss
+
     return laggauss(LAGUERRE_ORDER)
 
 
@@ -143,8 +146,8 @@ def _parity_modes(c: float, parity: int, count: int):
     """The `count` lowest modes of one parity at half-length c, as
     (degrees j, coefficients on Pbar_j one mode per column, psi(1), lambda)."""
     # imported here so that callers which deflate no hard gap never load
-    # scipy.linalg (about 0.25 s and 27 MB per process)
-    from scipy.linalg.lapack import dstebz, dstein
+    # scipy's LAPACK module (sinegap._lapack, not the scipy.linalg package)
+    from ._lapack import dstebz, dstein
 
     size = (int(2.0 * c) + DEGREE_MARGIN) // 2 + 1
     j, jj, diag_u2, off_u2, scale, at_zero = _legendre_tables(parity, size)

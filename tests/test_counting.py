@@ -250,6 +250,16 @@ def test_conditional_zero_probability_order_consistency():
     assert abs(a - b) < 1e-9
 
 
+def test_conditional_zero_probability_names_the_order_that_resolves_both_determinants():
+    # each interval needs at most 10 at r = 30, the merged numerator
+    # (0, 1.7) needs 26: the first message already names 26
+    args = ((0.0, 0.5, 1.1, 1.7), (0.3, 0.7, 0.5), 30.0)
+    for n in (8, 10):
+        with pytest.raises(NumericalError, match=r"^order n = \d+ cannot resolve the interval \(0, 1\.7\) .* = 26$"):
+            conditional_zero_probability(*args, n)
+    assert conditional_zero_probability(*args, 64) == 1.6222704690414057e-137
+
+
 # ---------------------------------------------------------------------------
 # numerical cumulants
 

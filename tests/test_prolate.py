@@ -4,10 +4,9 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 from scipy.linalg import eigh_tridiagonal
 
-from sinegap import NumericalError, gauss_legendre, prolate, sine_kernel
+from sinegap import NumericalError, _lapack, gauss_legendre, prolate, sine_kernel
 from sinegap.prolate import gap_modes
 
 # 1 - lambda_k(c = 12), k = 0..3, from a 60-digit (mpmath) eigen-
@@ -88,11 +87,11 @@ def test_parity_modes_are_the_bits_of_scipys_tridiagonal_solver():
 
 
 def test_parity_modes_raise_where_the_bisection_fails(monkeypatch):
-    dstebz = scipy.linalg.lapack.dstebz
+    dstebz = _lapack.dstebz
     for broken in (
         lambda *args: dstebz(*args)[:4] + (1,),  # info != 0
         lambda *args: (dstebz(*args)[0] - 1,) + dstebz(*args)[1:],  # a mode short
     ):
-        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", broken)
+        monkeypatch.setattr(_lapack, "dstebz", broken)
         with pytest.raises(NumericalError, match=r"prolate eigensolver failed at c = 12\.5"):
             prolate._parity_modes(12.5, 0, 5)

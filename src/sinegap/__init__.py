@@ -15,82 +15,21 @@ distributions and moments (`joint_pmf`, `counting_stats`,
 script) exposes the same operations as reproducible batch jobs.
 """
 
-from .asymptotics import (
-    ExpansionBreakdown,
-    StatisticsTriple,
-    basor_widom_log,
-    conditional_stats,
-    counting_stats,
-    dyson_gap_log,
-    positive_weights_expansion,
-    var_cov_expansion,
-    zero_weight_expansion,
-)
-from .counting import (
-    JointPMF,
-    conditional_zero_probability,
-    joint_pmf,
-    numerical_cumulants,
-    thinned_gap_probability,
-)
-from .errors import NumericalError, ValidationError
-from .fredholm import (
-    DeterminantResult,
-    Discretization,
-    IntervalPartition,
-    WeightConfiguration,
-    fredholm_det,
-    reduced_indices,
-    series_det,
-    sine_kernel,
-)
-from .quadrature import CompositeRule, QuadratureRule, composite_rule, gauss_legendre
-from .specfun import (
-    DYSON_CONSTANT,
-    EULER_GAMMA,
-    ZETA_PRIME_MINUS_ONE,
-    barnes_pair,
-    log_barnes_g,
-    log_gamma,
-    zeta_int,
-)
+from . import asymptotics, counting, errors, fredholm, quadrature, specfun
+from .asymptotics import *
+from .counting import *
+from .errors import *
+from .fredholm import *
+from .quadrature import *
+from .specfun import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DYSON_CONSTANT",
-    "EULER_GAMMA",
-    "ZETA_PRIME_MINUS_ONE",
-    "CompositeRule",
-    "DeterminantResult",
-    "Discretization",
-    "ExpansionBreakdown",
-    "IntervalPartition",
-    "JointPMF",
-    "NumericalError",
-    "QuadratureRule",
-    "StatisticsTriple",
-    "ValidationError",
-    "WeightConfiguration",
-    "barnes_pair",
-    "basor_widom_log",
-    "composite_rule",
-    "conditional_stats",
-    "conditional_zero_probability",
-    "counting_stats",
-    "dyson_gap_log",
-    "fredholm_det",
-    "gauss_legendre",
-    "joint_pmf",
-    "log_barnes_g",
-    "log_gamma",
-    "numerical_cumulants",
-    "positive_weights_expansion",
-    "reduced_indices",
-    "series_det",
-    "sine_kernel",
-    "thinned_gap_probability",
-    "var_cov_expansion",
-    "zero_weight_expansion",
-    "zeta_int",
+    *asymptotics.__all__,
+    *counting.__all__,
+    *errors.__all__,
+    *fredholm.__all__,
+    *quadrature.__all__,
+    *specfun.__all__,
 ]

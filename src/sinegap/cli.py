@@ -59,26 +59,6 @@ __all__ = ["JobSpec", "build_parser", "main", "console_main"]
 
 FORMATS = ("csv", "json")
 
-# the flags each command takes besides --x, --format and --out (by their
-# argparse names), and the groups of them it needs exactly one of
-TAKES = {
-    "fredholm": ("s", "u", "p", "r", "r_range", "n"),
-    "asym1": ("u", "r", "r_range"),
-    "asym2": ("u", "p", "r", "r_range"),
-    "converge": ("u", "p", "r_range", "n"),
-    "pmf": ("r", "n", "k"),
-    "stats": ("p", "r", "r_range"),
-}
-NEEDS = {
-    "fredholm": (("s", "u"), ("r", "r_range")),
-    "asym1": (("u",), ("r", "r_range")),
-    "asym2": (("u",), ("p",), ("r", "r_range")),
-    "converge": (("u",), ("r_range",)),
-    "pmf": (("r",), ("k",)),
-    "stats": (("r", "r_range"),),
-}
-COMMANDS = tuple(TAKES)
-
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -113,14 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sine-process gap determinants, asymptotics, and counting statistics.",
     )
     parser.add_argument("command", help="one of: " + ", ".join(COMMANDS))
-    parser.add_argument("--x", help="partition endpoints, comma-separated (x_0 < ... < x_m)")
-    parser.add_argument("--s", help="interval weights s_1..s_m, comma-separated (fredholm only)")
-    parser.add_argument("--u", help="exponential parameters, comma-separated; use --u=-1.1,... form")
-    parser.add_argument("--p", help="index of the zero-weight interval (1-based)")
-    parser.add_argument("--r", help="single scale value")
-    parser.add_argument("--r-range", dest="r_range", help="geometric scan lo:hi:count")
-    parser.add_argument("--n", help="fredholm, converge, pmf: quadrature order per interval (default 64)")
-    parser.add_argument("--k", help="pmf: max count kept, one integer for every interval")
+    for name, (_, _, text) in FLAGS.items():
+        parser.add_argument(_flag(name), dest=name, help=text)
     parser.add_argument("--format", dest="fmt", default="csv", help="csv or json (default csv)")
     parser.add_argument("--out", help="output path (default stdout)")
     return parser
@@ -146,15 +120,17 @@ def _r_range(text: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
-_SYNTAX = {
-    "x": (_floats, "comma-separated floats"),
-    "s": (_floats, "comma-separated floats"),
-    "u": (_floats, "comma-separated floats"),
-    "p": (int, "an integer"),
-    "r": (float, "a float"),
-    "r_range": (_r_range, "lo:hi:count with lo < hi and count >= 2"),
-    "n": (int, "an integer"),
-    "k": (int, "an integer"),
+# every flag besides --format and --out, by its argparse name: its parser,
+# the syntax an error names, and its --help text
+FLAGS = {
+    "x": (_floats, "comma-separated floats", "partition endpoints, comma-separated (x_0 < ... < x_m)"),
+    "s": (_floats, "comma-separated floats", "interval weights s_1..s_m, comma-separated (fredholm only)"),
+    "u": (_floats, "comma-separated floats", "exponential parameters, comma-separated; use --u=-1.1,... form"),
+    "p": (int, "an integer", "index of the zero-weight interval (1-based)"),
+    "r": (float, "a float", "single scale value"),
+    "r_range": (_r_range, "lo:hi:count with lo < hi and count >= 2", "geometric scan lo:hi:count"),
+    "n": (int, "an integer", "fredholm, converge, pmf: quadrature order per interval (default 64)"),
+    "k": (int, "an integer", "pmf: max count kept, one integer for every interval"),
 }
 
 
@@ -173,16 +149,17 @@ def validate_args(ns: argparse.Namespace) -> tuple[JobSpec | None, list[str]]:
             errors.append(f"{flag}: {exc}")
             return None
 
-    takes = ("x", *TAKES[command])
-    given = {name for name in _SYNTAX if getattr(ns, name) is not None}
+    _, takes, needs = COMMANDS[command]
+    takes = ("x", *takes)
+    given = {name for name in FLAGS if getattr(ns, name) is not None}
     values = {}
     for name in sorted(given & set(takes)):
-        parse, syntax = _SYNTAX[name]
+        parse, syntax, _ = FLAGS[name]
         try:
             values[name] = parse(getattr(ns, name))
         except ValueError:
             errors.append(f"{_flag(name)}: could not parse {getattr(ns, name)!r} as {syntax}")
-    x, s, u, p, r, r_range, n, k = (values.get(name) for name in _SYNTAX)
+    x, s, u, p, r, r_range, n, k = (values.get(name) for name in FLAGS)
 
     partition = None if x is None else check("--x", IntervalPartition, x)
     m = None if partition is None else partition.m
@@ -194,7 +171,7 @@ def validate_args(ns: argparse.Namespace) -> tuple[JobSpec | None, list[str]]:
         errors.append("--x is required")
     for name in sorted(given - set(takes)):
         errors.append(f"{command}: takes no {_flag(name)}")
-    for group in NEEDS[command]:
+    for group in needs:
         present = [_flag(name) for name in group if name in given]
         if len(present) > 1:
             errors.append(f"{' and '.join(present)} are mutually exclusive")
@@ -306,13 +283,18 @@ def _run_stats(job: JobSpec, partition: IntervalPartition):
     return ["r", "stat", "j", "k", "value"], [row for r in job.r_values() for row in one(r)]
 
 
-_HANDLERS = {
-    "fredholm": _run_fredholm,
-    "asym1": _run_asym,
-    "asym2": _run_asym,
-    "converge": _run_converge,
-    "pmf": _run_pmf,
-    "stats": _run_stats,
+# each command: its handler, the flags it takes besides --x, --format and
+# --out (by their argparse names), and the groups of them it needs exactly
+# one of.  It holds the handlers, never the library functions: a handler
+# looks up the module globals it calls at run time, so a wrapper patched
+# onto them (as bench/spans.py does) is the one called.
+COMMANDS = {
+    "fredholm": (_run_fredholm, ("s", "u", "p", "r", "r_range", "n"), (("s", "u"), ("r", "r_range"))),
+    "asym1": (_run_asym, ("u", "r", "r_range"), (("u",), ("r", "r_range"))),
+    "asym2": (_run_asym, ("u", "p", "r", "r_range"), (("u",), ("p",), ("r", "r_range"))),
+    "converge": (_run_converge, ("u", "p", "r_range", "n"), (("u",), ("r_range",))),
+    "pmf": (_run_pmf, ("r", "n", "k"), (("r",), ("k",))),
+    "stats": (_run_stats, ("p", "r", "r_range"), (("r", "r_range"),)),
 }
 
 
@@ -323,7 +305,7 @@ _HANDLERS = {
 def run(job: JobSpec) -> str:
     """Execute a validated job and return the formatted artifact."""
     partition = IntervalPartition(job.x)
-    header, rows = _HANDLERS[job.command](job, partition)
+    header, rows = COMMANDS[job.command][0](job, partition)
     for row in rows:
         for v in row:
             if isinstance(v, float) and not math.isfinite(v):

@@ -131,15 +131,15 @@ def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int 
     `_pivoted_cholesky`, which computes the diagonal of B and each pivot
     row of it pointwise from the sine kernel, never B itself.  It stops
     once the trace of B - V V^T is at most eps tr(B) (tr(B) is the total
-    mean count), or at a pivot that is not positive.  By Sylvester's
-    identity every grid value is then
+    mean count).  By Sylvester's identity every grid value is then
     F(s) = det(I - sum_j (1 - s_j) V_j^T V_j), a determinant of the size
     rho of the factor, with V_j the rows of V on interval j.
 
     Entries in (-1e-9, 0) are clamped to 0 (roundoff from the inversion);
-    anything below -1e-9 raises, as does any imaginary part above 1e-8,
-    or a departure of F(conj s) from conj F(s) above 1e-8 anywhere on
-    the grid (F has real Taylor coefficients).
+    anything below -1e-9 raises, as does a departure of F(conj s) from
+    conj F(s) above 1e-8 anywhere on the grid (F has real Taylor
+    coefficients).  That departure also bounds the imaginary part of
+    every coefficient, by half of it, so the table keeps the real part.
 
     The grid folds the mass at counts N_j >= g onto N_j - g, so the
     grid's marginal mean sum_k k P_j(k) falls short of the exact mean
@@ -156,6 +156,8 @@ def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int 
     grams = [v[b].T @ v[b] for b in disc.rule.blocks]
     f_grid = _torus_values(grams, np.exp(2j * math.pi * np.arange(g) / g))
 
+    # c_k - conj(c_k) = g^-m sum_s (F(s) - conj F(conj s)) s^-k, so this
+    # check also bounds |Im c_k| by IMAG_TOL / 2
     mirror = f_grid[np.ix_(*[-np.arange(g) % g] * m)]  # F(conj s): index i_j -> -i_j mod g
     asym = float(np.max(np.abs(mirror - np.conj(f_grid))))
     if asym > IMAG_TOL:
@@ -163,10 +165,6 @@ def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int 
 
     coeff = np.fft.fftn(f_grid) / g**m
     table = coeff[tuple(slice(0, k + 1) for k in ks)]
-
-    max_imag = float(np.max(np.abs(table.imag)))
-    if max_imag > IMAG_TOL:
-        raise NumericalError(f"inversion left imaginary mass {max_imag:.3e} > {IMAG_TOL:g}")
     for j, length in enumerate(partition.lengths):
         marginal = coeff.real.sum(axis=tuple(a for a in range(m) if a != j))
         deficit = disc.r * length / math.pi - float(np.arange(g) @ marginal)
@@ -194,8 +192,8 @@ def _pivoted_cholesky(disc: Discretization) -> np.ndarray:
     pointwise `sine_kernel` (Harbrecht, Peters & Schneider, Appl. Numer.
     Math. 62, 2012): the separable fill of `_scaled_kernel` rounds by
     about eps tr(B) near the diagonal, all that the stopping rule allows.
-    It stops once the residual trace is at most eps tr(B), or at a pivot
-    that is not positive.  B is positive semidefinite, so the residual
+    It stops once the residual trace is at most eps tr(B), so every pivot
+    is positive.  B is positive semidefinite, so the residual
     trace bounds the error of every entry, and rho is about
     r (x_m - x_0) / pi + O(log 1 / eps).
     """
@@ -206,9 +204,7 @@ def _pivoted_cholesky(disc: Discretization) -> np.ndarray:
     k = 0
     while k < size and float(resid.sum()) > tol:
         p = int(np.argmax(resid))
-        pivot = float(resid[p])
-        if not pivot > 0.0:
-            break
+        pivot = float(resid[p])  # > 0, as resid.sum() > tol > 0; a NaN sum ends the loop
         if k == len(vt):
             vt = np.concatenate((vt, np.empty((min(k, size - k), size))))
         row = (root_w[p] * root_w) * sine_kernel(t[p], t) - vt[:k, p] @ vt[:k]

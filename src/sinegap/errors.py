@@ -9,6 +9,8 @@ can tell bad input from a computation that went off the rails.
 import math
 import numbers
 
+__all__ = ["NumericalError", "ValidationError"]
+
 
 class ValidationError(ValueError):
     """Input rejected before any computation (domain, shape, or range)."""

@@ -123,6 +123,7 @@ class IntervalPartition:
 def reduced_indices(m: int, p: int) -> tuple[int, ...]:
     """Index set {0, ..., m} minus {p-1, p}: the weight-ratio indices that
     stay finite when s_p = 0."""
+    m = _integer(m, "interval count m", 1)
     p = _integer(p, "gap index p", 1, m)
     return tuple(j for j in range(m + 1) if j not in (p - 1, p))
 
@@ -171,7 +172,7 @@ class WeightConfiguration:
         j in {0..m} minus {p-1, p}, listed in increasing j: s_k =
         exp(-(u_0 + ... + u_{k-1})) left of the gap and
         s_j = exp(u_j + ... + u_m) right of it."""
-        reduced_indices(m, p)  # checks p, before u
+        reduced_indices(m, p)  # checks m and p, before u
         u = _checked_u(u, m - 1)
         left, right = u[: p - 1], u[p - 1 :]  # u_0, ..., u_{p-2} and u_{p+1}, ..., u_m
         log_s = np.concatenate((-np.cumsum(left), [-np.inf], np.cumsum(right[::-1])[::-1]))

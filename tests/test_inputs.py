@@ -3,11 +3,15 @@
 Real numbers may be Python or numpy reals and integers Python or numpy
 integers; strings, bools, complex values and None are refused with
 ValidationError, as is a float where an integer is due.
+
+The entry points reach users as the package's names: the `__all__` of
+each public module, re-exported once.
 """
 
 import numpy as np
 import pytest
 
+import sinegap
 from sinegap import (
     Discretization,
     IntervalPartition,
@@ -49,6 +53,11 @@ def test_every_scalar_input_is_checked_by_kind():
         lambda: fredholm_det((0.0, 1.0), (0.5,), 2.0, True),
         lambda: gauss_legendre("8"),
         lambda: reduced_indices(2, 1.0),
+        lambda: reduced_indices(2.5, 1),
+        lambda: reduced_indices("3", 1),
+        lambda: reduced_indices(True, 1),
+        lambda: WeightConfiguration.from_zero_u((0.3,), 1, 2.0),
+        lambda: WeightConfiguration.from_zero_u((), 1, True),
         lambda: zero_weight_expansion((0.0, 0.5, 1.0), True, (0.3,), 5.0),
         lambda: joint_pmf((0.0, 1.0), 1.0, 2.5),
         lambda: joint_pmf((0.0, 1.0), 1.0, (2.5,)),
@@ -95,3 +104,17 @@ def test_every_scalar_input_is_checked_by_kind():
         assert np.array_equal(got.table, want.table) and got.max_counts == want.max_counts
         assert got.probability((np.int64(1), 1)) == want.probability((1, 1))
     assert zeta_int(np.int64(3)) == zeta_int(3)
+
+
+def test_the_package_exports_each_module_all_once():
+    modules = [sinegap.asymptotics, sinegap.counting, sinegap.errors,
+               sinegap.fredholm, sinegap.quadrature, sinegap.specfun]
+    names = [name for module in modules for name in module.__all__]
+    assert len(set(names)) == len(names)  # no name in two modules
+    assert sinegap.__all__ == names
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(sinegap, name) is getattr(module, name), name
+    bound = {}
+    exec("from sinegap import *", bound)
+    assert sorted(set(bound) - {"__builtins__"}) == sorted(names)

@@ -219,7 +219,7 @@ def zero_weight_expansion(partition, p: int, u: Sequence[float], r: float) -> Ex
     partition = _as_partition(partition)
     r = _check_r(r)
     at_one = conditional_stats(partition, p, 1.0)
-    u = _checked_u(u, len(at_one.labels))
+    u = _checked_u(u, partition.m, p)
     signs = np.array([1.0 if j > p else -1.0 for j in at_one.labels])
     linear, log_r, constant = _cumulant_terms(
         at_one, conditional_stats(partition, p, r), u, r, signs

@@ -76,10 +76,6 @@ class JobSpec:
     fmt: str = "csv"
     out: str | None = None
 
-    @property
-    def m(self) -> int:
-        return len(self.x) - 1
-
     def r_values(self) -> tuple[float, ...]:
         if self.r is not None:
             return (self.r,)
@@ -164,7 +160,7 @@ def validate_args(ns: argparse.Namespace) -> tuple[JobSpec | None, list[str]]:
     partition = None if x is None else check("--x", IntervalPartition, x)
     m = None if partition is None else partition.m
     if m == 1 and p is not None and "u" in takes and not given & {"s", "u"}:
-        u = ()  # --p leaves m - 1 = 0 log-ratios, so --u may be left out
+        values["u"] = u = ()  # --p leaves m - 1 = 0 log-ratios, so --u may be left out
         given.add("u")
 
     if "x" not in given:
@@ -197,17 +193,12 @@ def validate_args(ns: argparse.Namespace) -> tuple[JobSpec | None, list[str]]:
             check("--s", _matched_weights, partition, s)
         if u is not None and (p is None or gap is not None):
             # as the expansions do; fredholm and converge build weights too
-            size = m if p is None else len(gap)
-            if check("--u", _checked_u, u, size) is not None and command in ("fredholm", "converge"):
+            if check("--u", _checked_u, u, m, p) is not None and command in ("fredholm", "converge"):
                 check("--u", _weights, None, u, p, m)
 
     if errors:
         return None, errors
-    return (
-        JobSpec(command=command, x=x, s=s, u=u, p=p, r=r, r_range=r_range,
-                n=64 if n is None else n, k=k, fmt=ns.fmt, out=ns.out),
-        [],
-    )
+    return JobSpec(command=command, fmt=ns.fmt, out=ns.out, **values), []
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +214,7 @@ def _weights(s, u, p, m: int) -> WeightConfiguration:
 
 
 def _run_fredholm(job: JobSpec, partition: IntervalPartition):
-    weights = _weights(job.s, job.u, job.p, job.m)
+    weights = _weights(job.s, job.u, job.p, partition.m)
 
     def one(r: float):
         res = fredholm_det(partition, weights, r, job.n)
@@ -248,7 +239,7 @@ def _run_asym(job: JobSpec, partition: IntervalPartition):
 
 
 def _run_converge(job: JobSpec, partition: IntervalPartition):
-    weights = _weights(job.s, job.u, job.p, job.m)
+    weights = _weights(job.s, job.u, job.p, partition.m)
 
     def one(r: float):
         numeric = Discretization(partition, r, job.n).log_det(weights)  # fredholm_det's log_f, no n // 2 pass
@@ -259,7 +250,7 @@ def _run_converge(job: JobSpec, partition: IntervalPartition):
 
 
 def _run_pmf(job: JobSpec, partition: IntervalPartition):
-    pmf = joint_pmf(partition, job.r, job.k, n_quad=job.n)
+    pmf = joint_pmf(partition, job.r, job.k, n=job.n)
     m = partition.m
     rows = [list(idx) + [float(pmf.table[idx])] for idx in np.ndindex(pmf.table.shape)]
     rows.append([None] * m + [pmf.residual_mass])  # mass outside the table
@@ -334,23 +325,18 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        text = run(job)
+        text = run(job)  # every row, before anything is written
+        if job.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(job.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return 4
-
-    try:
-        if job.out is None:
-            sys.stdout.write(text)
-        else:
-            with open(job.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4

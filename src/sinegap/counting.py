@@ -114,7 +114,7 @@ def _checked_counts(max_counts: Sequence[int] | int, m: int) -> tuple[int, ...]:
     return ks
 
 
-def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int = 64) -> JointPMF:
+def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n: int = 64) -> JointPMF:
     """Joint count probabilities by Fourier inversion on the unit torus.
 
     P(k) = (2 pi)^{-m} \\int F(e^{i theta}) e^{-i k . theta} dtheta is
@@ -123,8 +123,8 @@ def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int 
     grid values are FFT'd.  The grid may have at most MAX_TORUS_CELLS =
     2^18 cells.  By normalization the full DFT sums to F(1) = 1 exactly,
     and the mass not in the table is reported as residual_mass.  One
-    `Discretization` of order n_quad is built, and no n/2 error-estimate
-    pass is made.
+    `Discretization` with n nodes per interval is built, and no n/2
+    error-estimate pass is made.
 
     The grid values come from one low-rank factor:
     B = W^{1/2} K W^{1/2} ~ V V^T by the diagonally pivoted Cholesky of
@@ -151,7 +151,7 @@ def joint_pmf(partition, r: float, max_counts: Sequence[int] | int, n_quad: int 
     m = partition.m
     ks = _checked_counts(max_counts, m)
     g = 2 * max(ks) + 2
-    disc = Discretization(partition, r, n_quad)
+    disc = Discretization(partition, r, n)
     v = _pivoted_cholesky(disc)
     grams = [v[b].T @ v[b] for b in disc.rule.blocks]
     f_grid = _torus_values(grams, np.exp(2j * math.pi * np.arange(g) / g))

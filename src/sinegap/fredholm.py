@@ -79,6 +79,8 @@ HARD_GAP_MAX_ROUNDING = 1e-5
 # Beyond this half-length the bound above is always exceeded (it is
 # already about 0.1 at half-length 36), so the route raises at once.
 HARD_GAP_MAX_HALF_LENGTH = 40.0
+# The most nodes N = m n of a Discretization (m <= 8 at n = 2048): 2 GiB per N x N matrix.
+MAX_NODES = 2**14
 
 
 @dataclass(frozen=True)
@@ -128,9 +130,11 @@ def reduced_indices(m: int, p: int) -> tuple[int, ...]:
     return tuple(j for j in range(m + 1) if j not in (p - 1, p))
 
 
-def _checked_u(u, size: int | None = None) -> np.ndarray:
-    """The log-ratios u as a finite 1-d float array with `size` entries
-    (any number of them when `size` is None)."""
+def _checked_u(u, m: int | None = None, p: int | None = None) -> np.ndarray:
+    """The log-ratios u as a finite 1-d float array: m of them, or the
+    m - 1 of `reduced_indices(m, p)` where s_p = 0 (p given), or any
+    number of them when m is None.  m and p are checked before u."""
+    size = m if p is None else len(reduced_indices(m, p))
     u = np.array(_reals(u, "log-ratios u"), dtype=float)
     if size is not None and u.shape != (size,):
         raise ValidationError(f"expected {size} log-ratios, got shape {u.shape}")
@@ -172,8 +176,8 @@ class WeightConfiguration:
         j in {0..m} minus {p-1, p}, listed in increasing j: s_k =
         exp(-(u_0 + ... + u_{k-1})) left of the gap and
         s_j = exp(u_j + ... + u_m) right of it."""
-        reduced_indices(m, p)  # checks m and p, before u
-        u = _checked_u(u, m - 1)
+        reduced_indices(m, p)  # p is required: _checked_u reads p = None as all s_j > 0
+        u = _checked_u(u, m, p)
         left, right = u[: p - 1], u[p - 1 :]  # u_0, ..., u_{p-2} and u_{p+1}, ..., u_m
         log_s = np.concatenate((-np.cumsum(left), [-np.inf], np.cumsum(right[::-1])[::-1]))
         return cls._from_log(log_s, u)
@@ -309,7 +313,8 @@ class Discretization:
     Gauss-Legendre rule with n nodes per interval of the scaled partition
     (`rule`); no kernel is held.  An order n below `floor`, the largest
     ceil(r L / 2) over the intervals of length L, cannot resolve the
-    kernel and raises NumericalError before anything is filled.
+    kernel and raises NumericalError before anything is filled; more
+    than MAX_NODES nodes in all raise ValidationError.
 
     Built once for (partition, r, n), it gives log F at any number of
     weights through `log_det`, each one a weight column, one fill of the
@@ -329,6 +334,12 @@ class Discretization:
                 f" it needs n >= ceil(r (x_j - x_(j-1)) / 2) = {need:.0f}"
             )
         self.floor = int(need)
+        size = self.partition.m * self.n
+        if size > MAX_NODES:
+            raise ValidationError(
+                f"m = {self.partition.m} intervals at order n = {self.n} make N = {size} nodes > {MAX_NODES}:"
+                f" one N x N matrix would take {8 * size**2 / 2**30:.2f} GiB"
+            )
         self.rule = composite_rule(self.partition, self.r, self.n)
 
     def log_det(self, weights) -> float:

@@ -112,7 +112,7 @@ def test_converge_prints_fredholm_log_f_from_one_factorization_per_row(capsys, m
             assert calls == {"fill": 4, "factor": 8 if flags is mixed else 4}, (flags, n)
             ns = cli.build_parser().parse_args(["converge", *flags, "--r-range", "5:40:4"])
             job, _ = cli.validate_args(ns)
-            weights = cli._weights(None, job.u, job.p, job.m)
+            weights = cli._weights(None, job.u, job.p, len(job.x) - 1)
             for row in rows:
                 want = fredholm_det(job.x, weights, float(row[0]), int(n)).log_f
                 assert float(row[1]) == want, (flags, n, row)
@@ -607,6 +607,37 @@ def test_io_failure_maps_to_exit_4(capsys):
     )
     assert code == 4
     assert "i/o failure" in err
+
+
+# 11 intervals at n = 2048: N = 22528 nodes exceed fredholm.MAX_NODES
+OVERSIZED = ("fredholm", "--x", ",".join(map(str, range(12))), "--s", ",".join(["0.5"] * 11),
+             "--r", "1", "--n", "2048")
+
+
+def test_more_nodes_than_max_nodes_exit_2_with_empty_stdout(capsys):
+    code, out, err = run_cli(capsys, *OVERSIZED)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: m = 11 intervals at order n = 2048 make N = 22528 nodes > 16384:"
+        " one N x N matrix would take 3.78 GiB\n"
+    )
+
+
+def test_python_m_sinegap_prints_what_main_prints_and_passes_on_exit_codes(capsys):
+    src = str(Path(sinegap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "sinegap", *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    argv = ("asym2", "--x", "0,0.6", "--p", "1", "--r", "20")
+    done = module(*argv)
+    assert (done.returncode, done.stdout) == (0, run_cli(capsys, *argv)[1])
+    for argv, code in ((("fredholm", "--x", "0,1", "--s", "0.5", "--r", "100"), 3), (OVERSIZED, 2)):
+        done = module(*argv)
+        assert (done.returncode, done.stdout) == (code, ""), (argv, done.stderr)
+        assert done.stderr and "Traceback" not in done.stderr, argv
 
 
 def test_jobspec_r_values_geometric():

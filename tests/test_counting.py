@@ -157,7 +157,7 @@ def test_pmf_aliased_grid_raises_and_validation():
     # coarsely for the tail of the table: it comes out below -1e-9
     # (-6.2e-4 at n = 30, -3.5e-7 at 32, and 33 passes)
     with pytest.raises(NumericalError, match="negative probability -6.197e-04"):
-        joint_pmf((0.0, 1.0), 60.0, 40, n_quad=30)
+        joint_pmf((0.0, 1.0), 60.0, 40, n=30)
 
 
 def test_pmf_torus_chunks_keep_the_bits(monkeypatch):
@@ -493,7 +493,7 @@ def test_pmf_factor_has_low_rank_and_meets_its_stopping_rule():
 
 def test_counting_keeps_order_and_sign_checks():
     with pytest.raises(ValidationError, match="quadrature order"):
-        joint_pmf((0.0, 0.5), 1.0, 2, n_quad=4)
+        joint_pmf((0.0, 0.5), 1.0, 2, n=4)
     with pytest.raises(ValidationError, match="quadrature order"):
         numerical_cumulants((0.0, 1.0), 4.0, n=7)
     with pytest.raises(ValidationError, match="scale r"):

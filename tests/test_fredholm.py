@@ -372,7 +372,7 @@ def test_order_below_r_length_over_two_raises():
         # each interval needs at most 24, the merged numerator (0, 1.7) needs 68
         (lambda: conditional_zero_probability((0.0, 0.5, 1.1, 1.7), (0.3, 0.7, 0.5), 80.0), 64, "(0, 1.7)", 68),
         # unresolved, the table has a cell of -1.27: the floor is the reason to give
-        (lambda: joint_pmf((0.0, 1.0), 60.0, 40, n_quad=22), 22, "(0, 1)", 30),
+        (lambda: joint_pmf((0.0, 1.0), 60.0, 40, n=22), 22, "(0, 1)", 30),
         # each interval needs 6, but log_det rebuilds on the merged gap
         (lambda: Discretization((0.0, 0.3, 0.6), 40.0, 10).log_det((0.0, 0.0)), 10, "(0, 0.6)", 12),
         # r L overflows to inf: still the floor's NumericalError, not an OverflowError
@@ -383,6 +383,27 @@ def test_order_below_r_length_over_two_raises():
             call()
         assert str(info.value).startswith(f"order n = {n} cannot resolve")
     assert Discretization((0.0, 1.0), 200.0, 100).n == 100  # the floor itself is allowed
+
+
+def test_more_nodes_than_max_nodes_are_refused_before_anything_is_built(monkeypatch):
+    # 11 intervals at n = 2048 make N = 22528 nodes, one N x N float64
+    # matrix of 3.78 GiB; the refusal comes before any rule is built
+    def no_rule(*args):
+        raise AssertionError("a rule was built")
+
+    x = tuple(float(v) for v in range(12))
+    assert fredholm_module.MAX_NODES == 2**14
+    with monkeypatch.context() as patch:
+        patch.setattr(fredholm_module, "composite_rule", no_rule)
+        for call in (
+            lambda: Discretization(x, 1.0, 2048),
+            lambda: fredholm_det(x, (0.5,) * 11, 1.0, 2048),
+            lambda: numerical_cumulants(x, 1.0, n=2048),
+        ):
+            with pytest.raises(ValidationError, match=r"m = 11 .* n = 2048 make N = 22528 nodes > 16384: .* 3\.78 GiB"):
+                call()
+    # 8 intervals at n = 2048 are exactly MAX_NODES, and build
+    assert len(Discretization(x[:9], 1.0, 2048).rule.nodes) == 2**14
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,13 @@ def test_every_scalar_input_is_checked_by_kind():
     assert zeta_int(np.int64(3)) == zeta_int(3)
 
 
+def test_from_zero_u_refuses_a_missing_gap_index_whatever_the_count_of_u():
+    # the log-ratio count rule reads p = None as all s_j > 0 (m of them)
+    for u in ((0.3,), (0.3, 0.4)):
+        with pytest.raises(ValidationError, match="gap index p"):
+            WeightConfiguration.from_zero_u(u, None, 2)
+
+
 def test_the_package_exports_each_module_all_once():
     modules = [sinegap.asymptotics, sinegap.counting, sinegap.errors,
                sinegap.fredholm, sinegap.quadrature, sinegap.specfun]

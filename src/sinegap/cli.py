@@ -2,8 +2,13 @@
 expansions, convergence scans, count PMFs, and counting statistics.
 
 Jobs are reproducible: identical invocations produce byte-identical
-output for a fixed BLAS thread count (a factorization's last digits can
-change with the number of BLAS threads).  Floats print as Python's shortest
+output for a fixed BLAS thread count.  The last digits of a determinant
+factored as the N x N Nystrom matrix (weights on both sides of 1, a
+deflated hard gap, small weights on long intervals, orders near the
+floor, spans past the largest Gauss-Legendre order) can change with the
+number of BLAS threads; one on the band route of `fredholm._log_det`, an
+M x M factor, gave the same bits at one and two threads in every case
+measured.  Floats print as Python's shortest
 repr, which round-trips exactly and always carries a '.' or an exponent
 (5.0, 0.7, 1e-05), so a float cell never reads as an integer.  Output
 goes to stdout or --out, as CSV (`csv` module: header row, one row per

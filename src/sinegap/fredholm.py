@@ -19,9 +19,25 @@ by pi times the node differences, and `_log_det` factors it by Cholesky
 alone, reading only that triangle: in place where
 c = w (1 - s) has one sign, and for weights on both sides of 1 as the block
 where c < 0 and its Schur complement, raising NumericalError where a factor
-is not positive definite.  A `Discretization` holds the
-weight-independent part for (partition, r, n), so each weight costs one
-fill and one factorization.  A truncated series evaluation
+is not positive definite.
+
+The band route.  The sine kernel is band-limited,
+K(x, y) = (1 / 2 pi) int_(-1)^1 e^(i k (x - y)) dk, so the M-point
+Gauss-Legendre rule in k gives D K D = Phi Phi^T, Phi of size N x M
+(`_band_basis`), to within the fill's own rounding once M exceeds half the
+span of the nodes by a margin (`_band_order`): M is about r (x_m - x_0) / 2
+plus 8 to 44 for spans up to 400, whatever n is.  By Sylvester's identity
+det(I - S D K D) = det(I_M - S Phi^T Phi), so where c has one sign that
+M x M matrix is positive definite, formed by one dsyrk and factored by one
+Cholesky.  `_band_route` takes it only where no hard gap is deflated, no
+long run of weights near 0 sits in the matrix (BAND_MAX_HALF_LENGTH),
+N >= 3M, where it is the faster, and M is an order `gauss_legendre`
+gives (MAX_ORDER); every other input fills and factors the N x N matrix.  It keeps the n-point Nystrom value to rounding (the
+measured differences are in the ROADMAP, *Current state*).
+
+A `Discretization` holds the weight-independent part for (partition, r,
+n), so each weight costs one fill (of the N x N matrix or of Phi) and one
+factorization.  A truncated series evaluation
 `series_det` provides an independent cross-check route for small
 instances and is deliberately kept free of any factorization.
 
@@ -36,7 +52,7 @@ gap of 0.6.  Every weight configuration takes one route
 prolate spheroidal wave functions (`prolate.gap_modes`) to relative
 accuracy, and the matrix factored has the same size and a condition on
 that interval of about 1e4 (`_log_det`).  Inputs without such
-a mode keep the plain matrix and its exact output.  A run of adjacent zero
+a mode deflate nothing.  A run of adjacent zero
 weights is one hard gap and is merged into one interval first.  Where
 the prolate values themselves lose their digits, the route raises
 NumericalError (see HARD_GAP_MAX_ROUNDING).  With zeros on
@@ -50,13 +66,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError, _integer, _reals
 from .prolate import EPS, gap_modes
-from .quadrature import CompositeRule, _check_order, _check_r, composite_rule
+from .quadrature import MAX_ORDER, CompositeRule, _check_order, _check_r, composite_rule, gauss_legendre
 
 __all__ = [
     "IntervalPartition",
@@ -79,6 +96,20 @@ HARD_GAP_MAX_ROUNDING = 1e-5
 # Beyond this half-length the bound above is always exceeded (it is
 # already about 0.1 at half-length 36), so the route raises at once.
 HARD_GAP_MAX_HALF_LENGTH = 40.0
+# The band route of `_log_det` and the fill round differently, and each
+# loses about eps / mu of log F, mu the smallest eigenvalue of its matrix.
+# An interval of half-length c and weight s < 1 holds mu to about
+# s + (1 - s) (1 - lambda_0(c)).  With a zero weight and no deflated mode,
+# on the figure-2 partitions and 150 random ones at n = 64 and 128, the two
+# routes differed by at most 2.8e-14 max(1, |log F|) up to c = 4, where
+# 1 - lambda_0 = 4.1e-3, by up to 2.6e-13 at c = 4.4 to 4.8 and by up to
+# 6.7e-13 at c = 5.4 to 6, where Nystrom's own n vs 2n spread is as large.
+# So the band route takes weights below BAND_MIN_WEIGHT only on a run of
+# adjacent intervals of half-length at most BAND_MAX_HALF_LENGTH.  The two
+# are one choice: BAND_MIN_WEIGHT must stay 1 - lambda_0 at half-length
+# BAND_MAX_HALF_LENGTH (`prolate.gap_modes`), which a test checks.
+BAND_MAX_HALF_LENGTH = 4.0
+BAND_MIN_WEIGHT = 4.1e-3
 # The most nodes N = m n of a Discretization (m <= 8 at n = 2048): 2 GiB per N x N matrix.
 MAX_NODES = 2**14
 
@@ -308,6 +339,84 @@ def _sign_ordered(rule, first) -> CompositeRule:
     return CompositeRule(rule.nodes[order], rule.weights[order], rule.interval_index[order], blocks)
 
 
+@lru_cache(maxsize=256)
+def _band_order(span: int) -> int:
+    """The least even order M whose Gauss-Legendre rule integrates e^(i w k)
+    over (-1, 1) to within eps for every |w| <= span, a positive integer, by
+    an a priori bound; then K = (1 / 2 pi) int_(-1)^1 e^(i k (x - y)) dk on
+    nodes at most `span` apart is off by eps / 2 pi at most, below the
+    fill's own rounding (`_scaled_kernel`).
+
+    In e^(i w k) = sum_j i^j (2j + 1) j_j(w) P_j(k) the rule is exact on
+    P_j for j < 2M and sums |P_j| to at most 2, so its error is at most
+    2 sum_(j >= 2M) (2j + 1) |j_j(w)|.  The spherical Bessel function
+    j_j(w) = sqrt(pi / 2w) J_(j+1/2)(w) grows with w on (0, j), so for
+    2M > span the bound at w = span covers every smaller |w|.  Each
+    |J_nu(w)|, w < nu, is bounded by the lesser of the leading Debye term
+    exp(-nu (atanh a - a)) / sqrt(2 pi nu a), a = sqrt(1 - (w / nu)^2),
+    which J_nu approaches from below, and Landau's 0.6749 nu^(-1/3), which
+    holds near the turning point w = nu where the Debye term blows up.
+    M - span / 2 comes out as 15 at span 10, 19 at 30, 26 at 68, 28 at
+    100, 36 at 200 and 44 at 400: in each case the least even M at which
+    the bound with the exact |j_j| is below eps too."""
+    j = np.arange(span + 1, 2 * span + 128)  # the terms left out, j >= 2 span + 128, are below 1e-120
+    nu = j + 0.5
+    a = np.sqrt(1.0 - (span / nu) ** 2)
+    debye = np.exp(-nu * (np.arctanh(a) - a)) / np.sqrt(2.0 * math.pi * nu * a)
+    terms = (2 * j + 1) * math.sqrt(math.pi / (2.0 * span)) * np.minimum(debye, 0.6749 * nu ** (-1.0 / 3.0))
+    tails = 2.0 * np.cumsum(terms[::-1])[::-1]  # tails[i]: the bound for 2M = j[i]
+    return int(j[np.flatnonzero((tails <= EPS) & (j % 4 == 0))[0]]) // 2
+
+
+def _split(a):
+    """(hi, lo) with hi + lo = a exactly and at most 26 significant bits
+    in hi (Veltkamp), so that a product of two hi parts is exact."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _band_basis(rule, d, order: int) -> np.ndarray:
+    """Phi^T, order x N, with Phi Phi^T = diag(d) K diag(d) on the nodes t
+    of `rule` for an order at least `_band_order` of the span of the nodes.
+
+    From the positive nodes k_l and weights w_l of `gauss_legendre(order)`,
+    the row of node i is d_i sqrt(w_l / pi) [cos(k_l t_i'), sin(k_l t_i')]
+    with t' = t minus the midpoint of the nodes: the symmetric rule sums
+    cos(k (t_i - t_j)) = cos cos + sin sin over pairs +-k_l.  Each phase
+    k_l t_i' is taken exactly, as its double p plus the error e of that
+    double (Knuth's sum for t', Dekker's product for k_l t_i'), and
+    cos(p + e) = cos p - e sin p to within eps^2: a phase rounded to the
+    nearest double, up to span / 2 in size, would move each K_ij w_j by up
+    to 34 eps at span 600, where this way stays within 8 eps, as the fill
+    does (`_scaled_kernel`)."""
+    base, half = gauss_legendre(order), order // 2
+    k, w = base.nodes[half:], base.weights[half:]
+    t = rule.nodes
+    mid = 0.5 * (t.max() + t.min())
+    lead = t - mid
+    back = lead + mid
+    trail = (t - back) - (mid + (lead - back))  # lead + trail = t - mid exactly
+    (k_hi, k_lo), (lead_hi, lead_lo) = _split(k), _split(lead)
+    exact = np.multiply.outer(k_hi, lead_hi)  # no rounding
+    err = np.multiply.outer(k, lead_lo + trail)
+    err += np.multiply.outer(k_lo, lead_hi)  # exact + err = k (t - mid), err to within eps |err|
+    phase = exact + err
+    exact -= phase  # no rounding either (Dekker's fast two-sum)
+    err += exact  # now phase + err = k (t - mid)
+    out = np.empty((order, len(t)))
+    cos, sin = out[:half], out[half:]
+    np.cos(phase, out=cos)
+    np.sin(phase, out=sin)
+    shift = err * sin
+    sin += err * cos
+    cos -= shift
+    scale = np.multiply.outer(np.sqrt(w / math.pi), d)
+    cos *= scale
+    sin *= scale
+    return out
+
+
 class Discretization:
     """The weight-independent part of log F at order n: the composite
     Gauss-Legendre rule with n nodes per interval of the scaled partition
@@ -374,6 +483,30 @@ def cholesky_factor(a):
     if info > 0:
         raise NumericalError("not positive definite: the discretization does not resolve")
     return factor, 2.0 * float(np.sum(np.log(np.diagonal(factor))))
+
+
+def _band_route(rule, s) -> int | None:
+    """The order M of `_band_basis` at which `_log_det` takes the band
+    route for weights s on `rule`, or None where it fills and factors the
+    N x N matrix: the route needs weights on one side of 1 and no run of
+    adjacent weights below BAND_MIN_WEIGHT longer than
+    2 BAND_MAX_HALF_LENGTH, and runs only where it is the faster, at
+    N >= 3M, and where `gauss_legendre` gives the order, M <= MAX_ORDER.
+    Its cost is mostly the N M sines and cosines of Phi, not the N M^2 of
+    the dsyrk, so the flop counts do not place the crossover: N >= 3M is
+    where it was measured to be the faster (ROADMAP, *Current state*).
+    The floor n >= r L / 2 keeps the span below about 2N, so `_band_order`
+    sums at most some 2N terms."""
+    if s.min() < 1.0 < s.max():
+        return None
+    run = 0.0
+    for small, length in zip(s < BAND_MIN_WEIGHT, np.bincount(rule.interval_index, rule.weights)):
+        run = run + length if small else 0.0  # each interval's weights sum to its length
+        if run > 2.0 * BAND_MAX_HALF_LENGTH:
+            return None
+    span = rule.nodes.max() - rule.nodes.min()
+    order = _band_order(max(1, math.ceil(span)))  # span 0: nodes that coincide at r ~ 5e-324
+    return order if 3 * order <= len(rule.nodes) and order <= MAX_ORDER else None
 
 
 def _hard_gap_route(partition, weights, r):
@@ -460,8 +593,25 @@ def _log_det(rule, weights: WeightConfiguration, gap) -> float:
     matrix factored is as large as the plain one and keeps S A S = A^T,
     and G adds no more than 1 / prolate.HARD_GAP_TAU to its condition;
     R may hold other zeroed intervals.  G lies in P (c = w > 0).
+
+    Where `_band_route` gives an order M (gap None, c of one sign), A is not
+    filled: with Phi^T from `_band_basis`, D K D = Phi Phi^T to rounding and
+    det A = det(I_M - sign(c) Phi^T Phi) by Sylvester's identity.  That
+    matrix is positive definite, is formed by one dsyrk (lower triangle)
+    and is factored in place by `cholesky_factor`.  Its log F gave the
+    same bits at one and two BLAS threads in every case measured, where
+    that of an N x N factor can differ (ROADMAP, *Current state*).
     """
     s = weights.as_array()
+    order = _band_route(rule, s) if gap is None else None
+    if order is not None:
+        from ._lapack import dsyrk
+
+        c = rule.weights * (1.0 - s[rule.interval_index])
+        phi_t = _band_basis(rule, np.sqrt(np.abs(c)), order)
+        sign = 1.0 if s.min() < 1.0 else -1.0  # of every nonzero c
+        gram = dsyrk(-sign, phi_t.T, 1.0, np.eye(order, order="F"), trans=1, lower=1, overwrite_c=1)
+        return cholesky_factor(gram)[1]  # I - S Phi^T Phi, lower triangle
     mixed = s.min() < 1.0 < s.max()
     rule = _sign_ordered(rule, s > 1.0) if mixed else rule
     c = rule.weights * (1.0 - s[rule.interval_index])
@@ -503,9 +653,10 @@ def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult
     pass does not resolve the kernel, yet two such passes can agree:
     NumericalError is raised before anything is filled where n//2 is below
     that floor (`Discretization.floor`), so n >= 2 * floor.  Each pass is
-    one fill of its scaled Nystrom matrix and one factorization
-    (`_log_det`), which raises NumericalError where the matrix is not
-    positive definite; neither builds the plain kernel.  Callers that do
+    one fill of its scaled Nystrom matrix, or of its band factor, and one
+    factorization (`_log_det`), which raises NumericalError where the
+    matrix is not positive definite; neither builds the plain kernel.  The
+    two passes may take different routes.  Callers that do
     not need the estimate (`sinegap converge`, the gap probabilities)
     should call `Discretization(partition, r, n).log_det` instead: it
     returns the same `log_f`, bit for bit, and skips the n//2 pass.

@@ -86,8 +86,10 @@ FIGURE_FLAGS = (
 
 def test_converge_prints_fredholm_log_f_from_one_factorization_per_row(capsys, monkeypatch):
     # converge prints fredholm_det's log F, equal as a float, from one
-    # fill and factorization per row: no n // 2 pass.  The last flags give
-    # weights on both sides of 1 (s ~ 0.74, 2.46, 0.30), two factors a row
+    # fill and factorization per row: no n // 2 pass.  A fill is the N x N
+    # matrix (`_scaled_kernel`) or, on the band route, its N x M factor
+    # (`_band_basis`).  The last flags give weights on both sides of 1
+    # (s ~ 0.74, 2.46, 0.30), two factors a row
     calls = {"fill": 0, "factor": 0}
 
     def counted(name, fn):
@@ -99,6 +101,7 @@ def test_converge_prints_fredholm_log_f_from_one_factorization_per_row(capsys, m
 
     fredholm_module = sinegap.fredholm
     monkeypatch.setattr(fredholm_module, "_scaled_kernel", counted("fill", fredholm_module._scaled_kernel))
+    monkeypatch.setattr(fredholm_module, "_band_basis", counted("fill", fredholm_module._band_basis))
     monkeypatch.setattr(fredholm_module, "cholesky_factor", counted("factor", fredholm_module.cholesky_factor))
     monkeypatch.setattr(fredholm_module, "lu_factor", counted("factor", fredholm_module.lu_factor))
     mixed = ("--x", "0,0.5,1.1,1.7", "--u=-1.2,2.1,-1.2")
@@ -638,6 +641,25 @@ def test_python_m_sinegap_prints_what_main_prints_and_passes_on_exit_codes(capsy
         done = module(*argv)
         assert (done.returncode, done.stdout) == (code, ""), (argv, done.stderr)
         assert done.stderr and "Traceback" not in done.stderr, argv
+
+
+def test_band_route_scan_prints_the_same_bytes_at_one_and_two_blas_threads():
+    # every fig1-right row at n = 128 takes the band route: one M x M
+    # dsyrk and Cholesky factor, M <= 60, whose bits do not depend on the
+    # BLAS thread count.  Through the N x N factor (N = 384) the same scan
+    # prints bytes that differ from char 54 on
+    src = str(Path(sinegap.__file__).resolve().parents[1])
+    argv = ("converge", "--x", "0,0.5,1.1,1.7", "--u=-0.8,-1.8,-1.32", "--n", "128", "--r-range", "5:40:12")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "sinegap", *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0].count("\n") == 13
+    assert outs[0] == outs[1]
 
 
 def test_jobspec_r_values_geometric():

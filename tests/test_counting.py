@@ -403,12 +403,13 @@ def test_counting_fills_one_kernel_and_factors_once_per_weight(monkeypatch):
 
         return wrapper
 
-    # a kernel is one _scaled_kernel fill, however many blocks it takes:
-    # the covariances sum the squares of one, and each determinant fills
-    # its own scaled kernel in _log_det
+    # a kernel is one _scaled_kernel fill, however many blocks it takes,
+    # or one _band_basis factor of it: the covariances sum the squares of
+    # one, and each determinant fills its own scaled kernel in _log_det
     fill = counted("kernel", fredholm_module._scaled_kernel)
     for module in (fredholm_module, counting_module):
         monkeypatch.setattr(module, "_scaled_kernel", fill)
+    monkeypatch.setattr(fredholm_module, "_band_basis", counted("kernel", fredholm_module._band_basis))
     monkeypatch.setattr(fredholm_module, "cholesky_factor", counted("factor", fredholm_module.cholesky_factor))
     monkeypatch.setattr(fredholm_module, "lu_factor", counted("lu", fredholm_module.lu_factor))
 

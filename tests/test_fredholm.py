@@ -504,7 +504,9 @@ def test_discretization_validation_and_sign_check(monkeypatch):
     for weights in ((0.3, 0.6), (2.0, 3.0)):
         sizes.clear()
         assert disc.log_det(weights) == fredholm_det((0.0, 0.5, 1.0), weights, 2.0, 16).log_f
-        assert sizes == [32, 32, 16]  # log_det, then fredholm_det's two orders
+        # log_det, then fredholm_det's two orders: N = 32 takes the band
+        # route, whose M x M matrix has M = 10, and N = 16 < 3M the N x N one
+        assert sizes == [10, 10, 16]
 
 
 def test_unresolved_coarse_pass_raises():
@@ -720,16 +722,18 @@ def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
 
         return wrapper
 
-    fill = fredholm_module._scaled_kernel
+    def sized(fill):
+        def sized_fill(rule, *args, **kwargs):
+            mat = fill(rule, *args, **kwargs)
+            sizes.append(mat.shape[1])  # N: N x N, or M x N on the band route
+            return mat
 
-    def sized_fill(rule, *args, **kwargs):
-        mat = fill(rule, *args, **kwargs)
-        sizes.append(len(mat))
-        return mat
+        return counted("fill", sized_fill)
 
-    # each order fills its scaled kernel once, however many blocks that
-    # takes, a deflated hard gap included
-    monkeypatch.setattr(fredholm_module, "_scaled_kernel", counted("fill", sized_fill))
+    # each order fills its scaled kernel, or its band factor, once, however
+    # many blocks that takes, a deflated hard gap included
+    monkeypatch.setattr(fredholm_module, "_scaled_kernel", sized(fredholm_module._scaled_kernel))
+    monkeypatch.setattr(fredholm_module, "_band_basis", sized(fredholm_module._band_basis))
     monkeypatch.setattr(fredholm_module, "cholesky_factor", counted("factor", fredholm_module.cholesky_factor))
     monkeypatch.setattr(fredholm_module, "lu_factor", counted("lu", fredholm_module.lu_factor))
     fredholm_det((0.0, 0.5, 1.0), (0.3, 0.6), 5.0)
@@ -745,6 +749,138 @@ def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
     fredholm_det(*FIG2_LEFT, 40.0)
     assert calls == {"fill": 2, "factor": 2, "lu": 0}
     assert sizes == [192, 96]
+
+
+def test_band_factor_matches_the_kernel_within_the_fill_error_for_spans_to_400():
+    # Phi Phi^T against sine_kernel's D K D, D = diag(sqrt w), entry by
+    # entry: weighted by w_b, as the fill is held to in
+    # test_kernel_fill_is_symmetric_and_within_its_rounding_bound, each
+    # K_ab w_b is right to 8 eps (7.0 eps at most here).  The order is
+    # _band_order's, which grows past span / 2 + 24 from span 100 on: a
+    # fixed margin of 24 is off by 1e-12 at span 200 and 5e-10 at span 400
+    eps = np.finfo(float).eps
+    for endpoints in ((0.0, 1.0), (0.0, 0.5, 1.1, 1.7), (-3.0, -1.0, 2.0)):
+        partition = IntervalPartition(endpoints)
+        for span in (1.0, 5.0, 30.0, 100.0, 200.0, 400.0):
+            r = span / (endpoints[-1] - endpoints[0])
+            rule = composite_rule(partition, r, math.ceil(r * max(partition.lengths) / 2) + 30)
+            t, w = rule.nodes, rule.weights
+            order = fredholm_module._band_order(math.ceil(t.max() - t.min()))
+            assert order % 2 == 0 and order > span / 2
+            phi_t = fredholm_module._band_basis(rule, np.sqrt(w), order)
+            kernel = phi_t.T @ phi_t / np.sqrt(np.outer(w, w))
+            diff = np.abs(kernel - sine_kernel(t[:, None], t[None, :]))
+            assert np.max(diff * w[None, :]) <= 8.0 * eps, (endpoints, span, order)
+
+
+def test_band_order_is_the_least_even_order_its_bound_allows():
+    # M - span / 2 grows like span^(1/3): the bound with the exact
+    # spherical Bessel functions (mpmath) gives the same least orders
+    assert [fredholm_module._band_order(span) for span in (1, 10, 30, 68, 100, 200, 400, 800)] == [
+        8, 20, 34, 60, 78, 136, 244, 456]
+
+
+def test_band_route_takes_one_sign_weights_and_leaves_the_rest_to_the_fill(monkeypatch):
+    calls = {"fill": 0, "band": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(fredholm_module, "_scaled_kernel", counted("fill", fredholm_module._scaled_kernel))
+    monkeypatch.setattr(fredholm_module, "_band_basis", counted("band", fredholm_module._band_basis))
+    fig1_right = (0.0, 0.5, 1.1, 1.7)
+    long_gap = (0.0, 0.5, 1.5, 1.7)  # an interval of length 1: half-length r / 2
+    cases = (
+        # one sign, below or above 1, zero weights with half-length <= 4
+        # (r = 13.3 for a gap of 0.6) and small ones on short intervals
+        (fig1_right, (0.3, 0.7, 0.5), 40.0, 128, "band"),
+        (fig1_right, (1.5, 2.0, 3.0), 40.0, 64, "band"),
+        (FIG2_LEFT[0], FIG2_LEFT[1], 13.0, 64, "band"),
+        (long_gap, (0.5, 1e-3, 0.5), 8.0, 64, "band"),
+        (long_gap, (0.5, fredholm_module.BAND_MIN_WEIGHT, 0.5), 40.0, 64, "band"),
+        # the crossover: M = 60 at r = 40, so N = 3 * 60 = 180 takes the band
+        (fig1_right, (0.3, 0.7, 0.5), 40.0, 60, "band"),
+        # mixed signs, zero weight of half-length above 4 (deflated or
+        # not), a small weight on a long interval, and orders near the
+        # floor, where 3M > N: N = 177 just below the crossover
+        (fig1_right, (0.3, 2.5, 0.5), 40.0, 128, "fill"),
+        (FIG2_LEFT[0], FIG2_LEFT[1], 14.0, 64, "fill"),
+        (FIG2_LEFT[0], FIG2_LEFT[1], 30.0, 64, "fill"),
+        (long_gap, (0.5, 1e-3, 0.5), 40.0, 64, "fill"),
+        (fig1_right, (0.3, 0.7, 0.5), 40.0, 59, "fill"),
+        (fig1_right, (0.3, 0.7, 0.5), 40.0, 16, "fill"),
+    )
+    for endpoints, weights, r, n, route in cases:
+        calls.update(fill=0, band=0)
+        Discretization(endpoints, r, n).log_det(weights)
+        assert calls == {"fill": int(route == "fill"), "band": int(route == "band")}, (endpoints, weights, r, n)
+    # at r = 5e-324 every half-length rounds to 0: the nodes coincide, the
+    # span is 0 and the weights are 0, so log F = 0
+    assert Discretization((0.0, 1.0), 5e-324, 24).log_det((0.5,)) == 0.0
+
+    # a span of 4800 needs M = 2502 > quadrature.MAX_ORDER, though
+    # 3M <= N = 16384: the fill route, which this stub stops before it
+    # allocates the 2 GiB N x N matrix
+    class Filled(Exception):
+        pass
+
+    def stop(rule, *args):
+        calls["fill"] += 1
+        raise Filled(len(rule.nodes))
+
+    monkeypatch.setattr(fredholm_module, "_scaled_kernel", stop)
+    calls.update(fill=0, band=0)
+    with pytest.raises(Filled):
+        Discretization(tuple(range(9)), 600.0, 2048).log_det((0.5,) * 8)
+    assert calls == {"fill": 1, "band": 0}
+
+
+def test_band_min_weight_is_the_first_prolate_gap_at_the_band_half_length():
+    # BAND_MIN_WEIGHT is 1 - lambda_0 of the sine kernel on an interval of
+    # half-length BAND_MAX_HALF_LENGTH, from a 48-point Nystrom matrix
+    h = fredholm_module.BAND_MAX_HALF_LENGTH
+    rule = composite_rule(IntervalPartition((-1.0, 1.0)), h, 48)
+    t, w = rule.nodes, rule.weights
+    lam = np.linalg.eigvalsh(np.sqrt(np.outer(w, w)) * sine_kernel(t[:, None], t[None, :]))
+    assert 1.0 - lam[-1] == pytest.approx(fredholm_module.BAND_MIN_WEIGHT, rel=0.01)
+
+
+def test_band_route_keeps_the_nystrom_value(monkeypatch):
+    # the band route's log F against the N x N matrix's at the same nodes,
+    # on the figure-1 weights and their inverses and the figure-2 weights
+    # below half-length 4, and on a seeded grid of one-sign weights
+    band_route = fredholm_module._band_route
+    rng = np.random.default_rng(7)
+    cases = []
+    for endpoints, weights in (
+        ((0.0, 0.7, 1.2), WeightConfiguration.from_positive_u((-1.1, -2.4))),
+        ((0.0, 0.5, 1.1, 1.7), WeightConfiguration.from_positive_u((-0.8, -1.8, -1.32))),
+    ):
+        for s in (weights.values, tuple(1.0 / v for v in weights.values)):
+            cases += [(endpoints, s, r, n) for r in (5.0, 12.0, 25.0, 40.0) for n in (64, 128)]
+    for endpoints, weights in (FIG2_LEFT, FIG2_RIGHT):
+        cases += [(endpoints, weights.values, r, n) for r in (5.0, 9.0, 13.0) for n in (64, 128)]
+    for _ in range(40):
+        m = int(rng.integers(1, 5))
+        endpoints = tuple(np.cumsum(np.concatenate(([0.0], rng.uniform(0.1, 1.0, m)))))
+        s = np.exp(rng.uniform(math.log(1e-3), math.log(50.0), m))
+        s = np.minimum(s, 1.0) if rng.random() < 0.5 else np.maximum(s, 1.0)
+        cases.append((endpoints, tuple(s), math.exp(rng.uniform(0.0, math.log(60.0))), 64))
+    taken = 0
+    for endpoints, weights, r, n in cases:
+        floor = max(math.ceil(r * (b - a) / 2) for a, b in zip(endpoints, endpoints[1:]))
+        disc = Discretization(endpoints, r, max(n, 2 * floor))
+        monkeypatch.setattr(fredholm_module, "_band_route", band_route)
+        got = disc.log_det(weights)
+        taken += band_route(disc.rule, np.asarray(weights, dtype=float)) is not None
+        monkeypatch.setattr(fredholm_module, "_band_route", lambda rule, s: None)
+        want = disc.log_det(weights)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (endpoints, weights, r, n, got - want)
+    assert taken >= 0.9 * len(cases)
 
 
 def _slogdet_log_f(endpoints, weights, r, n):

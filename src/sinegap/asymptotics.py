@@ -19,7 +19,10 @@ instead of being written out again:
 with (mu, Sigma) from `counting_stats` (the nested counts
 N_(r x_0, r x_j)) and (mu_hat, Sigma_hat) from `conditional_stats` (the
 counts conditioned on the hard gap).  The interval geometry is written
-in those two functions only; `dyson_gap_log` and `basor_widom_log`, the
+in those two functions only: the nested counts' is each endpoint's
+distance to x_0, and the conditioned one is two distances per endpoint,
+to each end of the gap, taken once and shared by mu_hat, sigma_hat^2
+and every Sigma_hat pair.  `dyson_gap_log` and `basor_widom_log`, the
 m = 1 laws, are coded on their own as an independent check.
 
 Every expansion is returned as an ExpansionBreakdown splitting the value
@@ -35,13 +38,14 @@ constant slot.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError, _real
+from .errors import NumericalError, ValidationError, _real
 from .fredholm import IntervalPartition, _as_partition, _checked_u, reduced_indices
 from .quadrature import _check_r
 from .specfun import DYSON_CONSTANT, EULER_GAMMA, barnes_pair
@@ -110,16 +114,20 @@ class StatisticsTriple:
 
 
 def _checked_arithmetic(fn):
-    """`fn`, with every ArithmeticError turned into NumericalError: numpy's
-    overflow, invalid value and division by zero, `math.pow`'s overflow
-    and a float division by zero."""
+    """`fn`, with every ArithmeticError turned into NumericalError (numpy's
+    overflow, invalid value and division by zero, `math.pow`'s overflow,
+    a float division by zero), and so is `math`'s domain error, the log or
+    square root of a value that underflowed: a ValueError that is not a
+    ValidationError, which passes through as it is."""
 
     @functools.wraps(fn)
     def checked(*args, **kwargs):
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 return fn(*args, **kwargs)
-        except ArithmeticError as exc:
+        except ValidationError:
+            raise
+        except (ArithmeticError, ValueError) as exc:
             raise NumericalError(f"{fn.__name__} leaves double precision: {exc}") from None
 
     return checked
@@ -248,60 +256,52 @@ def counting_stats(partition, r: float) -> StatisticsTriple:
     partition = _as_partition(partition)
     r = _check_r(r)
     x = partition.as_array()
-    m = partition.m
     d = x[1:] - x[0]
 
     mu = r * d / PI
     cross = np.diag(np.log(2.0 * r * d) / PI2)
-    for j in range(m):
-        for k in range(j + 1, m):
-            v = math.log(2.0 * r * d[j] * d[k] / abs(x[k + 1] - x[j + 1])) / (2.0 * PI2)
-            cross[j, k] = cross[k, j] = v
-    return StatisticsTriple(mu=mu, cross=cross, labels=tuple(range(1, m + 1)))
+    for j, k in itertools.combinations(range(partition.m), 2):
+        v = math.log(2.0 * r * d[j] * d[k] / abs(x[k + 1] - x[j + 1])) / (2.0 * PI2)
+        cross[j, k] = cross[k, j] = v
+    return StatisticsTriple(mu=mu, cross=cross, labels=tuple(range(1, partition.m + 1)))
 
 
 @_checked_arithmetic
 def conditional_stats(partition, p: int, r: float) -> StatisticsTriple:
     """Statistics of the counts conditioned on a hard gap on interval p.
 
-    For j in {0..m} minus {p-1, p} (labels), with g = x_p - x_{p-1}:
+    For j in {0..m} minus {p-1, p} (labels), with g = x_p - x_{p-1} and
+    each endpoint's distances R_j = |x_j - x_p| and L_j = |x_j - x_{p-1}|
+    to the two ends of the gap:
 
-        mu_hat_j     = (r/pi) sqrt(|x_p - x_j| |x_{p-1} - x_j|)
-        sigma_hat_j^2 = log(4 sqrt(|x_j-x_p| |x_j-x_{p-1}|)
-                            |2 x_j - x_p - x_{p-1}| r / g) / (2 pi^2)
+        mu_hat_j     = (r/pi) sqrt(R_j L_j)
+        sigma_hat_j^2 = log(4 sqrt(R_j L_j) |2 x_j - x_p - x_{p-1}| r / g) / (2 pi^2)
         Sigma_hat_jk  = log((a + b)/|a - b|) / (2 pi^2)   (r-independent),
 
-    where a = sqrt(|x_k-x_p| |x_j-x_{p-1}|), b = sqrt(|x_k-x_{p-1}| |x_j-x_p|).
+    where a = sqrt(R_k L_j), b = sqrt(L_k R_j).  |2 x_j - x_p - x_{p-1}|
+    is R_j + L_j, but that sum rounds differently, so it is taken from x.
     Note label j = 0 is meaningful here: it indexes the ratio
     u_0 = -log s_1 across the left boundary.
     """
     partition = _as_partition(partition)
     r = _check_r(r)
-    m = partition.m
-    idx = reduced_indices(m, p)
+    idx = reduced_indices(partition.m, p)
     x = partition.as_array()
-    gap = x[p] - x[p - 1]
+    right = [abs(x[j] - x[p]) for j in idx]
+    left = [abs(x[j] - x[p - 1]) for j in idx]
+    root = [math.sqrt(rj * lj) for rj, lj in zip(right, left)]
 
-    mu = np.array([r / PI * math.sqrt(abs(x[p] - x[j]) * abs(x[p - 1] - x[j])) for j in idx])
+    mu = np.array([r / PI * v for v in root])
     cross = np.diag(
         [
-            math.log(
-                4.0
-                * math.sqrt(abs(x[j] - x[p]) * abs(x[j] - x[p - 1]))
-                * abs(2.0 * x[j] - x[p] - x[p - 1])
-                * r
-                / gap
-            )
-            / (2.0 * PI2)
-            for j in idx
+            math.log(4.0 * v * abs(2.0 * x[j] - x[p] - x[p - 1]) * r / (x[p] - x[p - 1])) / (2.0 * PI2)
+            for j, v in zip(idx, root)
         ]
     )
-    for a_i in range(len(idx)):
-        for b_i in range(a_i + 1, len(idx)):
-            j, k = idx[a_i], idx[b_i]
-            a = math.sqrt(abs(x[k] - x[p]) * abs(x[j] - x[p - 1]))
-            b = math.sqrt(abs(x[k] - x[p - 1]) * abs(x[j] - x[p]))
-            cross[a_i, b_i] = cross[b_i, a_i] = math.log((a + b) / abs(a - b)) / (2.0 * PI2)
+    for j, k in itertools.combinations(range(len(idx)), 2):
+        a = math.sqrt(right[k] * left[j])
+        b = math.sqrt(left[k] * right[j])
+        cross[j, k] = cross[k, j] = math.log((a + b) / abs(a - b)) / (2.0 * PI2)
     return StatisticsTriple(mu=mu, cross=cross, labels=idx)
 
 

@@ -2,15 +2,14 @@
 expansions, convergence scans, count PMFs, and counting statistics.
 
 Jobs are reproducible: identical invocations produce byte-identical
-output for a fixed BLAS thread count.  The last digits of a determinant
-factored as the N x N Nystrom matrix (weights on both sides of 1, a
-deflated hard gap, small weights on long intervals, orders near the
-floor, spans past the largest Gauss-Legendre order) can change with the
-number of BLAS threads; one on the band route of `fredholm._log_det`, an
-M x M factor, gave the same bits at one and two threads in every case
-measured.  Floats print as Python's shortest
-repr, which round-trips exactly and always carries a '.' or an exponent
-(5.0, 0.7, 1e-05), so a float cell never reads as an integer.  Output
+output for a fixed BLAS thread count.  A determinant on the band route of
+`sinegap.fredholm`, one M x M factor, gave the same bits at one and two
+BLAS threads in every case measured; the last digits of one factored as
+the N x N Nystrom matrix (the cases the `sinegap.fredholm` module
+docstring names) can change with the number of threads.  Floats print
+as Python's shortest repr, which round-trips exactly and always carries
+a '.' or an exponent (5.0, 0.7, 1e-05), so a float cell never reads as
+an integer.  A --r-range scan has at most MAX_R_COUNT rows.  Output
 goes to stdout or --out, as CSV (`csv` module: header row, one row per
 line, empty cell for a missing value) or as JSON on a single line: one
 object {"jobspec": ..., "rows": [...]}, the jobspec being the job's
@@ -34,6 +33,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -113,10 +113,15 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
 
+# every row is held before anything is written, so a scan has at most
+# this many
+MAX_R_COUNT = 10**5
+
+
 def _r_range(text: str) -> tuple[float, float, int]:
     lo, hi, count = text.split(":")
     lo, hi, count = float(lo), float(hi), int(count)
-    if not (lo < hi and count >= 2):
+    if not (lo < hi and 2 <= count <= MAX_R_COUNT):
         raise ValueError
     return lo, hi, count
 
@@ -129,7 +134,7 @@ FLAGS = {
     "u": (_floats, "comma-separated floats", "exponential parameters, comma-separated; use --u=-1.1,... form"),
     "p": (int, "an integer", "index of the zero-weight interval (1-based)"),
     "r": (float, "a float", "single scale value"),
-    "r_range": (_r_range, "lo:hi:count with lo < hi and count >= 2", "geometric scan lo:hi:count"),
+    "r_range": (_r_range, f"lo:hi:count with lo < hi and 2 <= count <= {MAX_R_COUNT}", "geometric scan lo:hi:count"),
     "n": (int, "an integer", "fredholm, converge, pmf: quadrature order per interval (default 64)"),
     "k": (int, "an integer", "pmf: max count kept, one integer for every interval"),
 }
@@ -271,9 +276,8 @@ def _run_stats(job: JobSpec, partition: IntervalPartition):
         labels = triple.labels
         rows = [[r, names[0], labels[i], None, float(triple.mu[i])] for i in range(len(labels))]
         rows += [[r, names[1], labels[i], None, float(triple.sigma2[i])] for i in range(len(labels))]
-        for i in range(len(labels)):
-            for jdx in range(i + 1, len(labels)):
-                rows.append([r, names[2], labels[i], labels[jdx], float(triple.cross[i, jdx])])
+        for i, k in itertools.combinations(range(len(labels)), 2):
+            rows.append([r, names[2], labels[i], labels[k], float(triple.cross[i, k])])
         return rows
 
     return ["r", "stat", "j", "k", "value"], [row for r in job.r_values() for row in one(r)]

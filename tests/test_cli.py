@@ -626,6 +626,26 @@ def test_more_nodes_than_max_nodes_exit_2_with_empty_stdout(capsys):
     )
 
 
+def test_underflowed_closed_forms_exit_3_and_an_oversized_scan_exits_2(capsys):
+    # at endpoints 1e-170 apart a product of two distances underflows to 0
+    # and math.log refuses it: a numerical failure, as every closed-form
+    # failure is.  A scan of 10^12 rows is refused before anything is
+    # allocated, since every row is held before anything is written
+    for argv, want in (
+        (("asym1", "--x", "0,1e-170,2e-170", "--u", "1,1", "--r", "1"), 3),
+        (("asym2", "--x", "0,1e-170,2e-170,3e-170", "--p", "2", "--u", "1,1", "--r", "1"), 3),
+        (("stats", "--x", "0,1e-170,2e-170", "--p", "1", "--r", "1"), 3),
+        (("converge", "--x", "0,1e-170,2e-170", "--u", "1,1", "--r-range", "1:2:2"), 3),
+        (("asym1", "--x", "0,1", "--u", "0.5", "--r-range", "1:2:1000000000000"), 2),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (want, ""), (argv, err)
+        assert err.count("\n") == 1 and "Traceback" not in err, (argv, err)
+    assert str(cli.MAX_R_COUNT) in err
+    with pytest.raises(NumericalError):
+        counting_stats((0, 1e-170, 2e-170), 1.0)
+
+
 def test_python_m_sinegap_prints_what_main_prints_and_passes_on_exit_codes(capsys):
     src = str(Path(sinegap.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -118,14 +118,15 @@ def _checked_arithmetic(fn):
     overflow, invalid value and division by zero, `math.pow`'s overflow,
     a float division by zero), and so is `math`'s domain error, the log or
     square root of a value that underflowed: a ValueError that is not a
-    ValidationError, which passes through as it is."""
+    ValidationError, which passes through as it is.  So does a
+    NumericalError, which names the checked function that raised it."""
 
     @functools.wraps(fn)
     def checked(*args, **kwargs):
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 return fn(*args, **kwargs)
-        except ValidationError:
+        except (ValidationError, NumericalError):
             raise
         except (ArithmeticError, ValueError) as exc:
             raise NumericalError(f"{fn.__name__} leaves double precision: {exc}") from None

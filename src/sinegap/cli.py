@@ -3,10 +3,12 @@ expansions, convergence scans, count PMFs, and counting statistics.
 
 Jobs are reproducible: identical invocations produce byte-identical
 output for a fixed BLAS thread count.  A determinant on the band route of
-`sinegap.fredholm`, one M x M factor, gave the same bits at one and two
-BLAS threads in every case measured; the last digits of one factored as
-the N x N Nystrom matrix (the cases the `sinegap.fredholm` module
-docstring names) can change with the number of threads.  Floats print
+`sinegap.fredholm` (one-sign weights, N >= 3M), one M x M factor, gave
+the same bits at one and two BLAS threads in every case measured.  The
+last digits can change with the number of threads where the route also
+factors the n x n rows of a weight near 0 on a long interval, and where
+the N x N Nystrom matrix is factored: weights on both sides of 1, N < 3M,
+or M above the largest Gauss-Legendre order.  Floats print
 as Python's shortest repr, which round-trips exactly and always carries
 a '.' or an exponent (5.0, 0.7, 1e-05), so a float cell never reads as
 an integer.  A --r-range scan has at most MAX_R_COUNT rows.  Output
@@ -82,9 +84,13 @@ class JobSpec:
     out: str | None = None
 
     def r_values(self) -> tuple[float, ...]:
+        """The scan's r values; a count above MAX_R_COUNT raises
+        ValidationError before anything is allocated."""
         if self.r is not None:
             return (self.r,)
         lo, hi, count = self.r_range
+        if count > MAX_R_COUNT:
+            raise ValidationError(f"a scan has at most MAX_R_COUNT = {MAX_R_COUNT} rows, got {count}")
         return tuple(float(v) for v in np.geomspace(lo, hi, count))
 
 

@@ -29,31 +29,39 @@ span of the nodes by a margin (`_band_order`): M is about r (x_m - x_0) / 2
 plus 8 to 44 for spans up to 400, whatever n is.  By Sylvester's identity
 det(I - S D K D) = det(I_M - S Phi^T Phi), so where c has one sign that
 M x M matrix is positive definite, formed by one dsyrk and factored by one
-Cholesky.  `_band_route` takes it only where no hard gap is deflated, no
-long run of weights near 0 sits in the matrix (BAND_MAX_HALF_LENGTH),
-N >= 3M, where it is the faster, and M is an order `gauss_legendre`
-gives (MAX_ORDER); every other input fills and factors the N x N matrix.  It keeps the n-point Nystrom value to rounding (the
-measured differences are in the ROADMAP, *Current state*).
+Cholesky.  A weight near 0 on a long interval (a run of them longer than
+2 BAND_MAX_HALF_LENGTH, a deflated hard gap always) would multiply Phi's
+rounding by 1 / (1 - lambda_0): there every interval G with a weight
+below BAND_MIN_WEIGHT keeps its rows of the Nystrom matrix, filled and
+deflated as below, the rest goes through Phi, and an n_G x n_G and an
+M' x M' Cholesky factor give log F (`_log_det`).  `_band_route` takes the
+route for weights on one side of 1 at N >= 3M, where it is the faster,
+and where M is an order `gauss_legendre` gives (MAX_ORDER); mixed signs
+and every other input fill and factor the N x N matrix.  It keeps the
+n-point Nystrom value to rounding (the measured differences are in the
+ROADMAP, *Current state*).
 
 A `Discretization` holds the weight-independent part for (partition, r,
-n), so each weight costs one fill (of the N x N matrix or of Phi) and one
-factorization.  A truncated series evaluation
+n), so each weight costs one fill (of the N x N matrix, of Phi, or of Phi
+and the rows of G) and one factorization (two with G's rows, or with
+mixed signs).  A truncated series evaluation
 `series_det` provides an independent cross-check route for small
 instances and is deliberately kept free of any factorization.
 
-Hard gaps.  A zeroed interval G = (r x_{p-1}, r x_p), one with
-s_p = 0, is a hard gap: K on G has eigenvalues lambda_k within about
+Hard gaps.  A zeroed interval (r x_{p-1}, r x_p), one with
+s_p = 0, is a hard gap: K on it has eigenvalues lambda_k within about
 exp(-r (x_p - x_{p-1})) of 1, and rounding the assembled matrix by eps
 moves log F by about eps / (1 - lambda_0), 1e-7 to 3e-6 at r = 40 for a
 gap of 0.6.  Every weight configuration takes one route
 (`_hard_gap_route`): of its zeroed intervals with modes
 1 - lambda_k < `prolate.HARD_GAP_TAU` = 1e-4, the one with the smallest
 1 - lambda_0 is deflated.  1 - lambda_k and the eigenfunctions come from
-prolate spheroidal wave functions (`prolate.gap_modes`) to relative
-accuracy, and the matrix factored has the same size and a condition on
-that interval of about 1e4 (`_log_det`).  Inputs without such
-a mode deflate nothing.  A run of adjacent zero
-weights is one hard gap and is merged into one interval first.  Where
+prolate spheroidal wave functions (`prolate.gap_modes`, skipped below the
+half-length HARD_GAP_MIN_HALF_LENGTH, where it finds none) to relative
+accuracy, and the matrix factored has a condition on that interval of
+about 1e4 (`_log_det`).  Inputs without such a mode deflate nothing.  A
+run of adjacent zero weights is one hard gap and is merged into one
+interval first.  Where
 the prolate values themselves lose their digits, the route raises
 NumericalError (see HARD_GAP_MAX_ROUNDING).  With zeros on
 separated intervals the other gaps stay in the matrix: the route raises
@@ -96,6 +104,10 @@ HARD_GAP_MAX_ROUNDING = 1e-5
 # Beyond this half-length the bound above is always exceeded (it is
 # already about 0.1 at half-length 36), so the route raises at once.
 HARD_GAP_MAX_HALF_LENGTH = 40.0
+# Below this half-length 1 - lambda_0 exceeds prolate.HARD_GAP_TAU (it is
+# 1.43e-4 at 5.8, and the first mode below 1e-4 appears at 5.99), so no
+# mode is deflated and the route skips `gap_modes`, which a test checks.
+HARD_GAP_MIN_HALF_LENGTH = 5.8
 # The band route of `_log_det` and the fill round differently, and each
 # loses about eps / mu of log F, mu the smallest eigenvalue of its matrix.
 # An interval of half-length c and weight s < 1 holds mu to about
@@ -104,9 +116,10 @@ HARD_GAP_MAX_HALF_LENGTH = 40.0
 # routes differed by at most 2.8e-14 max(1, |log F|) up to c = 4, where
 # 1 - lambda_0 = 4.1e-3, by up to 2.6e-13 at c = 4.4 to 4.8 and by up to
 # 6.7e-13 at c = 5.4 to 6, where Nystrom's own n vs 2n spread is as large.
-# So the band route takes weights below BAND_MIN_WEIGHT only on a run of
-# adjacent intervals of half-length at most BAND_MAX_HALF_LENGTH.  The two
-# are one choice: BAND_MIN_WEIGHT must stay 1 - lambda_0 at half-length
+# So Phi carries weights below BAND_MIN_WEIGHT only on a run of adjacent
+# intervals of half-length at most BAND_MAX_HALF_LENGTH; past that the band
+# route fills their rows (`_filled_intervals`).  The two are one choice:
+# BAND_MIN_WEIGHT must stay 1 - lambda_0 at half-length
 # BAND_MAX_HALF_LENGTH (`prolate.gap_modes`), which a test checks.
 BAND_MAX_HALF_LENGTH = 4.0
 BAND_MIN_WEIGHT = 4.1e-3
@@ -286,13 +299,14 @@ def _checked_weights(partition: IntervalPartition, weights):
     return IntervalPartition(endpoints), WeightConfiguration(merged)
 
 
-def _scaled_kernel(rule, a, b) -> np.ndarray:
+def _scaled_kernel(rule, a, b, blocks=None) -> np.ndarray:
     """diag(a) K diag(b) on the nodes t of the composite rule `rule`, K the
     sine kernel, from the 2N scaled sines and cosines a sin t, a cos t,
     b sin t and b cos t: the diagonal blocks and the blocks right of them
-    (`rule.blocks`), with the blocks below left unset: `_log_det` factors
-    from these blocks alone, and `counting.numerical_cumulants` sums their
-    squares.  No caller builds the whole matrix.
+    (`rule.blocks`, or the leading `blocks` of them, whose rows alone the
+    result then holds), with the blocks below left unset: `_log_det`
+    factors from these blocks alone, and `counting.numerical_cumulants`
+    sums their squares.  No caller builds the whole matrix.
 
     Entry (i, j) is ((a_i sin t_i)(b_j cos t_j) - (a_i cos t_i)(b_j sin t_j))
     / (pi (t_i - t_j)), and a_i b_i / pi on the diagonal.  With a = b = 1
@@ -315,8 +329,9 @@ def _scaled_kernel(rule, a, b) -> np.ndarray:
     row_sin, row_cos, col_sin, col_cos = a * sin_t, a * cos_t, b * sin_t, b * cos_t
     ones = np.ones_like(t)
     row_t, col_t = np.stack((t, ones), axis=1), np.stack((ones, -t))  # products by 1: exact
-    out = np.empty((len(t), len(t)))
-    for rows in rule.blocks:
+    blocks = rule.blocks if blocks is None else blocks
+    out = np.empty((max(rows.stop for rows in blocks), len(t)))
+    for rows in blocks:
         cols = slice(rows.start, len(t))
         block = out[rows, cols]
         np.einsum("i,j->ij", row_sin[rows], col_cos[cols], out=block)
@@ -326,7 +341,7 @@ def _scaled_kernel(rule, a, b) -> np.ndarray:
         scratch *= math.pi
         np.fill_diagonal(scratch, 1.0)  # the diagonal: 0 / 1, not 0 / 0
         block /= scratch
-    np.fill_diagonal(out, a * b * (1.0 / math.pi))
+    np.fill_diagonal(out, a * b * (1.0 / math.pi))  # as many entries as out has rows
     return out
 
 
@@ -488,25 +503,57 @@ def cholesky_factor(a):
 def _band_route(rule, s) -> int | None:
     """The order M of `_band_basis` at which `_log_det` takes the band
     route for weights s on `rule`, or None where it fills and factors the
-    N x N matrix: the route needs weights on one side of 1 and no run of
-    adjacent weights below BAND_MIN_WEIGHT longer than
-    2 BAND_MAX_HALF_LENGTH, and runs only where it is the faster, at
-    N >= 3M, and where `gauss_legendre` gives the order, M <= MAX_ORDER.
-    Its cost is mostly the N M sines and cosines of Phi, not the N M^2 of
-    the dsyrk, so the flop counts do not place the crossover: N >= 3M is
-    where it was measured to be the faster (ROADMAP, *Current state*).
-    The floor n >= r L / 2 keeps the span below about 2N, so `_band_order`
-    sums at most some 2N terms."""
+    N x N matrix: the route needs weights on one side of 1, and runs only
+    where it is the faster, at N >= 3M, and where `gauss_legendre` gives
+    the order, M <= MAX_ORDER.  Its cost is mostly the N M sines and
+    cosines of Phi, not the N M^2 of the dsyrk, so the flop counts do not
+    place the crossover: N >= 3M is where it was measured to be the
+    faster (ROADMAP, *Current state*).  The floor n >= r L / 2 keeps the
+    span below about 2N, so `_band_order` sums at most some 2N terms."""
     if s.min() < 1.0 < s.max():
         return None
-    run = 0.0
-    for small, length in zip(s < BAND_MIN_WEIGHT, np.bincount(rule.interval_index, rule.weights)):
-        run = run + length if small else 0.0  # each interval's weights sum to its length
-        if run > 2.0 * BAND_MAX_HALF_LENGTH:
-            return None
     span = rule.nodes.max() - rule.nodes.min()
     order = _band_order(max(1, math.ceil(span)))  # span 0: nodes that coincide at r ~ 5e-324
     return order if 3 * order <= len(rule.nodes) and order <= MAX_ORDER else None
+
+
+def _filled_intervals(rule, s) -> np.ndarray:
+    """Which intervals the band route fills exactly instead of carrying
+    through Phi: every one with a weight below BAND_MIN_WEIGHT, where some
+    run of adjacent such intervals is longer than 2 BAND_MAX_HALF_LENGTH
+    (a deflated hard gap always is), and none otherwise."""
+    small = s < BAND_MIN_WEIGHT
+    run = 0.0
+    for below, length in zip(small, np.bincount(rule.interval_index, rule.weights)):
+        run = run + length if below else 0.0  # each interval's weights sum to its length
+        if run > 2.0 * BAND_MAX_HALF_LENGTH:
+            return small
+    return np.zeros_like(small)
+
+
+def _deflate(mat, rule, sign, gap, blocks):
+    """Deflate the prolate modes of gap = (k, modes) from the filled
+    `blocks` of `mat`, in place (see `_log_det`), and return (D E Q, L):
+    the coupling of every node to the modes, 0 on interval k's own nodes,
+    and the weights lambda / (1 - lambda) of its low-rank term.  D E Q is
+    read off the blocks filled: those of the rows above interval k in
+    its columns, and interval k's own rows right of its block."""
+    k, modes = gap
+    g = rule.blocks[k]
+    # W^{1/2} psi / sqrt(h): interval k's nodes are the base nodes mapped
+    # onto it, with weights h times the base weights
+    q = modes.at_gauss_nodes(g.stop - g.start)
+    lam = 1.0 - modes.gaps
+    deq = np.zeros((len(rule.nodes), modes.count))
+    deq[: g.start] = -sign[: g.start, None] * (mat[: g.start, g] @ q)
+    deq[g.stop :] = -(mat[g, g.stop :].T @ q)
+    mat[g, g] += (q * lam) @ q.T  # interval k's block is I - B already
+    weight = lam / modes.gaps
+    left = sign[:, None] * deq * weight
+    for rows in blocks:
+        if rows != g:  # the low-rank term is 0 on interval k's rows
+            mat[rows, rows.start :] -= left[rows] @ deq[rows.start :].T
+    return deq, weight
 
 
 def _hard_gap_route(partition, weights, r):
@@ -534,6 +581,8 @@ def _hard_gap_route(partition, weights, r):
                 f"hard gap of half-length r (x_p - x_(p-1)) / 2 = {c:.6g} > {HARD_GAP_MAX_HALF_LENGTH:g}:"
                 " 1 - lambda_0 ~ exp(-2c) is below what double precision resolves"
             )
+        if c < HARD_GAP_MIN_HALF_LENGTH:
+            continue
         modes = gap_modes(c)
         if not modes.count:
             continue
@@ -575,36 +624,56 @@ def _log_det(rule, weights: WeightConfiguration, gap) -> float:
     factor raises NumericalError where its matrix is not, as an unresolved
     Schur complement can be, with an even count of negative eigenvalues too.
 
-    With G the nodes of interval k (where c = w, so D_G = W^{1/2}) and R
-    the rest, A = [[I - B, -E^T D_R], [-S_R D_R E, A_RR]], with
-    B = W^{1/2} K_GG W^{1/2} and E = K_RG W^{1/2}.  B has eigenpairs
-    (lambda_j, q_j), q = W^{1/2} psi(nodes) / sqrt(h) on the half-length
-    h, and 1 - lambda_j is known to relative accuracy, so with
+    Deflation (`_deflate`).  With J the nodes of interval k (where c = w,
+    so D_J = W^{1/2}) and O the others, A = [[I - B, -E^T D_O],
+    [-S_O D_O E, A_OO]], with B = W^{1/2} K_JJ W^{1/2} and
+    E = K_OJ W^{1/2}.  B has eigenpairs (lambda_j, q_j),
+    q = W^{1/2} psi(nodes) / sqrt(h) on the half-length h, and
+    1 - lambda_j is known to relative accuracy, so with
     B' = B - Q diag(lambda) Q^T and L = diag(lambda / (1 - lambda)),
 
         det = prod_j (1 - lambda_j)
-              * det [[I - B', -E^T D_R],
-                     [-S_R D_R E, A_RR - S_R D_R (E Q) L (E Q)^T D_R]],
+              * det [[I - B', -E^T D_O],
+                     [-S_O D_O E, A_OO - S_O V L V^T]],  V = D_O E Q,
 
-    the Schur complement on G written with (I - B)^{-1} =
-    (I - B')^{-1} + Q L Q^T.  D_R E is read off the blocks already
-    filled: -S_R A_RG for the rows above G, -A_GR^T for those right of
-    it.  The low-rank term is applied to the filled blocks only, so the
-    matrix factored is as large as the plain one and keeps S A S = A^T,
-    and G adds no more than 1 / prolate.HARD_GAP_TAU to its condition;
-    R may hold other zeroed intervals.  G lies in P (c = w > 0).
+    the Schur complement on J written with (I - B)^{-1} =
+    (I - B')^{-1} + Q L Q^T.  V is read off the blocks already filled:
+    -S_O A_OJ for the rows above J, -A_JO^T for those right of it.  The
+    low-rank term is applied to the filled blocks only, so the matrix
+    factored keeps S A S = A^T, and J adds no more than
+    1 / prolate.HARD_GAP_TAU to its condition; O may hold other zeroed
+    intervals.  J lies in P (c = w > 0).
 
-    Where `_band_route` gives an order M (gap None, c of one sign), A is not
-    filled: with Phi^T from `_band_basis`, D K D = Phi Phi^T to rounding and
-    det A = det(I_M - sign(c) Phi^T Phi) by Sylvester's identity.  That
-    matrix is positive definite, is formed by one dsyrk (lower triangle)
-    and is factored in place by `cholesky_factor`.  Its log F gave the
-    same bits at one and two BLAS threads in every case measured, where
-    that of an N x N factor can differ (ROADMAP, *Current state*).
+    The band route.  Where `_band_route` gives an order M (c of one sign),
+    the N x N matrix is not formed: with Phi^T from `_band_basis`,
+    D K D = Phi Phi^T to rounding.  Where `_filled_intervals` names none,
+    det A = det(I_M - sign(c) Phi^T Phi) by Sylvester's identity, formed by
+    one dsyrk (lower triangle) and factored in place by `cholesky_factor`.
+    Otherwise G, the intervals it names (weights near 0, c >= 0, the
+    deflated interval among them), go first (`_sign_ordered`) and R is the
+    rest: only G's rows are filled, A_GG is deflated as above, and V, 0 on
+    J, is read off the gap's rows.  With U = [Phi, V L^{1/2}], N x M'
+    (M' = M + deflated modes), the deflated A is diag(H, I) - U U^T with
+    H = A_GG + U_G U_G^T, about I + Q diag(lambda) Q^T on J, and
+
+        log det(deflated A) = log det H + log det(I_M' - U_R^T U_R - Y^T Y),
+
+    Y = L_H^-1 U_G with L_H the factor of H: one n_G x n_G and one M' x M'
+    Cholesky factor, the second formed by one dsyrk of [Y; U_R].  G's own
+    block and V are filled, not carried by Phi, whose rounding there
+    1 / (1 - lambda) of the weight near 0 would multiply
+    (BAND_MAX_HALF_LENGTH): V formed as Phi_R Phi_J^T Q in double read
+    1.3e-11 off a long-double fill where V from the gap's rows reads
+    6e-13 (fig2-right, r = 40, n = 64).  A log F of the band route with
+    nothing filled gave the same bits at one and two BLAS threads in every
+    case measured; the n_G x n_G dpotrf of H and that of the N x N matrix
+    can differ (ROADMAP, *Current state*).
     """
     s = weights.as_array()
-    order = _band_route(rule, s) if gap is None else None
-    if order is not None:
+    log_q = 0.0 if gap is None else float(np.sum(np.log(gap[1].gaps)))
+    order = _band_route(rule, s)
+    filled = None if order is None else _filled_intervals(rule, s)
+    if filled is not None and not filled.any():
         from ._lapack import dsyrk
 
         c = rule.weights * (1.0 - s[rule.interval_index])
@@ -613,25 +682,29 @@ def _log_det(rule, weights: WeightConfiguration, gap) -> float:
         gram = dsyrk(-sign, phi_t.T, 1.0, np.eye(order, order="F"), trans=1, lower=1, overwrite_c=1)
         return cholesky_factor(gram)[1]  # I - S Phi^T Phi, lower triangle
     mixed = s.min() < 1.0 < s.max()
-    rule = _sign_ordered(rule, s > 1.0) if mixed else rule
+    if filled is not None or mixed:  # G, or the intervals with c < 0, go first
+        rule = _sign_ordered(rule, s > 1.0 if mixed else filled)
     c = rule.weights * (1.0 - s[rule.interval_index])
     d, sign = np.sqrt(np.abs(c)), np.sign(c)
-    mat = _scaled_kernel(rule, -sign * d, d)  # S D on the rows
+    blocks = rule.blocks if filled is None else tuple(rule.blocks[k] for k in np.flatnonzero(filled))
+    mat = _scaled_kernel(rule, -sign * d, d, blocks)  # S D on the rows; G's rows alone on the band route
     mat.ravel()[:: len(c) + 1] += 1.0
-    if gap is not None:
-        k, modes = gap
-        g = rule.blocks[k]
-        # W^{1/2} psi / sqrt(h): G's nodes are the base nodes mapped onto
-        # it, with weights h times the base weights
-        q = modes.at_gauss_nodes(g.stop - g.start)
-        lam = 1.0 - modes.gaps
-        deq = np.zeros((len(c), modes.count))  # D_R E Q, and 0 on G, whose blocks it leaves as they are
-        deq[: g.start] = -sign[: g.start, None] * (mat[: g.start, g] @ q)
-        deq[g.stop :] = -(mat[g, g.stop :].T @ q)
-        mat[g, g] += (q * lam) @ q.T  # G's block is I - B already
-        left = sign[:, None] * deq * (lam / modes.gaps)
-        for rows in rule.blocks:  # the blocks filled
-            mat[rows, rows.start :] -= left[rows] @ deq[rows.start :].T
+    deflated = None if gap is None else _deflate(mat, rule, sign, gap, blocks)
+    if filled is not None:  # c >= 0
+        from ._lapack import dsyrk, dtrsm
+
+        ng, count = len(mat), 0 if gap is None else gap[1].count
+        u = np.empty((order + count, len(c)), order="F")  # U^T
+        u[:order] = _band_basis(rule, d, order)
+        if deflated is not None:
+            deq, weight = deflated
+            u[order:] = (deq * np.sqrt(weight)).T
+        # H = A_GG + U_G U_G^T, in the lower triangle of a Fortran copy
+        h = dsyrk(1.0, u[:, :ng], 1.0, mat[:, :ng].T, trans=1, lower=1, overwrite_c=1)
+        l_h, log_h = cholesky_factor(h)
+        u[:, :ng] = dtrsm(1.0, l_h, u[:, :ng], side=1, lower=1, trans_a=1, overwrite_b=1)  # (L_H^-1 U_G)^T
+        z = dsyrk(-1.0, u, 1.0, np.eye(len(u), order="F"), trans=0, lower=1, overwrite_c=1)
+        return log_q + log_h + cholesky_factor(z)[1]
     at, log_m = mat.T, 0.0  # mat in Fortran order: its lower triangle holds the blocks filled
     if mixed:  # factor A_MM, and leave its Schur complement A_PP + X^T X in `at`
         from ._lapack import dsyrk, dtrsm
@@ -639,8 +712,7 @@ def _log_det(rule, weights: WeightConfiguration, gap) -> float:
         l_m, log_m = cholesky_factor(at[:nm, :nm])
         xt = dtrsm(1.0, l_m, at[nm:, :nm], side=1, lower=1, trans_a=1)  # X^T = A_MP^T L_M^-T
         at = dsyrk(1.0, xt, 1.0, at[nm:, nm:], lower=1)
-    log_f = log_m + cholesky_factor(at)[1]  # one sign: A itself, in place with no copy
-    return log_f if gap is None else float(np.sum(np.log(modes.gaps))) + log_f
+    return log_q + (log_m + cholesky_factor(at)[1])  # one sign: A itself, in place with no copy
 
 
 def fredholm_det(partition, weights, r: float, n: int = 64) -> DeterminantResult:

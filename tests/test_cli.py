@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -88,8 +89,10 @@ def test_converge_prints_fredholm_log_f_from_one_factorization_per_row(capsys, m
     # converge prints fredholm_det's log F, equal as a float, from one
     # fill and factorization per row: no n // 2 pass.  A fill is the N x N
     # matrix (`_scaled_kernel`) or, on the band route, its N x M factor
-    # (`_band_basis`).  The last flags give weights on both sides of 1
-    # (s ~ 0.74, 2.46, 0.30), two factors a row
+    # (`_band_basis`).  The figure-2 rows at r = 20 and 40 (a zero weight
+    # of half-length 6 and 12) take the band route with the gap's rows
+    # filled: two fills and two factors a row.  The last flags give
+    # weights on both sides of 1 (s ~ 0.74, 2.46, 0.30), two factors a row
     calls = {"fill": 0, "factor": 0}
 
     def counted(name, fn):
@@ -112,7 +115,8 @@ def test_converge_prints_fredholm_log_f_from_one_factorization_per_row(capsys, m
             assert code == 0, err
             rows = [line.split(",") for line in out.strip().split("\n")[1:]]
             assert np.allclose([float(row[0]) for row in rows], (5.0, 10.0, 20.0, 40.0), rtol=1e-15, atol=0.0)
-            assert calls == {"fill": 4, "factor": 8 if flags is mixed else 4}, (flags, n)
+            gap_rows = 2 if "--p" in flags else 0
+            assert calls == {"fill": 4 + gap_rows, "factor": 8 if flags is mixed else 4 + gap_rows}, (flags, n)
             ns = cli.build_parser().parse_args(["converge", *flags, "--r-range", "5:40:4"])
             job, _ = cli.validate_args(ns)
             weights = cli._weights(None, job.u, job.p, len(job.x) - 1)
@@ -644,6 +648,19 @@ def test_underflowed_closed_forms_exit_3_and_an_oversized_scan_exits_2(capsys):
     assert str(cli.MAX_R_COUNT) in err
     with pytest.raises(NumericalError):
         counting_stats((0, 1e-170, 2e-170), 1.0)
+
+
+def test_a_numerical_failure_names_one_function_and_a_built_scan_is_bounded():
+    # a checked expansion that calls a checked statistic reports the
+    # statistic's failure as it is, not wrapped a second time
+    with pytest.raises(NumericalError) as failure:
+        positive_weights_expansion((0, 1e-170, 2e-170), (1.0, 1.0), 1.0)
+    assert re.fullmatch(r"counting_stats leaves double precision: [^:]*", str(failure.value)), str(failure.value)
+    # a JobSpec built directly, not parsed from --r-range, has its count
+    # checked where the scan is built, before anything is allocated
+    job = cli.JobSpec(command="asym1", x=(0.0, 1.0), u=(0.5,), r_range=(1.0, 2.0, 10**12))
+    with pytest.raises(ValidationError, match=f"MAX_R_COUNT = {cli.MAX_R_COUNT}"):
+        cli.run(job)
 
 
 def test_python_m_sinegap_prints_what_main_prints_and_passes_on_exit_codes(capsys):

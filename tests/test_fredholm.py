@@ -743,12 +743,14 @@ def test_fredholm_det_fills_two_kernels_and_factors_two_matrices(monkeypatch):
     calls.update(fill=0, factor=0, lu=0)
     fredholm_det((0.0, 0.5, 1.0), (0.3, 2.5), 5.0)
     assert calls == {"fill": 2, "factor": 4, "lu": 0}
-    # the hard gap reads E Q off the matrix it filled: no second fill of K[:, G]
+    # the hard gap reads E Q off the rows it filled: no second fill of
+    # K[:, G].  At n = 64 (N = 192 >= 3M, M = 60) the band route fills the
+    # gap's rows and Phi and factors H and Z; at n = 32 the N x N matrix
     calls.update(fill=0, factor=0, lu=0)
     sizes.clear()
     fredholm_det(*FIG2_LEFT, 40.0)
-    assert calls == {"fill": 2, "factor": 2, "lu": 0}
-    assert sizes == [192, 96]
+    assert calls == {"fill": 3, "factor": 3, "lu": 0}
+    assert sizes == [192, 192, 96]
 
 
 def test_band_factor_matches_the_kernel_within_the_fill_error_for_spans_to_400():
@@ -804,20 +806,22 @@ def test_band_route_takes_one_sign_weights_and_leaves_the_rest_to_the_fill(monke
         (long_gap, (0.5, fredholm_module.BAND_MIN_WEIGHT, 0.5), 40.0, 64, "band"),
         # the crossover: M = 60 at r = 40, so N = 3 * 60 = 180 takes the band
         (fig1_right, (0.3, 0.7, 0.5), 40.0, 60, "band"),
-        # mixed signs, zero weight of half-length above 4 (deflated or
-        # not), a small weight on a long interval, and orders near the
-        # floor, where 3M > N: N = 177 just below the crossover
+        # a zero weight of half-length above 4 (deflated or not) and a
+        # small weight on a long interval: the band route with those
+        # intervals' rows filled
+        (FIG2_LEFT[0], FIG2_LEFT[1], 14.0, 64, "both"),
+        (FIG2_LEFT[0], FIG2_LEFT[1], 30.0, 64, "both"),
+        (long_gap, (0.5, 1e-3, 0.5), 40.0, 64, "both"),
+        # mixed signs, and orders near the floor, where 3M > N: N = 177
+        # just below the crossover
         (fig1_right, (0.3, 2.5, 0.5), 40.0, 128, "fill"),
-        (FIG2_LEFT[0], FIG2_LEFT[1], 14.0, 64, "fill"),
-        (FIG2_LEFT[0], FIG2_LEFT[1], 30.0, 64, "fill"),
-        (long_gap, (0.5, 1e-3, 0.5), 40.0, 64, "fill"),
         (fig1_right, (0.3, 0.7, 0.5), 40.0, 59, "fill"),
         (fig1_right, (0.3, 0.7, 0.5), 40.0, 16, "fill"),
     )
     for endpoints, weights, r, n, route in cases:
         calls.update(fill=0, band=0)
         Discretization(endpoints, r, n).log_det(weights)
-        assert calls == {"fill": int(route == "fill"), "band": int(route == "band")}, (endpoints, weights, r, n)
+        assert calls == {"fill": int(route != "band"), "band": int(route != "fill")}, (endpoints, weights, r, n)
     # at r = 5e-324 every half-length rounds to 0: the nodes coincide, the
     # span is 0 and the weights are 0, so log F = 0
     assert Discretization((0.0, 1.0), 5e-324, 24).log_det((0.5,)) == 0.0
@@ -881,6 +885,106 @@ def test_band_route_keeps_the_nystrom_value(monkeypatch):
         want = disc.log_det(weights)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (endpoints, weights, r, n, got - want)
     assert taken >= 0.9 * len(cases)
+
+
+def test_hard_gap_min_half_length_is_below_the_first_prolate_mode(monkeypatch):
+    # 1 - lambda_0 falls as the half-length grows, so gap_modes finds no
+    # mode below 1 - lambda = prolate.HARD_GAP_TAU under the floor, and the
+    # first one within 0.25 above it (at 5.99).  Below the floor the route
+    # skips the call and deflates nothing, as gap_modes would have
+    floor = fredholm_module.HARD_GAP_MIN_HALF_LENGTH
+    assert prolate.gap_modes(floor).count == 0
+    assert prolate.gap_modes(floor + 0.25).count == 1
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return prolate.gap_modes(c)
+
+    monkeypatch.setattr(fredholm_module, "gap_modes", counted)
+    endpoints, weights = FIG2_LEFT
+    partition = IntervalPartition(endpoints)
+    for r, want in ((19.0, []), (20.0, [6.0])):  # half-lengths 5.7 and 6
+        calls.clear()
+        fredholm_module._hard_gap_route(partition, weights, r)
+        assert calls == pytest.approx(want), r
+
+
+def _long_double_log_det(rule, weights, gap):
+    """log F of the deflated Nystrom matrix of `_log_det`, filled, deflated
+    and factored in long double at the same double nodes, weights and
+    prolate modes (q and 1 - lambda)."""
+    ld = np.longdouble
+    t = rule.nodes.astype(ld)
+    c = rule.weights.astype(ld) * (1 - weights.as_array()[rule.interval_index].astype(ld))
+    d = np.sqrt(c)
+    diff = t[:, None] - t[None, :]
+    np.fill_diagonal(diff, 1)
+    pi = 4 * np.arctan(ld(1))
+    kernel = np.sin(diff) / (pi * diff)
+    np.fill_diagonal(kernel, 1 / pi)
+    a = np.eye(len(t), dtype=ld) - d[:, None] * kernel * d[None, :]
+    log_f = ld(0)
+    if gap is not None:
+        k, modes = gap
+        g = rule.blocks[k]
+        q = modes.at_gauss_nodes(g.stop - g.start).astype(ld)
+        gaps = modes.gaps.astype(ld)
+        v = -(a[:, g] @ q)
+        v[g] = 0
+        a[g, g] += (q * (1 - gaps)) @ q.T
+        a -= (v * ((1 - gaps) / gaps)) @ v.T
+        log_f += np.sum(np.log(gaps))
+    for j in range(len(a)):  # Cholesky, one column at a time
+        log_f += np.log(a[j, j])
+        a[j + 1 :, j + 1 :] -= np.outer(a[j + 1 :, j] / a[j, j], a[j, j + 1 :])
+    return float(log_f)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is no wider than double")
+def test_band_route_with_filled_gap_rows_matches_a_long_double_fill():
+    # the band route with the zero weight's rows filled (N = 192 and 256,
+    # M = 42 to 78) against the same deflated matrix in long double.  It
+    # reads at most 2.8e-12 (fig2-right, r = 24, where the N x N route
+    # reads 9.5e-13).  The deflation coupling V formed in double from Phi,
+    # Phi_R (Phi_J^T Q) with J the gap's nodes, instead of from the filled
+    # rows read 1.3e-11 at fig2-right r = 40, and 1.2e-12 with that
+    # product in long double.  The last case is a zero weight at
+    # half-length 5.7, not deflated
+    cases = [(figure, r) for figure in (FIG2_LEFT, FIG2_RIGHT) for r in (24.0, 30.0, 40.0)] + [(FIG2_LEFT, 19.0)]
+    for (endpoints, weights), r in cases:
+        partition = IntervalPartition(endpoints)
+        gap, _ = fredholm_module._hard_gap_route(partition, weights, r)
+        assert (gap is None) == (r == 19.0)
+        rule = composite_rule(partition, r, 64)
+        assert fredholm_module._band_route(rule, weights.as_array()) is not None
+        got = fredholm_module._log_det(rule, weights, gap)
+        want = _long_double_log_det(rule, weights, gap)
+        assert abs(got - want) <= 5e-12, (endpoints, r, got - want)
+
+
+def test_band_route_with_filled_rows_keeps_the_nystrom_value(monkeypatch):
+    # against the N x N matrix at the same nodes: the figure-2 weights with
+    # a zero of half-length 4.2 to 12, and a small weight on a long
+    # interval.  Zeros on separated intervals take the route too, one
+    # deflated and the other filled beside it, and are held to their
+    # references (test_separated_zeros_deflate_the_smallest_gap_and_match_references):
+    # both routes round there by up to eps / (1 - lambda_0) of the one
+    # left in the matrix.  Below N = 3M (n = 47 at r = 30, M = 48) the
+    # N x N route runs, deflated gap or not
+    band_route = fredholm_module._band_route
+    cases = [(figure, r, n) for figure in (FIG2_LEFT, FIG2_RIGHT) for r in (14.0, 20.0, 30.0, 40.0) for n in (64, 128)]
+    cases.append((((0.0, 0.5, 1.5, 1.7), (0.5, 1e-3, 0.5)), 40.0, 64))
+    for (endpoints, weights), r, n in cases:
+        disc = Discretization(endpoints, r, n)
+        s = fredholm_module._matched_weights(disc.partition, weights).as_array()
+        assert band_route(disc.rule, s) is not None and fredholm_module._filled_intervals(disc.rule, s).any()
+        got = disc.log_det(weights)
+        monkeypatch.setattr(fredholm_module, "_band_route", lambda rule, s: None)
+        want = disc.log_det(weights)
+        monkeypatch.setattr(fredholm_module, "_band_route", band_route)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (endpoints, weights, r, n, got - want)
+    assert band_route(composite_rule(IntervalPartition(FIG2_LEFT[0]), 30.0, 47), FIG2_LEFT[1].as_array()) is None
 
 
 def _slogdet_log_f(endpoints, weights, r, n):
